@@ -282,6 +282,7 @@ def stft(channel: np.ndarray, config: StftConfig, rate: int) -> ComplexSpectrogr
     num_frames = 1 + (x.shape[0] - n) // hop
     frames = np.lib.stride_tricks.sliding_window_view(x, n)[:: hop][:num_frames]
     bins = np.fft.rfft(frames * _hann_window(n), axis=1)
+    bins.flags.writeable = False  # read-only, so ComplexSpectrogram keeps it without a copy
     return ComplexSpectrogram(bins, config, int(rate), num_samples)
 
 

@@ -23,9 +23,10 @@ import numpy as np
 
 from .audio import AudioBuffer, ComplexSpectrogram, StftConfig, resample, stft
 from .loudness import dbtp_distance
-from .phase import wrap_phase
-from .spectral import MultiScaleConfig, log_magnitude_distance, mel_distance
-from .weighting import apply_cascade, design_a_weighting, design_k_weighting
+from .phase import _bins_of
+from .spectral import MultiScaleConfig, _check_length, _scale_distance, mel_filterbank
+from .stereo import _check_finite, _check_stereo_pair
+from .weighting import _prefilter_pair
 
 __all__ = [
     "CoherenceConfig",
@@ -65,21 +66,15 @@ class CoherenceConfig:
             raise ValueError(f"weight_mode must be one of {_WEIGHT_MODES}, got {self.weight_mode!r}")
 
 
-def _bins_of(spec: ComplexSpectrogram | np.ndarray) -> np.ndarray:
-    bins = spec.bins if isinstance(spec, ComplexSpectrogram) else np.asarray(spec)
-    if bins.ndim != 2:
-        raise ValueError(f"spectrogram must be 2-D, got {bins.ndim}-D")
-    return bins
-
-
-def _resultant_percent(dphi: np.ndarray, weights: np.ndarray, eps: float) -> tuple[float, bool]:
+def _resultant_percent(weighted: np.ndarray, weights: np.ndarray, eps: float) -> tuple[float, bool]:
     """Energy-weighted mean resultant length over frames, as a percent.
 
-    Returns the score and a degeneracy flag that is set when the total
-    weight is below ``eps`` (silent input), in which case the score is 100
-    by convention rather than NaN.
+    ``weighted`` holds each bin's weight times the unit phasor of its phase
+    error. Returns the score and a degeneracy flag that is set when the
+    total weight is below ``eps`` (silent input), in which case the score is
+    100 by convention rather than NaN.
     """
-    resultant = np.abs(np.sum(weights * np.exp(1j * dphi), axis=1))
+    resultant = np.abs(np.sum(weighted, axis=1))
     frame_energy = np.sum(weights, axis=1)
     per_frame = resultant / (frame_energy + eps)
     total = float(np.sum(frame_energy))
@@ -94,16 +89,15 @@ def _icpc_core(
     rec: ComplexSpectrogram | np.ndarray,
     cfg: CoherenceConfig,
 ) -> tuple[float, bool]:
-    a = _bins_of(ref)
-    b = _bins_of(rec)
-    if a.shape != b.shape:
-        raise ValueError(f"spectrogram shapes differ: {a.shape} vs {b.shape}")
-    dphi = wrap_phase(np.angle(b) - np.angle(a))
+    a, b = _bins_of(ref, rec)
     if cfg.weight_mode == "product":
-        weights = np.abs(a) * np.abs(b)
-    else:
-        weights = np.abs(a) ** 2
-    return _resultant_percent(dphi, weights, cfg.epsilon)
+        # |rec * conj(ref)| is the weight and its phase the phase error
+        weighted = b * np.conj(a)
+        return _resultant_percent(weighted, np.abs(weighted), cfg.epsilon)
+    # |ref| * conj(ref) * unit(rec); a silent rec bin reads as phase 0
+    mag_a = np.abs(a)
+    unit_b = np.divide(b, np.abs(b), out=np.ones_like(b), where=b != 0)
+    return _resultant_percent(mag_a * np.conj(a) * unit_b, mag_a**2, cfg.epsilon)
 
 
 def _ccpc_core(
@@ -113,16 +107,19 @@ def _ccpc_core(
     rec_right: ComplexSpectrogram | np.ndarray,
     cfg: CoherenceConfig,
 ) -> tuple[float, bool]:
-    al, ar = _bins_of(ref_left), _bins_of(ref_right)
-    bl, br = _bins_of(rec_left), _bins_of(rec_right)
-    shapes = {al.shape, ar.shape, bl.shape, br.shape}
-    if len(shapes) != 1:
-        raise ValueError(f"spectrogram shapes differ: {sorted(shapes)}")
-    ipd_ref = wrap_phase(np.angle(al) - np.angle(ar))
-    ipd_rec = wrap_phase(np.angle(bl) - np.angle(br))
-    dphi = wrap_phase(ipd_rec - ipd_ref)
-    weights = np.sqrt(np.abs(al) * np.abs(ar) * np.abs(bl) * np.abs(br))
-    return _resultant_percent(dphi, weights, cfg.epsilon)
+    al, ar, bl, br = _bins_of(ref_left, ref_right, rec_left, rec_right)
+    # P = (bl conj(br)) conj(al conj(ar)): phase = error of the inter-channel phase
+    # difference, weight sqrt|P|. Built in place: each full-size temporary adds to peak memory.
+    prod = np.conjugate(ar)
+    prod *= al
+    np.conjugate(prod, out=prod)
+    rec_ipd = np.conjugate(br)
+    rec_ipd *= bl
+    prod *= rec_ipd
+    del rec_ipd
+    weights = np.sqrt(np.abs(prod))
+    np.divide(prod, weights, out=prod, where=weights > 0)  # P == 0 stays 0
+    return _resultant_percent(prod, weights, cfg.epsilon)
 
 
 def icpc_from_spectra(
@@ -168,23 +165,13 @@ def ccpc(ref: AudioBuffer, rec: AudioBuffer, cfg: CoherenceConfig | None = None)
     """Cross channel phase coherence of a stereo pair, in percent.
 
     Raises:
-        ValueError: on mono input, rate mismatch, or length mismatch.
+        ValueError: on mono, mismatched or non-finite input.
     """
     cfg = cfg or CoherenceConfig()
-    if ref.channels != 2 or rec.channels != 2:
-        raise ValueError("ccpc requires stereo signals")
-    if ref.sample_rate != rec.sample_rate:
-        raise ValueError(f"sample rates differ: {ref.sample_rate} vs {rec.sample_rate}")
-    if ref.num_samples != rec.num_samples:
-        raise ValueError(f"lengths differ: {ref.num_samples} vs {rec.num_samples}")
+    _check_stereo_pair(ref, rec, "ccpc")
     rate = ref.sample_rate
-    return ccpc_from_spectra(
-        stft(ref.samples[0], cfg.stft, rate),
-        stft(ref.samples[1], cfg.stft, rate),
-        stft(rec.samples[0], cfg.stft, rate),
-        stft(rec.samples[1], cfg.stft, rate),
-        cfg,
-    )
+    specs = (stft(buf.samples[ch], cfg.stft, rate) for buf in (ref, rec) for ch in range(2))
+    return ccpc_from_spectra(*specs, cfg)
 
 
 def si_sdr(ref: np.ndarray, rec: np.ndarray) -> float:
@@ -283,8 +270,9 @@ def align_pair(ref: AudioBuffer, rec: AudioBuffer) -> tuple[AudioBuffer, AudioBu
     Mono inputs are duplicated to stereo, a reconstruction at a different
     rate is resampled to the reference rate (the reference is never
     altered), and both are truncated to the shorter length. Every adjustment
-    is recorded as a flag.
+    is recorded as a flag. Non-finite samples or no overlap raise ValueError.
     """
+    _check_finite(ref, rec)
     flags: list[str] = []
     if ref.channels == 1:
         ref = AudioBuffer(np.vstack([ref.samples[0], ref.samples[0]]), ref.sample_rate)
@@ -305,40 +293,57 @@ def align_pair(ref: AudioBuffer, rec: AudioBuffer) -> tuple[AudioBuffer, AudioBu
     return ref, rec, flags
 
 
+def _coherence(
+    specs: list[tuple[ComplexSpectrogram, ComplexSpectrogram]], cfg: CoherenceConfig
+) -> tuple[float, float, bool]:
+    """Mean ICPC, CCPC and the degeneracy flag from a ``(ref, rec)`` pair per channel."""
+    (ref_l, rec_l), (ref_r, rec_r) = specs
+    icpc_l, icpc_r = _icpc_core(ref_l, rec_l, cfg), _icpc_core(ref_r, rec_r, cfg)
+    ccpc_value, degenerate = _ccpc_core(ref_l, ref_r, rec_l, rec_r, cfg)
+    return float(np.mean([icpc_l[0], icpc_r[0]])), ccpc_value, icpc_l[1] or icpc_r[1] or degenerate
+
+
 def _evaluate_aligned(
     ref: AudioBuffer,
     rec: AudioBuffer,
     ms_cfg: MultiScaleConfig,
     coh_cfg: CoherenceConfig,
 ) -> tuple[dict, list[str]]:
+    """One pass over the scales, channels inside. Each spectrogram and its
+    magnitude feed the log and mel distances, and at the scale equal to the
+    coherence STFT also ICPC/CCPC. One scale's spectra are alive at a time."""
     rate = ref.sample_rate
-    flags: list[str] = []
-    mel_vals = []
-    stft_vals = []
-    for ch in range(2):
-        mel_vals.append(mel_distance(ref.samples[ch], rec.samples[ch], rate, ms_cfg))
-        stft_vals.append(log_magnitude_distance(ref.samples[ch], rec.samples[ch], rate, ms_cfg))
-    spec_ref = [stft(ref.samples[ch], coh_cfg.stft, rate) for ch in range(2)]
-    spec_rec = [stft(rec.samples[ch], coh_cfg.stft, rate) for ch in range(2)]
-    icpc_vals = []
-    degenerate = False
-    for ch in range(2):
-        value, degen = _icpc_core(spec_ref[ch], spec_rec[ch], coh_cfg)
-        icpc_vals.append(value)
-        degenerate = degenerate or degen
-    ccpc_value, degen = _ccpc_core(spec_ref[0], spec_ref[1], spec_rec[0], spec_rec[1], coh_cfg)
-    degenerate = degenerate or degen
-    if degenerate:
-        flags.append("degenerate_coherence_input")
+    _check_length(ref.num_samples, ms_cfg)
+
+    def spectra(sc: StftConfig) -> list[tuple[ComplexSpectrogram, ComplexSpectrogram]]:
+        return [(stft(ref.samples[ch], sc, rate), stft(rec.samples[ch], sc, rate)) for ch in range(2)]
+
+    stft_vals: list[list[float]] = [[], []]
+    mel_vals: list[list[float]] = [[], []]
+    coherence = None
+    for i, n in enumerate(ms_cfg.fft_sizes):
+        sc = ms_cfg.stft_config(n)
+        mel_fb = mel_filterbank(ms_cfg.mel_bins_for(i), n, rate)
+        specs = spectra(sc)
+        if coherence is None and sc == coh_cfg.stft:
+            coherence = _coherence(specs, coh_cfg)
+        for ch, (a, b) in enumerate(specs):
+            mag_a, mag_b = np.abs(a.bins), np.abs(b.bins)
+            stft_vals[ch].append(_scale_distance(mag_a, mag_b, ms_cfg.log_epsilon))
+            mel_vals[ch].append(_scale_distance(mag_a, mag_b, ms_cfg.log_epsilon, mel_fb))
+        del specs, a, b, mag_a, mag_b
+    if coherence is None:
+        coherence = _coherence(spectra(coh_cfg.stft), coh_cfg)
+    icpc_value, ccpc_value, degenerate = coherence
     metrics = {
-        "mel_dist": float(np.mean(mel_vals)),
-        "stft_dist": float(np.mean(stft_vals)),
-        "icpc_percent": float(np.mean(icpc_vals)),
+        "mel_dist": float(np.mean([np.mean(v) for v in mel_vals])),
+        "stft_dist": float(np.mean([np.mean(v) for v in stft_vals])),
+        "icpc_percent": icpc_value,
         "ccpc_percent": ccpc_value,
         "si_sdr_db": si_sdr(ref.samples, rec.samples),
         "dbtp_dist": dbtp_distance(ref, rec),
     }
-    return metrics, flags
+    return metrics, ["degenerate_coherence_input"] if degenerate else []
 
 
 def evaluate_pair(
@@ -360,19 +365,14 @@ def evaluate_pair(
     carries the arithmetic mean of every metric over chunks.
 
     Raises:
-        ValueError: on empty overlap, a chunk shorter than the largest
-            analysis window, or an invalid prefilter name.
+        ValueError: on non-finite samples, empty overlap, a signal or chunk
+            shorter than the largest analysis window, or an invalid prefilter.
     """
     ms_cfg = ms_cfg or MultiScaleConfig()
     coh_cfg = coh_cfg or CoherenceConfig()
-    if prefilter not in ("none", "k", "a"):
-        raise ValueError(f"prefilter must be one of ('none', 'k', 'a'), got {prefilter!r}")
     ref, rec, flags = align_pair(ref, rec)
     rate = ref.sample_rate
-    if prefilter != "none":
-        cascade = design_k_weighting(rate) if prefilter == "k" else design_a_weighting(rate)
-        ref = apply_cascade(cascade, ref)
-        rec = apply_cascade(cascade, rec)
+    ref, rec = _prefilter_pair(prefilter, ref, rec)
     min_len = max(max(ms_cfg.fft_sizes), coh_cfg.stft.fft_size)
     config = {
         "sample_rate": rate,
@@ -388,33 +388,28 @@ def evaluate_pair(
         "prefilter": prefilter,
         "chunk_seconds": chunk_seconds,
     }
-    if chunk_seconds is None:
-        metrics, extra = _evaluate_aligned(ref, rec, ms_cfg, coh_cfg)
-        flags.extend(extra)
-    else:
+    chunks, tail = [(ref, rec)], []
+    if chunk_seconds is not None:
         n_chunk = int(round(chunk_seconds * rate))
         if n_chunk < min_len:
             raise ValueError(
                 f"chunk of {n_chunk} samples is shorter than the largest analysis window ({min_len})"
             )
         n_chunks = ref.num_samples // n_chunk
-        if n_chunks == 0:
-            metrics, extra = _evaluate_aligned(ref, rec, ms_cfg, coh_cfg)
-            flags.extend(extra)
-            flags.append("shorter_than_one_chunk")
-        else:
-            rows = []
-            extra_flags: set[str] = set()
-            for i in range(n_chunks):
-                lo, hi = i * n_chunk, (i + 1) * n_chunk
-                chunk_ref = AudioBuffer(ref.samples[:, lo:hi], rate)
-                chunk_rec = AudioBuffer(rec.samples[:, lo:hi], rate)
-                m, extra = _evaluate_aligned(chunk_ref, chunk_rec, ms_cfg, coh_cfg)
-                rows.append(m)
-                extra_flags.update(extra)
-            metrics = {k: float(np.mean([r[k] for r in rows])) for k in rows[0]}
-            flags.extend(sorted(extra_flags))
-            flags.append("chunked")
+        tail = ["chunked" if n_chunks else "shorter_than_one_chunk"]
+        if n_chunks:
+            chunks = (
+                tuple(AudioBuffer(buf.samples[:, lo : lo + n_chunk], rate) for buf in (ref, rec))
+                for lo in range(0, n_chunks * n_chunk, n_chunk)
+            )
+    rows = []
+    extra_flags: set[str] = set()
+    for chunk_ref, chunk_rec in chunks:
+        row, extra = _evaluate_aligned(chunk_ref, chunk_rec, ms_cfg, coh_cfg)
+        rows.append(row)
+        extra_flags.update(extra)
+    metrics = {k: float(np.mean([r[k] for r in rows])) for k in rows[0]}
+    flags += sorted(extra_flags) + tail
     return MetricReport(
         reference=reference_id,
         reconstruction=reconstruction_id,

@@ -56,23 +56,26 @@ class PhaseLossConfig:
 def wrap_phase(x: np.ndarray | float) -> np.ndarray | float:
     """Wrap angles into (-pi, pi]; the boundary -pi maps to +pi."""
     arr = np.asarray(x, dtype=np.float64)
-    wrapped = np.mod(arr, _TWO_PI)
-    wrapped = np.where(wrapped > np.pi, wrapped - _TWO_PI, wrapped)
+    wrapped = np.asarray(arr - _TWO_PI * np.round(arr / _TWO_PI))
+    # rounding can leave a result just outside the interval at either end
+    np.add(wrapped, _TWO_PI, out=wrapped, where=wrapped <= -np.pi)
+    np.subtract(wrapped, _TWO_PI, out=wrapped, where=wrapped > np.pi)
     if np.ndim(x) == 0:
         return float(wrapped)
     return wrapped
 
 
-def _bins_of(spec: ComplexSpectrogram | np.ndarray) -> np.ndarray:
-    bins = spec.bins if isinstance(spec, ComplexSpectrogram) else np.asarray(spec)
-    if bins.ndim != 2:
-        raise ValueError(f"spectrogram must be 2-D, got {bins.ndim}-D")
+def _bins_of(*specs: ComplexSpectrogram | np.ndarray) -> list[np.ndarray]:
+    """Bin matrices of the given spectrograms, which must share one 2-D shape."""
+    bins = [s.bins if isinstance(s, ComplexSpectrogram) else np.asarray(s) for s in specs]
+    if any(b.ndim != 2 for b in bins) or len({b.shape for b in bins}) != 1:
+        raise ValueError(f"spectrograms must be 2-D and of one shape, got {[b.shape for b in bins]}")
     return bins
 
 
 def phase_matrix(spec: ComplexSpectrogram | np.ndarray) -> np.ndarray:
     """Per-bin phase in (-pi, pi]; zero-magnitude bins read as phase 0."""
-    return wrap_phase(np.angle(_bins_of(spec)))
+    return wrap_phase(np.angle(_bins_of(spec)[0]))
 
 
 def instantaneous_frequency(phase: np.ndarray) -> np.ndarray:
@@ -110,10 +113,7 @@ def correlation_loss(
     so zero-magnitude bins contribute zero correlation rather than NaN.
     """
     cfg = cfg or PhaseLossConfig()
-    a = _bins_of(ref)
-    b = _bins_of(rec)
-    if a.shape != b.shape:
-        raise ValueError(f"spectrogram shapes differ: {a.shape} vs {b.shape}")
+    a, b = _bins_of(ref, rec)
     num = np.real(b * np.conj(a))
     den = np.abs(b) * np.abs(a) + cfg.epsilon
     return float(1.0 - np.mean(num / den))
@@ -141,10 +141,7 @@ def phase_loss(
     parent bins.
     """
     cfg = cfg or PhaseLossConfig()
-    a = _bins_of(ref)
-    b = _bins_of(rec)
-    if a.shape != b.shape:
-        raise ValueError(f"spectrogram shapes differ: {a.shape} vs {b.shape}")
+    a, b = _bins_of(ref, rec)
     if a.shape[0] < 2 or a.shape[1] < 2:
         raise ValueError(f"need >= 2 frames and >= 2 bins, got shape {a.shape}")
     phi_ref = wrap_phase(np.angle(a))

@@ -9,15 +9,15 @@ weights defaulting to (50, 10, 10).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .audio import AudioBuffer, StftConfig, stft
 from .phase import PhaseLossConfig, correlation_loss, phase_loss
-from .stereo import split_mslr
-from .weighting import apply_cascade, design_a_weighting, design_k_weighting
+from .stereo import _check_stereo_pair, split_mslr
+from .weighting import _prefilter_pair
 
 __all__ = [
     "MultiScaleConfig",
@@ -30,8 +30,6 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDAS = (50.0, 10.0, 10.0)
-
-_PREFILTERS = ("none", "k", "a")
 
 
 @dataclass(frozen=True)
@@ -109,16 +107,8 @@ class ObjectiveBreakdown:
     prefilter: str
 
     def as_dict(self) -> dict:
-        return {
-            "stft_mag": self.stft_mag,
-            "corr": self.corr,
-            "phase": self.phase,
-            "weighted_total": self.weighted_total,
-            "lambda_stft_mag": self.lambda_stft_mag,
-            "lambda_corr": self.lambda_corr,
-            "lambda_phase": self.lambda_phase,
-            "prefilter": self.prefilter,
-        }
+        """The fields in declaration order."""
+        return asdict(self)
 
 
 def _hz_to_mel(f: np.ndarray | float) -> np.ndarray:
@@ -150,17 +140,39 @@ def mel_filterbank(n_mels: int, fft_size: int, rate: int) -> np.ndarray:
     return fb
 
 
-def _check_pair(ref_ch: np.ndarray, rec_ch: np.ndarray, cfg: MultiScaleConfig) -> tuple[np.ndarray, np.ndarray]:
+def _check_length(num_samples: int, cfg: MultiScaleConfig) -> None:
+    if num_samples < max(cfg.fft_sizes):
+        raise ValueError(
+            f"signals of {num_samples} samples are shorter than the largest analysis window "
+            f"({max(cfg.fft_sizes)})"
+        )
+
+
+def _scale_distance(mag_a: np.ndarray, mag_b: np.ndarray, eps: float, mel_fb: np.ndarray | None = None) -> float:
+    """Mean L1 log-magnitude distance at one scale, after the mel projection ``mel_fb`` if given."""
+    if mel_fb is not None:
+        mag_a, mag_b = mag_a @ mel_fb.T, mag_b @ mel_fb.T
+    log_a, log_b = (np.log(x, out=x) for x in (mag_a + eps, mag_b + eps))
+    log_a -= log_b
+    return float(np.mean(np.abs(log_a, out=log_a)))
+
+
+def _multiscale_distance(
+    ref_ch: np.ndarray, rec_ch: np.ndarray, rate: int, cfg: MultiScaleConfig | None, mel: bool
+) -> float:
+    cfg = cfg or MultiScaleConfig()
     a = np.asarray(ref_ch, dtype=np.float64)
     b = np.asarray(rec_ch, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"channels must be equal-length 1-D arrays, got {a.shape} and {b.shape}")
-    if a.shape[0] < max(cfg.fft_sizes):
-        raise ValueError(
-            f"signals of {a.shape[0]} samples are shorter than the largest analysis window "
-            f"({max(cfg.fft_sizes)})"
-        )
-    return a, b
+    _check_length(a.shape[0], cfg)
+    per_scale = []
+    for i, n in enumerate(cfg.fft_sizes):
+        sc = cfg.stft_config(n)
+        mel_fb = mel_filterbank(cfg.mel_bins_for(i), n, int(rate)) if mel else None
+        mags = (np.abs(stft(x, sc, rate).bins) for x in (a, b))
+        per_scale.append(_scale_distance(*mags, cfg.log_epsilon, mel_fb))
+    return float(np.mean(per_scale))
 
 
 def log_magnitude_distance(
@@ -174,16 +186,7 @@ def log_magnitude_distance(
     Per scale the error is ``mean |log(|S_ref| + eps) - log(|S_rec| + eps)|``
     over all frames and bins.
     """
-    cfg = cfg or MultiScaleConfig()
-    a, b = _check_pair(ref_ch, rec_ch, cfg)
-    eps = cfg.log_epsilon
-    per_scale = []
-    for n in cfg.fft_sizes:
-        sc = cfg.stft_config(n)
-        mag_a = np.abs(stft(a, sc, rate).bins)
-        mag_b = np.abs(stft(b, sc, rate).bins)
-        per_scale.append(np.mean(np.abs(np.log(mag_a + eps) - np.log(mag_b + eps))))
-    return float(np.mean(per_scale))
+    return _multiscale_distance(ref_ch, rec_ch, rate, cfg, mel=False)
 
 
 def mel_distance(
@@ -193,17 +196,7 @@ def mel_distance(
     cfg: MultiScaleConfig | None = None,
 ) -> float:
     """Multi-scale log distance with magnitudes projected through mel bands."""
-    cfg = cfg or MultiScaleConfig()
-    a, b = _check_pair(ref_ch, rec_ch, cfg)
-    eps = cfg.log_epsilon
-    per_scale = []
-    for i, n in enumerate(cfg.fft_sizes):
-        sc = cfg.stft_config(n)
-        fb = mel_filterbank(cfg.mel_bins_for(i), n, int(rate))
-        mel_a = np.abs(stft(a, sc, rate).bins) @ fb.T
-        mel_b = np.abs(stft(b, sc, rate).bins) @ fb.T
-        per_scale.append(np.mean(np.abs(np.log(mel_a + eps) - np.log(mel_b + eps))))
-    return float(np.mean(per_scale))
+    return _multiscale_distance(ref_ch, rec_ch, rate, cfg, mel=True)
 
 
 def composite_objective(
@@ -222,43 +215,31 @@ def composite_objective(
     ``"a"``) is applied to both signals before any analysis.
 
     Raises:
-        ValueError: on mono input, rate mismatch, or length mismatch.
+        ValueError: on mono, mismatched or non-finite input, signals shorter
+            than the largest analysis window, or an invalid prefilter name.
     """
     cfg = cfg or MultiScaleConfig()
     phase_cfg = phase_cfg or PhaseLossConfig()
-    if prefilter not in _PREFILTERS:
-        raise ValueError(f"prefilter must be one of {_PREFILTERS}, got {prefilter!r}")
-    if ref.channels != 2 or rec.channels != 2:
-        raise ValueError("composite objective requires stereo signals")
-    if ref.sample_rate != rec.sample_rate:
-        raise ValueError(
-            f"sample rates differ: {ref.sample_rate} vs {rec.sample_rate}"
-        )
-    if ref.num_samples != rec.num_samples:
-        raise ValueError(f"lengths differ: {ref.num_samples} vs {rec.num_samples}")
+    _check_stereo_pair(ref, rec, "composite objective")
+    _check_length(ref.num_samples, cfg)
     rate = ref.sample_rate
-    if prefilter != "none":
-        cascade = design_k_weighting(rate) if prefilter == "k" else design_a_weighting(rate)
-        ref = apply_cascade(cascade, ref)
-        rec = apply_cascade(cascade, rec)
-    sig_ref = split_mslr(ref)
-    sig_rec = split_mslr(rec)
-    mag_terms = [
-        log_magnitude_distance(sig_ref.component(c), sig_rec.component(c), rate, cfg)
-        for c in ("mid", "side", "left", "right")
-    ]
-    corr_terms = []
-    phase_terms = []
-    for c in ("left", "right"):
-        for n in cfg.fft_sizes:
-            sc = cfg.stft_config(n)
+    sig_ref, sig_rec = (split_mslr(buf) for buf in _prefilter_pair(prefilter, ref, rec))
+    mag_terms: dict[str, list[float]] = {c: [] for c in ("mid", "side", "left", "right")}
+    corr_terms: dict[str, list[float]] = {c: [] for c in ("left", "right")}
+    phase_terms: dict[str, list[float]] = {c: [] for c in ("left", "right")}
+    for n in cfg.fft_sizes:
+        sc = cfg.stft_config(n)
+        for c, per_scale in mag_terms.items():
             spec_ref = stft(sig_ref.component(c), sc, rate)
             spec_rec = stft(sig_rec.component(c), sc, rate)
-            corr_terms.append(correlation_loss(spec_ref, spec_rec, phase_cfg))
-            phase_terms.append(phase_loss(spec_ref, spec_rec, phase_cfg))
-    stft_mag = float(np.mean(mag_terms))
-    corr = float(np.mean(corr_terms))
-    phase = float(np.mean(phase_terms))
+            per_scale.append(_scale_distance(np.abs(spec_ref.bins), np.abs(spec_rec.bins), cfg.log_epsilon))
+            if c in corr_terms:
+                corr_terms[c].append(correlation_loss(spec_ref, spec_rec, phase_cfg))
+                phase_terms[c].append(phase_loss(spec_ref, spec_rec, phase_cfg))
+    # same reduction order as averaging per component first
+    stft_mag = float(np.mean([np.mean(v) for v in mag_terms.values()]))
+    corr = float(np.mean(corr_terms["left"] + corr_terms["right"]))
+    phase = float(np.mean(phase_terms["left"] + phase_terms["right"]))
     lam_mag, lam_corr, lam_phase = (float(v) for v in lambdas)
     total = lam_mag * stft_mag + lam_corr * corr + lam_phase * phase
     return ObjectiveBreakdown(

@@ -48,6 +48,22 @@ class MslrSpectra:
     s_spec: ComplexSpectrogram
 
 
+def _check_finite(ref: AudioBuffer, rec: AudioBuffer) -> None:
+    for name, buf in (("reference", ref), ("reconstruction", rec)):
+        if not np.isfinite(buf.samples).all():
+            raise ValueError(f"{name} holds non-finite samples (NaN or inf)")
+
+
+def _check_stereo_pair(ref: AudioBuffer, rec: AudioBuffer, what: str) -> None:
+    if ref.channels != 2 or rec.channels != 2:
+        raise ValueError(f"{what} requires stereo signals")
+    if ref.sample_rate != rec.sample_rate:
+        raise ValueError(f"sample rates differ: {ref.sample_rate} vs {rec.sample_rate}")
+    if ref.num_samples != rec.num_samples:
+        raise ValueError(f"lengths differ: {ref.num_samples} vs {rec.num_samples}")
+    _check_finite(ref, rec)
+
+
 def split_mslr(buf: AudioBuffer) -> MslrSignals:
     """Decompose a stereo buffer into left, right, mid, side.
 

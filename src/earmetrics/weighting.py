@@ -180,3 +180,12 @@ def apply_cascade(cascade: BiquadCascade, buf: AudioBuffer) -> AudioBuffer:
         )
     filtered = _signal.sosfilt(cascade.sos(), buf.samples, axis=-1)
     return AudioBuffer(filtered, buf.sample_rate)
+
+
+def _prefilter_pair(name: str, ref: AudioBuffer, rec: AudioBuffer) -> tuple[AudioBuffer, AudioBuffer]:
+    if name not in ("none", "k", "a"):
+        raise ValueError(f"prefilter must be one of ('none', 'k', 'a'), got {name!r}")
+    if name == "none":
+        return ref, rec
+    cascade = (design_k_weighting if name == "k" else design_a_weighting)(ref.sample_rate)
+    return apply_cascade(cascade, ref), apply_cascade(cascade, rec)

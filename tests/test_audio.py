@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from earmetrics import (
     AudioBuffer,
+    ComplexSpectrogram,
     StftConfig,
     istft,
     load_wav,
@@ -169,6 +170,13 @@ class TestStft:
         spec = stft(rng.standard_normal(4096), StftConfig(1024), 44100)
         with pytest.raises(ValueError):
             spec.bins[0, 0] = 0.0
+
+    def test_writeable_caller_bins_are_copied(self):
+        bins = np.ones((3, 5), dtype=complex)
+        spec = ComplexSpectrogram(bins, StftConfig(8), 44100, 16)
+        bins[0, 0] = 2.0
+        assert spec.bins[0, 0] == 1.0
+        assert not spec.bins.flags.writeable
 
 
 class TestIstft:

@@ -61,6 +61,14 @@ class TestEvalCommand:
         doc = json.loads(capsys.readouterr().out)
         assert "chunked" in doc["flags"]
 
+    def test_non_finite_input_fails(self, wav_pair, tmp_path, capsys):
+        samples = noise_stereo(seconds=1.0, amp=0.4, seed=92).samples.copy()
+        samples[0, 500] = np.nan
+        bad = tmp_path / "nan.wav"
+        save_wav(bad, AudioBuffer(samples, 44100), sample_format="float32")
+        assert main(["eval", wav_pair[0], str(bad)]) == 1
+        assert "reconstruction holds non-finite samples" in capsys.readouterr().err
+
     def test_missing_file_fails(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.wav")
         assert main(["eval", missing, missing]) == 1

@@ -25,16 +25,26 @@ from helpers import noise_stereo, toy_pair
 from oracles import ccpc_direct, icpc_direct, si_sdr_direct
 
 
+def _toy_with_silent_bins() -> tuple[np.ndarray, np.ndarray]:
+    """Toy pair with some bins of exactly zero magnitude in either input,
+    which the oracles read as phase 0."""
+    a, b = toy_pair()
+    a[1, 2] = b[1, 2] = 0.0
+    a[3, 0] = 0.0
+    b[5, 1] = b[6, 3] = 0.0
+    return a, b
+
+
 class TestIcpc:
     def test_matches_direct_oracle(self):
-        a, b = toy_pair()
-        assert icpc_from_spectra(a, b) == pytest.approx(icpc_direct(a, b), abs=1e-9)
+        for a, b in (toy_pair(), _toy_with_silent_bins()):
+            assert icpc_from_spectra(a, b) == pytest.approx(icpc_direct(a, b), abs=1e-9)
 
     def test_reference_energy_weighting_matches_oracle(self):
-        a, b = toy_pair()
         cfg = CoherenceConfig(weight_mode="reference_energy")
-        want = icpc_direct(a, b, weight_mode="reference_energy")
-        assert icpc_from_spectra(a, b, cfg) == pytest.approx(want, abs=1e-9)
+        for a, b in (toy_pair(), _toy_with_silent_bins()):
+            want = icpc_direct(a, b, weight_mode="reference_energy")
+            assert icpc_from_spectra(a, b, cfg) == pytest.approx(want, abs=1e-9)
 
     def test_identical_signals_score_100(self, rng):
         x = 0.4 * rng.standard_normal(44100)
@@ -67,11 +77,11 @@ class TestIcpc:
 
 class TestCcpc:
     def test_matches_direct_oracle(self):
-        a, b = toy_pair()
-        al, ar = a, 0.8 * b * np.exp(0.31j)
-        bl, br = 1.1 * b, 0.9 * a * np.exp(-0.22j)
-        want = ccpc_direct(al, ar, bl, br)
-        assert ccpc_from_spectra(al, ar, bl, br) == pytest.approx(want, abs=1e-9)
+        for a, b in (toy_pair(), _toy_with_silent_bins()):
+            al, ar = a, 0.8 * b * np.exp(0.31j)
+            bl, br = 1.1 * b, 0.9 * a * np.exp(-0.22j)
+            want = ccpc_direct(al, ar, bl, br)
+            assert ccpc_from_spectra(al, ar, bl, br) == pytest.approx(want, abs=1e-9)
 
     def test_identical_pair_scores_100(self):
         buf = noise_stereo(seconds=1.0, seed=50)
@@ -299,3 +309,13 @@ class TestEvaluatePair:
         buf = noise_stereo(seconds=1.0, seed=77)
         with pytest.raises(ValueError, match="prefilter"):
             evaluate_pair(buf, buf, prefilter="z")
+
+    @pytest.mark.parametrize("which", ["reference", "reconstruction"])
+    def test_non_finite_input_named(self, which):
+        buf = noise_stereo(seconds=1.0, seed=78)
+        samples = np.array(buf.samples)
+        samples[1, 1000] = np.nan
+        bad = AudioBuffer(samples, 44100)
+        pair = (bad, buf) if which == "reference" else (buf, bad)
+        with pytest.raises(ValueError, match=f"{which} holds non-finite samples"):
+            evaluate_pair(*pair)

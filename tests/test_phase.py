@@ -47,10 +47,25 @@ class TestWrapPhase:
         assert isinstance(wrap_phase(7.0), float)
 
     def test_array_matches_scalar_oracle(self, rng):
-        x = rng.uniform(-20, 20, size=200)
+        # odd multiples of pi and their nearest neighbours lie on the wrap
+        # boundary, where one rounding decides between the two ends
+        odd = np.pi * (2 * np.arange(-20, 21) + 1)
+        edges = [odd, -odd]
+        for direction in (np.inf, -np.inf):
+            near = np.concatenate([odd, -odd])
+            for _ in range(3):
+                near = np.nextafter(near, direction)
+                edges.append(near)
+        random = rng.uniform(-20, 20, size=200)
+        x = np.concatenate([random, *edges])
         got = wrap_phase(x)
         want = np.array([wrap_direct(v) for v in x])
-        np.testing.assert_allclose(got, want, atol=1e-12)
+        assert np.all((got > -np.pi) & (got <= np.pi))
+        np.testing.assert_allclose(got[: random.size], want[: random.size], atol=1e-12)
+        # the oracle shifts by 2*pi one step at a time and may round onto the
+        # other end of the interval, so boundary inputs compare on the circle
+        err = np.abs(got - want)
+        np.testing.assert_allclose(np.minimum(err, 2 * np.pi - err), 0.0, atol=1e-12)
 
     @given(st.floats(min_value=-1e6, max_value=1e6))
     @settings(max_examples=200, deadline=None)

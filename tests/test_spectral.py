@@ -226,3 +226,7 @@ class TestCompositeObjective:
             composite_objective(stereo, other_rate, COMPACT)
         with pytest.raises(ValueError, match="prefilter"):
             composite_objective(stereo, stereo, COMPACT, prefilter="b")
+        samples = np.array(stereo.samples)
+        samples[1, 5] = np.inf
+        with pytest.raises(ValueError, match="reconstruction holds non-finite"):
+            composite_objective(stereo, AudioBuffer(samples, 44100), COMPACT)
