@@ -76,6 +76,13 @@ class AudioBuffer:
         return self.num_samples / self.sample_rate
 
 
+def _as_stereo(buf: AudioBuffer) -> AudioBuffer:
+    """A mono buffer duplicated to two channels; a stereo buffer as it is."""
+    if buf.channels == 2:
+        return buf
+    return AudioBuffer(np.vstack([buf.samples[0], buf.samples[0]]), buf.sample_rate)
+
+
 @dataclass(frozen=True)
 class StftConfig:
     """Analysis configuration for :func:`stft` and :func:`istft`.
@@ -87,7 +94,6 @@ class StftConfig:
 
     fft_size: int
     hop: int | None = None
-    window: str = "hann"
     center_pad: bool = True
 
     def __post_init__(self) -> None:
@@ -97,8 +103,6 @@ class StftConfig:
         hop = self.hop if self.hop is not None else n // 4
         if not isinstance(hop, (int, np.integer)) or not 0 < hop <= n:
             raise ValueError(f"hop must satisfy 0 < hop <= fft_size, got {hop!r}")
-        if self.window != "hann":
-            raise ValueError(f"unsupported window {self.window!r}")
         object.__setattr__(self, "fft_size", int(n))
         object.__setattr__(self, "hop", int(hop))
 
@@ -141,9 +145,6 @@ class ComplexSpectrogram:
     @property
     def num_bins(self) -> int:
         return self.bins.shape[1]
-
-    def magnitude(self) -> np.ndarray:
-        return np.abs(self.bins)
 
 
 _INT_SCALE = {"int16": 2 ** 15, "int32": 2 ** 31}

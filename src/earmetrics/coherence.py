@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioBuffer, ComplexSpectrogram, StftConfig, resample, stft
+from .audio import AudioBuffer, ComplexSpectrogram, StftConfig, _as_stereo, resample, stft
 from .loudness import dbtp_distance
 from .phase import _bins_of
 from .spectral import MultiScaleConfig, _check_length, _scale_distance, mel_filterbank
@@ -275,11 +275,10 @@ def align_pair(ref: AudioBuffer, rec: AudioBuffer) -> tuple[AudioBuffer, AudioBu
     _check_finite(ref, rec)
     flags: list[str] = []
     if ref.channels == 1:
-        ref = AudioBuffer(np.vstack([ref.samples[0], ref.samples[0]]), ref.sample_rate)
         flags.append("mono_reference_duplicated")
     if rec.channels == 1:
-        rec = AudioBuffer(np.vstack([rec.samples[0], rec.samples[0]]), rec.sample_rate)
         flags.append("mono_reconstruction_duplicated")
+    ref, rec = _as_stereo(ref), _as_stereo(rec)
     if rec.sample_rate != ref.sample_rate:
         rec = resample(rec, ref.sample_rate)
         flags.append("reconstruction_resampled")

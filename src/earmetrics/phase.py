@@ -44,13 +44,10 @@ class PhaseLossConfig:
 
     epsilon: float = 1e-8
     magnitude_weighting: bool = True
-    reduction: str = "mean"
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
-        if self.reduction != "mean":
-            raise ValueError(f"unsupported reduction {self.reduction!r}")
 
 
 def wrap_phase(x: np.ndarray | float) -> np.ndarray | float:

@@ -5,7 +5,8 @@ Stage 1 standardizes format: files natively below 44.1 kHz are rejected
 stereo, and integrated loudness must fall within [-22, -5] LUFS (inclusive);
 kept files are written as 44.1 kHz stereo float32 WAV. Stage 2 keeps only
 files whose true peak is strictly below +1.0 dBTP (a measurement exactly at
-the limit is rejected).
+the limit is rejected). Running both decides in memory and writes only files
+that pass both gates.
 
 Batch runs process files in a worker pool but always emit decisions ordered
 by input path, so the JSONL log is byte-identical across runs and across
@@ -17,6 +18,7 @@ from __future__ import annotations
 import json
 import os
 import shutil
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -24,7 +26,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .audio import AudioBuffer, load_wav, resample, save_wav
+from .audio import AudioBuffer, _as_stereo, load_wav, resample, save_wav
 from .loudness import integrated_lufs, true_peak_dbtp
 
 __all__ = [
@@ -48,7 +50,7 @@ DEFAULT_LUFS_MIN = -22.0
 DEFAULT_LUFS_MAX = -5.0
 DEFAULT_DBTP_MAX = 1.0
 
-REASONS = ("below_rate", "lufs_low", "lufs_high", "true_peak_exceeded", "decode_error", "none")
+REASONS = ("below_rate", "lufs_low", "lufs_high", "true_peak_exceeded", "decode_error", "non_finite", "none")
 
 THREADS_ENV_VAR = "EARMETRICS_THREADS"
 
@@ -128,12 +130,53 @@ def _reject(path: str, reason: str, measured: dict | None = None) -> CurateDecis
     return CurateDecision(str(path), "reject", reason, base)
 
 
-def _standardize(buf: AudioBuffer) -> AudioBuffer:
-    if buf.sample_rate > TARGET_RATE:
-        buf = resample(buf, TARGET_RATE)
-    if buf.channels == 1:
-        buf = AudioBuffer(np.vstack([buf.samples[0], buf.samples[0]]), buf.sample_rate)
+def _load(path: str) -> AudioBuffer | CurateDecision:
+    """The decoded file, or its ``decode_error`` / ``non_finite`` rejection."""
+    try:
+        buf = load_wav(path)
+    except Exception:
+        return _reject(path, "decode_error")
+    if not np.isfinite(buf.samples).all():
+        return _reject(path, "non_finite", {"native_rate": buf.sample_rate})
     return buf
+
+
+def _stage1(
+    path: str, out_dir: str | Path, lufs_min: float, lufs_max: float
+) -> tuple[CurateDecision, AudioBuffer | None]:
+    """Rate gate, standardization and loudness gate, without writing. A keep
+    comes with the standardized buffer rounded to float32, as the file stores it."""
+    buf = _load(path)
+    if isinstance(buf, CurateDecision):
+        return buf, None
+    native = buf.sample_rate
+    if native < TARGET_RATE:
+        return _reject(path, "below_rate", {"native_rate": native}), None
+    if native > TARGET_RATE:
+        buf = resample(buf, TARGET_RATE)
+    buf = _as_stereo(buf)
+    try:
+        loud = integrated_lufs(buf)
+    except ValueError:
+        return _reject(path, "decode_error", {"native_rate": native}), None
+    measured = {"native_rate": native, "lufs_i": loud.lufs_i, "dbtp": None}
+    if loud.lufs_i < lufs_min:
+        return _reject(path, "lufs_low", measured), None
+    if loud.lufs_i > lufs_max:
+        return _reject(path, "lufs_high", measured), None
+    out_path = str(Path(out_dir) / (Path(path).stem + ".wav"))
+    stored = AudioBuffer(buf.samples.astype(np.float32), TARGET_RATE)
+    return CurateDecision(path, "keep", "none", measured, output_path=out_path), stored
+
+
+def _peak_gate(
+    path: str, buf: AudioBuffer, measured: dict, dbtp_max: float, out_path: str | None
+) -> CurateDecision:
+    """Keep iff the true peak of ``buf`` is strictly below ``dbtp_max``."""
+    measured = {**measured, "dbtp": true_peak_dbtp(buf).dbtp}
+    if not measured["dbtp"] < dbtp_max:
+        return _reject(path, "true_peak_exceeded", measured)
+    return CurateDecision(path, "keep", "none", measured, output_path=out_path)
 
 
 def curate_stage1(
@@ -148,27 +191,10 @@ def curate_stage1(
     records its path. Files that decode but are too short to meter are
     rejected as ``decode_error``.
     """
-    path = str(path)
-    try:
-        buf = load_wav(path)
-    except Exception:
-        return _reject(path, "decode_error")
-    native = buf.sample_rate
-    if native < TARGET_RATE:
-        return _reject(path, "below_rate", {"native_rate": native})
-    buf = _standardize(buf)
-    try:
-        loud = integrated_lufs(buf)
-    except ValueError:
-        return _reject(path, "decode_error", {"native_rate": native})
-    measured = {"native_rate": native, "lufs_i": loud.lufs_i, "dbtp": None}
-    if loud.lufs_i < lufs_min:
-        return _reject(path, "lufs_low", measured)
-    if loud.lufs_i > lufs_max:
-        return _reject(path, "lufs_high", measured)
-    out_path = str(Path(out_dir) / (Path(path).stem + ".wav"))
-    save_wav(out_path, buf, sample_format="float32")
-    return CurateDecision(path, "keep", "none", measured, output_path=out_path)
+    decision, stored = _stage1(str(path), out_dir, lufs_min, lufs_max)
+    if stored is not None:
+        save_wav(decision.output_path, stored, sample_format="float32")
+    return decision
 
 
 def curate_stage2(
@@ -182,20 +208,14 @@ def curate_stage2(
     is given, kept files are copied there byte-for-byte.
     """
     path = str(path)
-    try:
-        buf = load_wav(path)
-    except Exception:
-        return _reject(path, "decode_error")
-    peak = true_peak_dbtp(buf).dbtp
-    measured = {"native_rate": buf.sample_rate, "lufs_i": None, "dbtp": peak}
-    if not peak < dbtp_max:
-        return _reject(path, "true_peak_exceeded", measured)
-    out_path = None
-    if out_dir is not None:
-        out_path = str(Path(out_dir) / Path(path).name)
-        if os.path.abspath(out_path) != os.path.abspath(path):
-            shutil.copyfile(path, out_path)
-    return CurateDecision(path, "keep", "none", measured, output_path=out_path)
+    buf = _load(path)
+    if isinstance(buf, CurateDecision):
+        return buf
+    out_path = None if out_dir is None else str(Path(out_dir) / Path(path).name)
+    decision = _peak_gate(path, buf, {"native_rate": buf.sample_rate, "lufs_i": None}, dbtp_max, out_path)
+    if decision.verdict == "keep" and out_path and os.path.abspath(out_path) != os.path.abspath(path):
+        shutil.copyfile(path, out_path)
+    return decision
 
 
 def curate_all(
@@ -205,22 +225,15 @@ def curate_all(
     lufs_max: float = DEFAULT_LUFS_MAX,
     dbtp_max: float = DEFAULT_DBTP_MAX,
 ) -> CurateDecision:
-    """Stage 1 followed by stage 2; the standardized file survives only if
-    both gates pass."""
-    first = curate_stage1(path, out_dir, lufs_min=lufs_min, lufs_max=lufs_max)
-    if first.verdict == "reject":
-        return first
-    second = curate_stage2(first.output_path, out_dir=None, dbtp_max=dbtp_max)
-    merged = {
-        "native_rate": first.measured.get("native_rate"),
-        "lufs_i": first.measured.get("lufs_i"),
-        "dbtp": second.measured.get("dbtp"),
-    }
-    if second.verdict == "reject":
-        if first.output_path and os.path.exists(first.output_path):
-            os.remove(first.output_path)
-        return CurateDecision(str(path), "reject", second.reason, merged)
-    return CurateDecision(str(path), "keep", "none", merged, output_path=first.output_path)
+    """Stage 1 followed by stage 2, decided in memory: the standardized file
+    is written only if both gates pass, and nothing is read back."""
+    decision, stored = _stage1(str(path), out_dir, lufs_min, lufs_max)
+    if stored is None:
+        return decision
+    decision = _peak_gate(str(path), stored, decision.measured, dbtp_max, decision.output_path)
+    if decision.verdict == "keep":
+        save_wav(decision.output_path, stored, sample_format="float32")
+    return decision
 
 
 def collect_inputs(source: str | Path) -> list[str]:
@@ -310,10 +323,7 @@ def curate_batch(
     log_path = out / "decisions.jsonl"
     decisions = run_batch(collect_inputs(in_dir), worker, log_path, jobs=jobs)
     kept = sum(1 for d in decisions if d.verdict == "keep")
-    rejected: dict[str, int] = {}
-    for d in decisions:
-        if d.verdict == "reject":
-            rejected[d.reason] = rejected.get(d.reason, 0) + 1
+    rejected = dict(Counter(d.reason for d in decisions if d.verdict == "reject"))
     summary = BatchSummary(
         total=len(decisions),
         kept=kept,

@@ -43,7 +43,6 @@ class MultiScaleConfig:
 
     fft_sizes: tuple[int, ...] = (4096, 2048, 1024, 512, 256, 128)
     hop_ratio: float = 0.25
-    window: str = "hann"
     log_epsilon: float = 1e-5
     mel_bins: tuple[int, ...] | None = None
 
@@ -58,8 +57,6 @@ class MultiScaleConfig:
             raise ValueError(f"hop_ratio must be in (0, 1], got {self.hop_ratio!r}")
         if not self.log_epsilon > 0:
             raise ValueError(f"log_epsilon must be positive, got {self.log_epsilon!r}")
-        if self.window != "hann":
-            raise ValueError(f"unsupported window {self.window!r}")
         if self.mel_bins is not None:
             bins = tuple(int(m) for m in self.mel_bins)
             if len(bins) != len(sizes):
@@ -80,12 +77,7 @@ class MultiScaleConfig:
         return min(128, self.fft_sizes[scale_index] // 8)
 
     def stft_config(self, fft_size: int) -> StftConfig:
-        return StftConfig(fft_size=fft_size, hop=self.hop_for(fft_size), window=self.window)
-
-    @classmethod
-    def evaluation(cls) -> "MultiScaleConfig":
-        """Default six-scale bank, 4096 down to 128."""
-        return cls()
+        return StftConfig(fft_size=fft_size, hop=self.hop_for(fft_size))
 
     @classmethod
     def compact(cls) -> "MultiScaleConfig":

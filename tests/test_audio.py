@@ -67,10 +67,6 @@ class TestStftConfig:
         with pytest.raises(ValueError):
             StftConfig(1024, hop=hop)
 
-    def test_rejects_unknown_window(self):
-        with pytest.raises(ValueError):
-            StftConfig(1024, window="hamming")
-
 
 class TestWavIo:
     def test_float32_roundtrip_is_exact(self, tmp_path, rng):

@@ -185,5 +185,3 @@ class TestPhaseLoss:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PhaseLossConfig(epsilon=0.0)
-        with pytest.raises(ValueError):
-            PhaseLossConfig(reduction="sum")

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from earmetrics import (
     save_wav,
     true_peak_dbtp,
 )
-from helpers import noise_stereo
+from helpers import calibrated_burst_buffer, noise_stereo
 
 
 class TestDecisionRecord:
@@ -142,6 +143,71 @@ class TestCurateAll:
         assert decision.measured["lufs_i"] == pytest.approx(-19.89, abs=0.05)
         assert decision.measured["dbtp"] < 1.0
         assert os.path.exists(decision.output_path)
+
+    @pytest.mark.parametrize("spike,reason", [(0.0, "none"), (1.5, "true_peak_exceeded")])
+    def test_matches_stage1_then_stage2(self, tmp_path, spike, reason):
+        # 48 kHz mono: resampling, stereo promotion and float32 rounding all
+        # apply, so the peak must be measured on what the file stores
+        x = 0.05 * np.random.default_rng(7).standard_normal(3 * 48000)
+        x[48000] = spike
+        src = tmp_path / "mono48k.wav"
+        save_wav(src, AudioBuffer(x, 48000), sample_format="float32")
+        (tmp_path / "s1").mkdir()
+        (tmp_path / "all").mkdir()
+        first = curate_stage1(src, tmp_path / "s1")
+        second = curate_stage2(first.output_path)
+        both = curate_all(src, tmp_path / "all")
+        assert first.verdict == "keep"
+        assert both.reason == second.reason == reason
+        assert both.measured == {
+            "native_rate": 48000,
+            "lufs_i": first.measured["lufs_i"],
+            "dbtp": second.measured["dbtp"],
+        }
+        out_file = tmp_path / "all" / "mono48k.wav"
+        if reason == "none":
+            assert both.output_path == str(out_file)
+            assert out_file.read_bytes() == Path(first.output_path).read_bytes()
+        else:
+            assert both.output_path is None
+            assert not out_file.exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_reject_never_deletes_a_kept_file_of_the_same_stem(self, tmp_path, jobs):
+        for sub, buf in (
+            ("a", noise_stereo(seconds=5.0, amp=0.05, seed=81)),
+            ("b", calibrated_burst_buffer(44100, 1.5, seed=82)),
+        ):
+            (tmp_path / sub).mkdir()
+            save_wav(tmp_path / sub / "x.wav", buf, sample_format="float32")
+        manifest = tmp_path / "files.txt"
+        manifest.write_text(f"{tmp_path / 'a' / 'x.wav'}\n{tmp_path / 'b' / 'x.wav'}\n")
+        decisions, _ = curate_batch(manifest, tmp_path / "out", stage="all", jobs=jobs)
+        assert [d.reason for d in decisions] == ["none", "true_peak_exceeded"]
+        assert decisions[0].output_path == str(tmp_path / "out" / "x.wav")
+        assert (tmp_path / "out" / "x.wav").read_bytes() == (tmp_path / "a" / "x.wav").read_bytes()
+
+
+class TestNonFinite:
+    @pytest.fixture(params=[np.nan, np.inf], ids=["nan", "inf"])
+    def src(self, request, tmp_path):
+        # a file that passes both gates but for one non-finite sample
+        samples = noise_stereo(seconds=5.0, amp=0.05, seed=83).samples.copy()
+        samples[1, 1000] = request.param
+        path = tmp_path / "in" / "bad.wav"
+        path.parent.mkdir()
+        save_wav(path, AudioBuffer(samples, 44100), sample_format="float32")
+        return path
+
+    @pytest.mark.parametrize("curate", [curate_stage1, curate_stage2, curate_all], ids=["stage1", "stage2", "all"])
+    def test_rejected_as_non_finite(self, tmp_path, src, curate):
+        out = tmp_path / "out"
+        out.mkdir()
+        decision = curate(src, out)
+        assert (decision.verdict, decision.reason) == ("reject", "non_finite")
+        assert decision.measured == {"native_rate": 44100, "lufs_i": None, "dbtp": None}
+        assert decision.output_path is None
+        assert list(out.iterdir()) == []
 
 
 class TestInputsAndJobs:

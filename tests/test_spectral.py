@@ -30,7 +30,6 @@ class TestMultiScaleConfig:
         assert cfg.log_epsilon == 1e-5
 
     def test_presets(self):
-        assert MultiScaleConfig.evaluation().fft_sizes[0] == 4096
         assert MultiScaleConfig.compact().fft_sizes == (2048, 1024, 512, 256, 128)
 
     def test_hop_for(self):
