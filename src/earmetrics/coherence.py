@@ -25,7 +25,7 @@ from .audio import AudioBuffer, ComplexSpectrogram, StftConfig, _as_stereo, resa
 from .loudness import dbtp_distance
 from .phase import _bins_of
 from .spectral import MultiScaleConfig, _check_length, _scale_distance, mel_filterbank
-from .stereo import _check_finite, _check_stereo_pair
+from .stereo import _channel_pair, _check_finite, _check_stereo_pair
 from .weighting import _prefilter_pair
 
 __all__ = [
@@ -151,13 +151,10 @@ def icpc(
     """Individual channel phase coherence of one channel pair, in percent.
 
     Raises:
-        ValueError: on length mismatch.
+        ValueError: on length mismatch or non-finite samples.
     """
     cfg = cfg or CoherenceConfig()
-    a = np.asarray(ref_ch, dtype=np.float64)
-    b = np.asarray(rec_ch, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"channels must be equal-length 1-D arrays, got {a.shape} and {b.shape}")
+    a, b = _channel_pair(ref_ch, rec_ch)
     return icpc_from_spectra(stft(a, cfg.stft, rate), stft(b, cfg.stft, rate), cfg)
 
 
@@ -272,7 +269,7 @@ def align_pair(ref: AudioBuffer, rec: AudioBuffer) -> tuple[AudioBuffer, AudioBu
     altered), and both are truncated to the shorter length. Every adjustment
     is recorded as a flag. Non-finite samples or no overlap raise ValueError.
     """
-    _check_finite(ref, rec)
+    _check_finite(ref.samples, rec.samples)
     flags: list[str] = []
     if ref.channels == 1:
         flags.append("mono_reference_duplicated")
@@ -365,8 +362,11 @@ def evaluate_pair(
 
     Raises:
         ValueError: on non-finite samples, empty overlap, a signal or chunk
-            shorter than the largest analysis window, or an invalid prefilter.
+            shorter than the largest analysis window, a ``chunk_seconds`` that
+            is not finite and positive, or an invalid prefilter.
     """
+    if chunk_seconds is not None and not 0.0 < chunk_seconds < float("inf"):
+        raise ValueError(f"chunk_seconds must be finite and positive, got {chunk_seconds!r}")
     ms_cfg = ms_cfg or MultiScaleConfig()
     coh_cfg = coh_cfg or CoherenceConfig()
     ref, rec, flags = align_pair(ref, rec)

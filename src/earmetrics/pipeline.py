@@ -50,7 +50,17 @@ DEFAULT_LUFS_MIN = -22.0
 DEFAULT_LUFS_MAX = -5.0
 DEFAULT_DBTP_MAX = 1.0
 
-REASONS = ("below_rate", "lufs_low", "lufs_high", "true_peak_exceeded", "decode_error", "non_finite", "none")
+REASONS = (
+    "below_rate",
+    "lufs_low",
+    "lufs_high",
+    "true_peak_exceeded",
+    "decode_error",
+    "non_finite",
+    "too_short",
+    "duplicate_output",
+    "none",
+)
 
 THREADS_ENV_VAR = "EARMETRICS_THREADS"
 
@@ -130,6 +140,13 @@ def _reject(path: str, reason: str, measured: dict | None = None) -> CurateDecis
     return CurateDecision(str(path), "reject", reason, base)
 
 
+def _output_path(path: str, out_dir: str | Path, stage: str) -> str:
+    """Where a kept input is written: ``<stem>.wav`` for stage 1 and all
+    (the file is re-encoded), the input's own file name for stage 2 (a copy)."""
+    name = Path(path).name if stage == "stage2" else Path(path).stem + ".wav"
+    return str(Path(out_dir) / name)
+
+
 def _load(path: str) -> AudioBuffer | CurateDecision:
     """The decoded file, or its ``decode_error`` / ``non_finite`` rejection."""
     try:
@@ -157,14 +174,14 @@ def _stage1(
     buf = _as_stereo(buf)
     try:
         loud = integrated_lufs(buf)
-    except ValueError:
-        return _reject(path, "decode_error", {"native_rate": native}), None
+    except ValueError:  # shorter than one gating block
+        return _reject(path, "too_short", {"native_rate": native}), None
     measured = {"native_rate": native, "lufs_i": loud.lufs_i, "dbtp": None}
     if loud.lufs_i < lufs_min:
         return _reject(path, "lufs_low", measured), None
     if loud.lufs_i > lufs_max:
         return _reject(path, "lufs_high", measured), None
-    out_path = str(Path(out_dir) / (Path(path).stem + ".wav"))
+    out_path = _output_path(path, out_dir, "stage1")
     stored = AudioBuffer(buf.samples.astype(np.float32), TARGET_RATE)
     return CurateDecision(path, "keep", "none", measured, output_path=out_path), stored
 
@@ -188,8 +205,8 @@ def curate_stage1(
     """Format standardization and loudness gate.
 
     On keep, writes ``<out_dir>/<stem>.wav`` as 44.1 kHz stereo float32 and
-    records its path. Files that decode but are too short to meter are
-    rejected as ``decode_error``.
+    records its path. Files that decode but are shorter than one 400 ms
+    gating block are rejected as ``too_short``.
     """
     decision, stored = _stage1(str(path), out_dir, lufs_min, lufs_max)
     if stored is not None:
@@ -205,13 +222,16 @@ def curate_stage2(
     """True-peak gate on an already standardized file.
 
     Keeps iff measured dBTP is strictly below ``dbtp_max``. When ``out_dir``
-    is given, kept files are copied there byte-for-byte.
+    is given, kept files are copied there byte-for-byte. A file without
+    samples is rejected as ``too_short``.
     """
     path = str(path)
     buf = _load(path)
     if isinstance(buf, CurateDecision):
         return buf
-    out_path = None if out_dir is None else str(Path(out_dir) / Path(path).name)
+    if buf.num_samples == 0:
+        return _reject(path, "too_short", {"native_rate": buf.sample_rate})
+    out_path = None if out_dir is None else _output_path(path, out_dir, "stage2")
     decision = _peak_gate(path, buf, {"native_rate": buf.sample_rate, "lufs_i": None}, dbtp_max, out_path)
     if decision.verdict == "keep" and out_path and os.path.abspath(out_path) != os.path.abspath(path):
         shutil.copyfile(path, out_path)
@@ -309,6 +329,8 @@ def curate_batch(
 
     Writes kept audio and ``decisions.jsonl`` into ``out_dir`` and returns
     the per-file decisions plus a summary whose counts always reconcile.
+    When several inputs map to one output file, the first in sorted order
+    claims it and the others are rejected as ``duplicate_output`` unread.
     """
     if stage not in ("stage1", "stage2", "all"):
         raise ValueError(f"stage must be stage1, stage2, or all, got {stage!r}")
@@ -320,8 +342,18 @@ def curate_batch(
         worker = lambda p: curate_stage2(p, out_dir=out, dbtp_max=dbtp_max)
     else:
         worker = lambda p: curate_all(p, out, lufs_min=lufs_min, lufs_max=lufs_max, dbtp_max=dbtp_max)
+    paths = collect_inputs(in_dir)
+    owner: dict[str, str] = {}
+    for p in paths:
+        owner.setdefault(_output_path(p, out, stage), p)
+
+    def claimed(p: str) -> CurateDecision:
+        if owner[_output_path(p, out, stage)] != p:
+            return _reject(p, "duplicate_output")
+        return worker(p)
+
     log_path = out / "decisions.jsonl"
-    decisions = run_batch(collect_inputs(in_dir), worker, log_path, jobs=jobs)
+    decisions = run_batch(paths, claimed, log_path, jobs=jobs)
     kept = sum(1 for d in decisions if d.verdict == "keep")
     rejected = dict(Counter(d.reason for d in decisions if d.verdict == "reject"))
     summary = BatchSummary(

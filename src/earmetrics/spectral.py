@@ -16,7 +16,7 @@ import numpy as np
 
 from .audio import AudioBuffer, StftConfig, stft
 from .phase import PhaseLossConfig, correlation_loss, phase_loss
-from .stereo import _check_stereo_pair, split_mslr
+from .stereo import _channel_pair, _check_stereo_pair, split_mslr
 from .weighting import _prefilter_pair
 
 __all__ = [
@@ -153,10 +153,7 @@ def _multiscale_distance(
     ref_ch: np.ndarray, rec_ch: np.ndarray, rate: int, cfg: MultiScaleConfig | None, mel: bool
 ) -> float:
     cfg = cfg or MultiScaleConfig()
-    a = np.asarray(ref_ch, dtype=np.float64)
-    b = np.asarray(rec_ch, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError(f"channels must be equal-length 1-D arrays, got {a.shape} and {b.shape}")
+    a, b = _channel_pair(ref_ch, rec_ch)
     _check_length(a.shape[0], cfg)
     per_scale = []
     for i, n in enumerate(cfg.fft_sizes):

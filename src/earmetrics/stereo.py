@@ -48,10 +48,20 @@ class MslrSpectra:
     s_spec: ComplexSpectrogram
 
 
-def _check_finite(ref: AudioBuffer, rec: AudioBuffer) -> None:
-    for name, buf in (("reference", ref), ("reconstruction", rec)):
-        if not np.isfinite(buf.samples).all():
+def _check_finite(ref: np.ndarray, rec: np.ndarray) -> None:
+    for name, x in (("reference", ref), ("reconstruction", rec)):
+        if not np.isfinite(x).all():
             raise ValueError(f"{name} holds non-finite samples (NaN or inf)")
+
+
+def _channel_pair(ref_ch: np.ndarray, rec_ch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both channels as float64, checked to be equal-length, 1-D and finite."""
+    a = np.asarray(ref_ch, dtype=np.float64)
+    b = np.asarray(rec_ch, dtype=np.float64)
+    if a.shape != b.shape or a.ndim != 1:
+        raise ValueError(f"channels must be equal-length 1-D arrays, got {a.shape} and {b.shape}")
+    _check_finite(a, b)
+    return a, b
 
 
 def _check_stereo_pair(ref: AudioBuffer, rec: AudioBuffer, what: str) -> None:
@@ -61,7 +71,7 @@ def _check_stereo_pair(ref: AudioBuffer, rec: AudioBuffer, what: str) -> None:
         raise ValueError(f"sample rates differ: {ref.sample_rate} vs {rec.sample_rate}")
     if ref.num_samples != rec.num_samples:
         raise ValueError(f"lengths differ: {ref.num_samples} vs {rec.num_samples}")
-    _check_finite(ref, rec)
+    _check_finite(ref.samples, rec.samples)
 
 
 def split_mslr(buf: AudioBuffer) -> MslrSignals:

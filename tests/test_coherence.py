@@ -21,28 +21,18 @@ from earmetrics import (
     si_sdr,
     stft,
 )
-from helpers import noise_stereo, toy_pair
+from helpers import noise_stereo, toy_pair, toy_with_silent_bins
 from oracles import ccpc_direct, icpc_direct, si_sdr_direct
-
-
-def _toy_with_silent_bins() -> tuple[np.ndarray, np.ndarray]:
-    """Toy pair with some bins of exactly zero magnitude in either input,
-    which the oracles read as phase 0."""
-    a, b = toy_pair()
-    a[1, 2] = b[1, 2] = 0.0
-    a[3, 0] = 0.0
-    b[5, 1] = b[6, 3] = 0.0
-    return a, b
 
 
 class TestIcpc:
     def test_matches_direct_oracle(self):
-        for a, b in (toy_pair(), _toy_with_silent_bins()):
+        for a, b in (toy_pair(), toy_with_silent_bins()):
             assert icpc_from_spectra(a, b) == pytest.approx(icpc_direct(a, b), abs=1e-9)
 
     def test_reference_energy_weighting_matches_oracle(self):
         cfg = CoherenceConfig(weight_mode="reference_energy")
-        for a, b in (toy_pair(), _toy_with_silent_bins()):
+        for a, b in (toy_pair(), toy_with_silent_bins()):
             want = icpc_direct(a, b, weight_mode="reference_energy")
             assert icpc_from_spectra(a, b, cfg) == pytest.approx(want, abs=1e-9)
 
@@ -69,6 +59,8 @@ class TestIcpc:
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
             icpc(np.zeros(100), np.zeros(101), 44100)
+        with pytest.raises(ValueError, match="non-finite"):
+            icpc(np.zeros(4096), np.where(np.arange(4096) == 100, np.nan, 0.0), 44100)
 
     def test_weight_mode_validated(self):
         with pytest.raises(ValueError):
@@ -77,7 +69,7 @@ class TestIcpc:
 
 class TestCcpc:
     def test_matches_direct_oracle(self):
-        for a, b in (toy_pair(), _toy_with_silent_bins()):
+        for a, b in (toy_pair(), toy_with_silent_bins()):
             al, ar = a, 0.8 * b * np.exp(0.31j)
             bl, br = 1.1 * b, 0.9 * a * np.exp(-0.22j)
             want = ccpc_direct(al, ar, bl, br)
@@ -302,8 +294,9 @@ class TestEvaluatePair:
 
     def test_chunk_below_analysis_window_rejected(self):
         buf = noise_stereo(seconds=1.0, seed=76)
-        with pytest.raises(ValueError, match="chunk"):
-            evaluate_pair(buf, buf, chunk_seconds=0.01)
+        for chunk_seconds in (0.01, np.inf, np.nan):
+            with pytest.raises(ValueError, match="chunk"):
+                evaluate_pair(buf, buf, chunk_seconds=chunk_seconds)
 
     def test_invalid_prefilter_rejected(self):
         buf = noise_stereo(seconds=1.0, seed=77)

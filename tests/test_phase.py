@@ -16,7 +16,7 @@ from earmetrics import (
     stft,
     wrap_phase,
 )
-from helpers import PHASE_ROTATION_BUDGET, toy_pair
+from helpers import PHASE_ROTATION_BUDGET, toy_pair, toy_with_silent_bins
 from oracles import correlation_loss_direct, phase_loss_direct, wrap_direct
 
 
@@ -117,8 +117,8 @@ class TestDerivatives:
 
 class TestCorrelationLoss:
     def test_matches_direct_oracle_on_toys(self):
-        a, b = toy_pair()
-        assert correlation_loss(a, b) == pytest.approx(correlation_loss_direct(a, b), abs=1e-12)
+        for a, b in (toy_pair(), toy_with_silent_bins()):
+            assert correlation_loss(a, b) == pytest.approx(correlation_loss_direct(a, b), abs=1e-12)
 
     def test_identity_on_broadband_input(self):
         spec = _noise_spec(seed=10)
@@ -147,8 +147,8 @@ class TestCorrelationLoss:
 
 class TestPhaseLoss:
     def test_matches_direct_oracle_on_toys(self):
-        a, b = toy_pair()
-        assert phase_loss(a, b) == pytest.approx(phase_loss_direct(a, b), abs=1e-12)
+        for a, b in (toy_pair(), toy_with_silent_bins()):
+            assert phase_loss(a, b) == pytest.approx(phase_loss_direct(a, b), abs=1e-12)
 
     def test_identical_inputs_exactly_zero(self):
         spec = _noise_spec(seed=13)
@@ -170,13 +170,13 @@ class TestPhaseLoss:
         assert weighted > unweighted > 0
 
     def test_unweighted_matches_plain_mean(self):
-        a, b = toy_pair()
         cfg = PhaseLossConfig(magnitude_weighting=False)
-        pa, pb = phase_matrix(a), phase_matrix(b)
-        d_if = wrap_phase(instantaneous_frequency(pb) - instantaneous_frequency(pa))
-        d_gd = wrap_phase(group_delay(pb) - group_delay(pa))
-        want = np.mean(np.abs(d_if)) + np.mean(np.abs(d_gd))
-        assert phase_loss(a, b, cfg) == pytest.approx(want, abs=1e-12)
+        for a, b in (toy_pair(), toy_with_silent_bins()):
+            pa, pb = phase_matrix(a), phase_matrix(b)
+            d_if = wrap_phase(instantaneous_frequency(pb) - instantaneous_frequency(pa))
+            d_gd = wrap_phase(group_delay(pb) - group_delay(pa))
+            want = np.mean(np.abs(d_if)) + np.mean(np.abs(d_gd))
+            assert phase_loss(a, b, cfg) == pytest.approx(want, abs=1e-12)
 
     def test_too_small_spectrogram_rejected(self):
         with pytest.raises(ValueError):

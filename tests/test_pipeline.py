@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -183,9 +184,33 @@ class TestCurateAll:
         manifest = tmp_path / "files.txt"
         manifest.write_text(f"{tmp_path / 'a' / 'x.wav'}\n{tmp_path / 'b' / 'x.wav'}\n")
         decisions, _ = curate_batch(manifest, tmp_path / "out", stage="all", jobs=jobs)
-        assert [d.reason for d in decisions] == ["none", "true_peak_exceeded"]
+        assert [d.reason for d in decisions] == ["none", "duplicate_output"]
         assert decisions[0].output_path == str(tmp_path / "out" / "x.wav")
         assert (tmp_path / "out" / "x.wav").read_bytes() == (tmp_path / "a" / "x.wav").read_bytes()
+
+    def test_same_stem_outputs_claimed_in_sorted_order(self, tmp_path):
+        # both inputs pass both gates; the first in sorted order claims out/x.wav
+        for sub, seed in (("a", 84), ("b", 85)):
+            (tmp_path / sub).mkdir()
+            buf = noise_stereo(seconds=5.0, amp=0.05, seed=seed)
+            save_wav(tmp_path / sub / "x.wav", buf, sample_format="float32")
+        manifest = tmp_path / "files.txt"
+        manifest.write_text(f"{tmp_path / 'b' / 'x.wav'}\n{tmp_path / 'a' / 'x.wav'}\n")
+        (tmp_path / "alone").mkdir()
+        alone = curate_all(tmp_path / "a" / "x.wav", tmp_path / "alone")
+        logs = []
+        for jobs in (1, 2):
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            decisions, summary = curate_batch(manifest, tmp_path / "out", stage="all", jobs=jobs)
+            assert [(d.reason, d.output_path) for d in decisions] == [
+                ("none", str(tmp_path / "out" / "x.wav")),
+                ("duplicate_output", None),
+            ]
+            assert decisions[1].measured == {"native_rate": None, "lufs_i": None, "dbtp": None}
+            assert summary.rejected_by_reason == {"duplicate_output": 1}
+            assert (tmp_path / "out" / "x.wav").read_bytes() == Path(alone.output_path).read_bytes()
+            logs.append((tmp_path / "out" / "decisions.jsonl").read_bytes())
+        assert logs[0] == logs[1]
 
 
 class TestNonFinite:
@@ -207,6 +232,23 @@ class TestNonFinite:
         assert (decision.verdict, decision.reason) == ("reject", "non_finite")
         assert decision.measured == {"native_rate": 44100, "lufs_i": None, "dbtp": None}
         assert decision.output_path is None
+        assert list(out.iterdir()) == []
+
+
+class TestTooShort:
+    @pytest.mark.parametrize(
+        "seconds,curate",
+        [(0.1, curate_stage1), (0.1, curate_all), (0.0, curate_stage1), (0.0, curate_all), (0.0, curate_stage2)],
+        ids=["0.1s-stage1", "0.1s-all", "empty-stage1", "empty-all", "empty-stage2"],
+    )
+    def test_rejected_as_too_short(self, tmp_path, seconds, curate):
+        src = tmp_path / "short.wav"
+        save_wav(src, noise_stereo(seconds=seconds, amp=0.05, seed=86), sample_format="float32")
+        out = tmp_path / "out"
+        out.mkdir()
+        decision = curate(src, out)
+        assert (decision.verdict, decision.reason) == ("reject", "too_short")
+        assert decision.measured == {"native_rate": 44100, "lufs_i": None, "dbtp": None}
         assert list(out.iterdir()) == []
 
 

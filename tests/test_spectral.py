@@ -112,6 +112,11 @@ class TestDistances:
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
             log_magnitude_distance(np.zeros(5000), np.zeros(5001), 44100, COMPACT)
+        nan_ch = np.zeros(5000)
+        nan_ch[100] = np.nan
+        for distance in (log_magnitude_distance, mel_distance):
+            with pytest.raises(ValueError, match="non-finite"):
+                distance(np.zeros(5000), nan_ch, 44100, COMPACT)
 
     def test_too_short_signal_rejected(self):
         with pytest.raises(ValueError, match="analysis window"):
