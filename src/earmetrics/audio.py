@@ -16,7 +16,6 @@ from math import gcd
 from pathlib import Path
 
 import numpy as np
-from scipy import signal as _signal
 from scipy.io import wavfile as _wavfile
 
 __all__ = [
@@ -221,12 +220,14 @@ def _resample_taps(up: int, down: int) -> np.ndarray:
     Designed for 100 dB stopband attenuation with the passband edge at 0.92
     of the lower Nyquist, keeping ripple below 0.1 dB through 0.9 Nyquist.
     """
+    from scipy import signal
+
     m = max(up, down)
     pass_edge = 0.92 / m
     stop_edge = 1.0 / m
-    numtaps, beta = _signal.kaiserord(100.0, stop_edge - pass_edge)
+    numtaps, beta = signal.kaiserord(100.0, stop_edge - pass_edge)
     numtaps |= 1  # odd length gives an integer group delay
-    taps = _signal.firwin(numtaps, (pass_edge + stop_edge) / 2.0, window=("kaiser", beta))
+    taps = signal.firwin(numtaps, (pass_edge + stop_edge) / 2.0, window=("kaiser", beta))
     taps.flags.writeable = False
     return taps
 
@@ -242,9 +243,11 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     target_rate = int(target_rate)
     if target_rate == buf.sample_rate:
         return buf
+    from scipy import signal
+
     g = gcd(buf.sample_rate, target_rate)
     up, down = target_rate // g, buf.sample_rate // g
-    out = _signal.resample_poly(buf.samples, up, down, axis=-1, window=_resample_taps(up, down))
+    out = signal.resample_poly(buf.samples, up, down, axis=-1, window=_resample_taps(up, down))
     q, r = divmod(buf.num_samples * target_rate, buf.sample_rate)
     n_out = q + (1 if (2 * r > buf.sample_rate or (2 * r == buf.sample_rate and q % 2 == 1)) else 0)
     return AudioBuffer(out[:, :n_out], target_rate)
@@ -252,7 +255,9 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
 
 @lru_cache(maxsize=16)
 def _hann_window(n: int) -> np.ndarray:
-    w = _signal.get_window("hann", n, fftbins=True)
+    """Periodic Hann window, summed term by term as ``scipy.signal.get_window``
+    does, so it is bit-identical to ``get_window("hann", n)``."""
+    w = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
     w.flags.writeable = False
     return w
 

@@ -3,8 +3,8 @@
 Loudness follows the BS.1770/R128 gating recipe: K-weight each channel,
 form 400 ms blocks at 75% overlap, drop blocks at or below -70 LUFS, then
 drop blocks at or below 10 LU under the ungated mean. True peak upsamples
-4x through a windowed-sinc interpolator (48 taps per phase) and reports the
-oversampled absolute maximum in dB.
+4x through a 193-tap Kaiser-windowed sinc, run as four polyphase branches of
+49/48/48/48 taps, and reports the oversampled absolute maximum in dB.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from functools import lru_cache
 from math import log10
 
 import numpy as np
-from scipy import signal as _signal
 
 from .audio import AudioBuffer
 from .weighting import apply_cascade, design_k_weighting
@@ -37,7 +36,8 @@ _BLOCK_SECONDS = 0.4
 SILENCE_FLOOR_DBTP = -200.0
 
 _TP_FACTOR = 4
-_TP_TAPS_TOTAL = 193  # 48 taps per polyphase branch
+_TP_TAPS_TOTAL = 193  # polyphase branches of 49/48/48/48 taps
+_TP_KAISER_BETA = 12.0
 
 
 @dataclass(frozen=True)
@@ -112,8 +112,11 @@ def integrated_lufs(buf: AudioBuffer) -> LoudnessResult:
 
 @lru_cache(maxsize=1)
 def _true_peak_taps() -> np.ndarray:
-    taps = _signal.firwin(_TP_TAPS_TOTAL, 1.0 / _TP_FACTOR, window=("kaiser", 12.0))
-    taps = taps * _TP_FACTOR  # restore unity passband gain after zero stuffing
+    """Low-pass at the original Nyquist, scaled to a DC gain of 4 so the
+    zero-stuffed signal keeps unity passband gain."""
+    m = np.arange(_TP_TAPS_TOTAL) - (_TP_TAPS_TOTAL - 1) / 2
+    taps = np.sinc(m / _TP_FACTOR) / _TP_FACTOR * np.kaiser(_TP_TAPS_TOTAL, _TP_KAISER_BETA)
+    taps = taps / taps.sum() * _TP_FACTOR
     taps.flags.writeable = False
     return taps
 
@@ -121,9 +124,11 @@ def _true_peak_taps() -> np.ndarray:
 def true_peak_dbtp(buf: AudioBuffer) -> TruePeakResult:
     """True peak via 4x polyphase oversampling.
 
-    Digital silence reports the floor value ``SILENCE_FLOOR_DBTP``. Edges are
-    padded so peaks within half a filter length of the boundaries are still
-    seen.
+    Oversampled sample ``4*i + j`` is ``sum_l taps[4*l + j] * x[i - l]``, so
+    branch ``j`` is the full convolution of the channel with ``taps[j::4]``.
+    The full convolution runs over the filter's whole support, so peaks near
+    the boundaries are seen without padding. Digital silence reports the
+    floor value ``SILENCE_FLOOR_DBTP``.
 
     Raises:
         ValueError: on an empty buffer.
@@ -131,11 +136,13 @@ def true_peak_dbtp(buf: AudioBuffer) -> TruePeakResult:
     if buf.num_samples == 0:
         raise ValueError("cannot measure true peak of an empty buffer")
     taps = _true_peak_taps()
-    pad = _TP_TAPS_TOTAL // (2 * _TP_FACTOR) + 1
     per_channel = []
     for ch in buf.samples:
-        upsampled = _signal.upfirdn(taps, np.pad(ch, pad), up=_TP_FACTOR)
-        peak = float(np.max(np.abs(upsampled)))
+        peak = 0.0
+        for j in range(_TP_FACTOR):
+            branch = np.convolve(ch, taps[j::_TP_FACTOR])
+            peak = max(peak, float(np.abs(branch, out=branch).max()))
+            del branch  # free it before the next branch is convolved
         per_channel.append(20.0 * log10(peak) if peak > 0.0 else SILENCE_FLOOR_DBTP)
     return TruePeakResult(dbtp=max(per_channel), per_channel=tuple(per_channel))
 

@@ -10,7 +10,9 @@ that pass both gates.
 
 Batch runs process files in a worker pool but always emit decisions ordered
 by input path, so the JSONL log is byte-identical across runs and across
-parallelism settings.
+parallelism settings. Kept files and the log are written under a temporary
+name and renamed into place, so an interrupted write never leaves a
+truncated file at an output path.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from __future__ import annotations
 import json
 import os
 import shutil
+import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -147,6 +151,25 @@ def _output_path(path: str, out_dir: str | Path, stage: str) -> str:
     return str(Path(out_dir) / name)
 
 
+@contextmanager
+def _atomic_target(path: str | Path) -> Iterator[str]:
+    """A temporary name beside ``path`` to write to. It replaces ``path`` when
+    the block completes and is removed when the block raises."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        yield str(tmp)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    os.replace(tmp, path)
+
+
+def _save_kept(path: str, buf: AudioBuffer) -> None:
+    with _atomic_target(path) as tmp:
+        save_wav(tmp, buf, sample_format="float32")
+
+
 def _load(path: str) -> AudioBuffer | CurateDecision:
     """The decoded file, or its ``decode_error`` / ``non_finite`` rejection."""
     try:
@@ -210,7 +233,7 @@ def curate_stage1(
     """
     decision, stored = _stage1(str(path), out_dir, lufs_min, lufs_max)
     if stored is not None:
-        save_wav(decision.output_path, stored, sample_format="float32")
+        _save_kept(decision.output_path, stored)
     return decision
 
 
@@ -234,7 +257,8 @@ def curate_stage2(
     out_path = None if out_dir is None else _output_path(path, out_dir, "stage2")
     decision = _peak_gate(path, buf, {"native_rate": buf.sample_rate, "lufs_i": None}, dbtp_max, out_path)
     if decision.verdict == "keep" and out_path and os.path.abspath(out_path) != os.path.abspath(path):
-        shutil.copyfile(path, out_path)
+        with _atomic_target(out_path) as tmp:
+            shutil.copyfile(path, tmp)
     return decision
 
 
@@ -252,7 +276,7 @@ def curate_all(
         return decision
     decision = _peak_gate(str(path), stored, decision.measured, dbtp_max, decision.output_path)
     if decision.verdict == "keep":
-        save_wav(decision.output_path, stored, sample_format="float32")
+        _save_kept(decision.output_path, stored)
     return decision
 
 
@@ -293,12 +317,17 @@ def run_batch(
     """Apply ``worker`` to every path in a bounded pool and write the JSONL log.
 
     Results are emitted in sorted input order regardless of completion
-    order. A worker exception is recorded as a ``decode_error`` rejection
-    for that file and never aborts the batch.
+    order. A path listed more than once is processed once: its later entries
+    are rejected as ``duplicate_output`` unread. A worker exception is
+    recorded as a ``decode_error`` rejection for that file and never aborts
+    the batch.
     """
     ordered = sorted(str(p) for p in paths)
 
-    def safe(path: str) -> CurateDecision:
+    def safe(i: int) -> CurateDecision:
+        path = ordered[i]
+        if i and ordered[i - 1] == path:
+            return _reject(path, "duplicate_output")
         try:
             return worker(path)
         except Exception:
@@ -306,11 +335,11 @@ def run_batch(
 
     workers = resolve_jobs(jobs)
     if workers == 1:
-        decisions = [safe(p) for p in ordered]
+        decisions = [safe(i) for i in range(len(ordered))]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            decisions = list(pool.map(safe, ordered))
-    with open(log_path, "w", encoding="utf-8", newline="\n") as fh:
+            decisions = list(pool.map(safe, range(len(ordered))))
+    with _atomic_target(log_path) as tmp, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         for decision in decisions:
             fh.write(decision.to_json() + "\n")
     return decisions
@@ -329,8 +358,9 @@ def curate_batch(
 
     Writes kept audio and ``decisions.jsonl`` into ``out_dir`` and returns
     the per-file decisions plus a summary whose counts always reconcile.
-    When several inputs map to one output file, the first in sorted order
-    claims it and the others are rejected as ``duplicate_output`` unread.
+    When several inputs map to one output file, or one input is listed more
+    than once, the first in sorted order claims it and the others are
+    rejected as ``duplicate_output`` unread.
     """
     if stage not in ("stage1", "stage2", "all"):
         raise ValueError(f"stage must be stage1, stage2, or all, got {stage!r}")

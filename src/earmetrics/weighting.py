@@ -14,7 +14,6 @@ from enum import Enum
 from math import pi, tan
 
 import numpy as np
-from scipy import signal as _signal
 
 from .audio import AudioBuffer
 
@@ -139,12 +138,14 @@ def design_a_weighting(rate: int) -> BiquadCascade:
     10 kHz for a 48 kHz design); rates of 96 kHz and above track the analog
     magnitudes closely through 20 kHz.
     """
+    from scipy import signal
+
     rate = _check_rate(rate)
     zeros = [0.0, 0.0, 0.0, 0.0]
     f1, f2, f3, f4 = _A_POLES_HZ
     poles = [-2.0 * pi * f for f in (f1, f1, f2, f3, f4, f4)]
-    zd, pd, kd = _signal.bilinear_zpk(zeros, poles, 1.0, rate)
-    rows = _signal.zpk2sos(zd, pd, kd)
+    zd, pd, kd = signal.bilinear_zpk(zeros, poles, 1.0, rate)
+    rows = signal.zpk2sos(zd, pd, kd)
     sections = [
         BiquadSection(r[0] / r[3], r[1] / r[3], r[2] / r[3], r[4] / r[3], r[5] / r[3])
         for r in rows
@@ -178,7 +179,9 @@ def apply_cascade(cascade: BiquadCascade, buf: AudioBuffer) -> AudioBuffer:
             f"sample rate mismatch: buffer at {buf.sample_rate} Hz, "
             f"filter designed for {cascade.design_rate} Hz"
         )
-    filtered = _signal.sosfilt(cascade.sos(), buf.samples, axis=-1)
+    from scipy import signal
+
+    filtered = signal.sosfilt(cascade.sos(), buf.samples, axis=-1)
     return AudioBuffer(filtered, buf.sample_rate)
 
 

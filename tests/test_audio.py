@@ -15,6 +15,7 @@ from earmetrics import (
     save_wav,
     stft,
 )
+from earmetrics.audio import _hann_window
 
 
 class TestAudioBuffer:
@@ -166,6 +167,12 @@ class TestStft:
         spec = stft(rng.standard_normal(4096), StftConfig(1024), 44100)
         with pytest.raises(ValueError):
             spec.bins[0, 0] = 0.0
+
+    def test_hann_window_equals_scipy_get_window_exactly(self):
+        from scipy.signal import get_window
+
+        for n in range(2, 8193):
+            assert np.array_equal(_hann_window(n), get_window("hann", n)), n
 
     def test_writeable_caller_bins_are_copied(self):
         bins = np.ones((3, 5), dtype=complex)

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import earmetrics
 from earmetrics import AudioBuffer, save_wav
 from earmetrics.cli import main
 from helpers import noise_stereo
@@ -78,6 +83,27 @@ class TestEvalCommand:
         with pytest.raises(SystemExit) as exc:
             main(["eval", *wav_pair, "--format", "xml"])
         assert exc.value.code == 2
+
+
+_IMPORT_GUARD = """
+import json, sys
+import earmetrics.cli
+after_import = "scipy.signal" in sys.modules
+code = earmetrics.cli.main(["eval", sys.argv[1], sys.argv[2]])
+print(json.dumps([after_import, code, "scipy.signal" in sys.modules]))
+"""
+
+
+def test_eval_without_prefilter_never_imports_scipy_signal(wav_pair):
+    # scipy.signal pulls in scipy.stats and dominates start-up; only
+    # resampling and the weighting filters may load it
+    src = str(Path(earmetrics.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, *wav_pair],
+        env=env, capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert json.loads(run.stdout.strip().splitlines()[-1]) == [False, 0, False]
 
 
 class TestCurateCommand:

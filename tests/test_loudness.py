@@ -13,7 +13,7 @@ from earmetrics import (
     true_peak_dbtp,
 )
 from helpers import faded, noise_stereo, quarter_rate_sine_45
-from oracles import integrated_lufs_direct
+from oracles import integrated_lufs_direct, true_peak_direct
 
 
 def _sine_buf(freq: float, rate: int, seconds: float, amp: float, channel: str = "left"):
@@ -116,6 +116,14 @@ class TestTruePeak:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             true_peak_dbtp(AudioBuffer(np.zeros((2, 0)), 44100))
+
+    @pytest.mark.parametrize("length", [1, 2, 10, 97, 400])
+    def test_matches_direct_polyphase_oracle(self, length):
+        rng = np.random.default_rng(length)
+        x = rng.standard_normal((2, length)) * np.array([[0.3], [0.8]])
+        out = true_peak_dbtp(AudioBuffer(x, 44100))
+        for ch, dbtp in zip(x, out.per_channel):
+            assert 10 ** (dbtp / 20) == pytest.approx(true_peak_direct(ch), rel=1e-12, abs=0)
 
 
 class TestDbtpDistance:

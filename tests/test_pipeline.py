@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import earmetrics.pipeline
 from earmetrics import (
     AudioBuffer,
     BatchSummary,
@@ -211,6 +212,63 @@ class TestCurateAll:
             assert (tmp_path / "out" / "x.wav").read_bytes() == Path(alone.output_path).read_bytes()
             logs.append((tmp_path / "out" / "decisions.jsonl").read_bytes())
         assert logs[0] == logs[1]
+
+
+    def test_path_listed_twice_is_curated_once(self, tmp_path):
+        save_wav(tmp_path / "x.wav", noise_stereo(seconds=5.0, amp=0.05, seed=87), sample_format="float32")
+        manifest = tmp_path / "files.txt"
+        manifest.write_text(f"{tmp_path / 'x.wav'}\n{tmp_path / 'x.wav'}\n")
+        logs = []
+        for jobs in (1, 2):
+            shutil.rmtree(tmp_path / "out", ignore_errors=True)
+            decisions, summary = curate_batch(manifest, tmp_path / "out", stage="all", jobs=jobs)
+            assert [d.reason for d in decisions] == ["none", "duplicate_output"]
+            assert decisions[1].measured == {"native_rate": None, "lufs_i": None, "dbtp": None}
+            assert (summary.total, summary.kept) == (2, 1)
+            assert summary.rejected_by_reason == {"duplicate_output": 1}
+            logs.append((tmp_path / "out" / "decisions.jsonl").read_bytes())
+        assert logs[0] == logs[1]
+
+
+class TestAtomicWrites:
+    def test_failed_wav_write_leaves_no_output_file(self, tmp_path, monkeypatch):
+        src = tmp_path / "x.wav"
+        save_wav(src, noise_stereo(seconds=5.0, amp=0.05, seed=88), sample_format="float32")
+
+        def truncated_write(path, buf, sample_format="float32"):
+            Path(path).write_bytes(b"RIFF\x00\x00")
+            raise OSError("disk full")
+
+        def truncated_copy(source, target):
+            Path(target).write_bytes(b"RIFF\x00\x00")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(earmetrics.pipeline, "save_wav", truncated_write)
+        monkeypatch.setattr(earmetrics.pipeline.shutil, "copyfile", truncated_copy)
+        for curate in (curate_stage1, curate_stage2, curate_all):
+            out = tmp_path / curate.__name__
+            out.mkdir()
+            with pytest.raises(OSError, match="disk full"):
+                curate(src, out)
+            assert list(out.iterdir()) == []
+
+    def test_failed_log_write_keeps_the_previous_log(self, tmp_path, curation_corpus, monkeypatch):
+        out = tmp_path / "out"
+        curate_batch(curation_corpus["dir"], out, stage="stage2")
+        before = (out / "decisions.jsonl").read_bytes()
+        written = []
+
+        def failing_to_json(self):
+            written.append(self)
+            if len(written) == 3:
+                raise OSError("disk full")
+            return json.dumps({"input_path": self.input_path})
+
+        monkeypatch.setattr(CurateDecision, "to_json", failing_to_json)
+        with pytest.raises(OSError, match="disk full"):
+            curate_batch(curation_corpus["dir"], out, stage="stage2")
+        assert (out / "decisions.jsonl").read_bytes() == before
+        assert not [p for p in out.iterdir() if p.suffix == ".tmp"]
 
 
 class TestNonFinite:
