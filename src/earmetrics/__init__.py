@@ -70,7 +70,7 @@ from .spectral import (
     mel_distance,
     mel_filterbank,
 )
-from .stereo import MslrSignals, MslrSpectra, merge_mslr, mslr_spectra, split_mslr
+from .stereo import MslrSignals, merge_mslr, split_mslr
 from .weighting import (
     MIN_DESIGN_RATE,
     BiquadCascade,

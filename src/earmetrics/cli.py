@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 
 from .audio import load_wav
 from .coherence import MetricReport, align_pair, evaluate_pair
@@ -49,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument(
         "--objective",
         action="store_true",
-        help="additionally print the weighted reconstruction objective (JSON line)",
+        help="additionally print the weighted reconstruction objective of the whole aligned pair (JSON line)",
     )
     ev.add_argument(
         "--fft-sizes",
@@ -90,6 +91,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         return 1
     ms_cfg = MultiScaleConfig(fft_sizes=tuple(args.fft_sizes)) if args.fft_sizes else MultiScaleConfig()
     try:
+        # aligned (and resampled) once; the report and the objective share the pair
+        ref, rec, flags = align_pair(ref, rec)
         report = evaluate_pair(
             ref,
             rec,
@@ -102,14 +105,15 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # evaluate_pair got an aligned pair, so the alignment flags come from here
+    report = replace(report, flags=(*flags, *report.flags))
     if args.format == "json":
         print(report.to_json())
     else:
         print(MetricReport.csv_header())
         print(report.to_csv_row())
     if args.objective:
-        aligned_ref, aligned_rec, _ = align_pair(ref, rec)
-        breakdown = composite_objective(aligned_ref, aligned_rec, cfg=ms_cfg, prefilter=args.prefilter)
+        breakdown = composite_objective(ref, rec, cfg=ms_cfg, prefilter=args.prefilter)
         print(json.dumps(breakdown.as_dict()))
     return 0
 

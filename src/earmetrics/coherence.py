@@ -21,10 +21,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioBuffer, ComplexSpectrogram, StftConfig, _as_stereo, resample, stft
+from .audio import AudioBuffer, ComplexSpectrogram, StftConfig, _as_stereo, _stft_blocks, resample
 from .loudness import dbtp_distance
 from .phase import _bins_of
-from .spectral import MultiScaleConfig, _check_length, _scale_distance, mel_filterbank
+from .spectral import MultiScaleConfig, _check_length, _LogL1, mel_filterbank
 from .stereo import _channel_pair, _check_finite, _check_stereo_pair
 from .weighting import _prefilter_pair
 
@@ -66,60 +66,67 @@ class CoherenceConfig:
             raise ValueError(f"weight_mode must be one of {_WEIGHT_MODES}, got {self.weight_mode!r}")
 
 
-def _resultant_percent(weighted: np.ndarray, weights: np.ndarray, eps: float) -> tuple[float, bool]:
-    """Energy-weighted mean resultant length over frames, as a percent.
+class _Resultants:
+    """Per-frame resultant lengths and weights, gathered block by block.
 
-    ``weighted`` holds each bin's weight times the unit phasor of its phase
-    error. Returns the score and a degeneracy flag that is set when the
-    total weight is below ``eps`` (silent input), in which case the score is
-    100 by convention rather than NaN.
+    Each block adds, per frame, the length of the sum of every bin's weight
+    times the unit phasor of its phase error, and the sum of those weights.
     """
-    resultant = np.abs(np.sum(weighted, axis=1))
-    frame_energy = np.sum(weights, axis=1)
-    per_frame = resultant / (frame_energy + eps)
-    total = float(np.sum(frame_energy))
-    if total < eps:
-        return 100.0, True
-    score = 100.0 * float(np.sum(per_frame * frame_energy) / (total + eps))
-    return float(np.clip(score, 0.0, 100.0)), False
+
+    def __init__(self, cfg: CoherenceConfig) -> None:
+        self.cfg = cfg
+        self.resultants: list[np.ndarray] = []
+        self.energies: list[np.ndarray] = []
+
+    def _add(self, weighted: np.ndarray, weights: np.ndarray) -> None:
+        self.resultants.append(np.abs(np.sum(weighted, axis=1)))
+        self.energies.append(np.sum(weights, axis=1))
+
+    def percent(self) -> tuple[float, bool]:
+        """Energy-weighted mean resultant length over frames, as a percent.
+
+        Returns the score and a degeneracy flag that is set when the total
+        weight is below ``epsilon`` (silent input), in which case the score
+        is 100 by convention rather than NaN.
+        """
+        eps = self.cfg.epsilon
+        resultant = np.concatenate(self.resultants)
+        frame_energy = np.concatenate(self.energies)
+        per_frame = resultant / (frame_energy + eps)
+        total = float(np.sum(frame_energy))
+        if total < eps:
+            return 100.0, True
+        score = 100.0 * float(np.sum(per_frame * frame_energy) / (total + eps))
+        return float(np.clip(score, 0.0, 100.0)), False
 
 
-def _icpc_core(
-    ref: ComplexSpectrogram | np.ndarray,
-    rec: ComplexSpectrogram | np.ndarray,
-    cfg: CoherenceConfig,
-) -> tuple[float, bool]:
-    a, b = _bins_of(ref, rec)
-    if cfg.weight_mode == "product":
-        # |rec * conj(ref)| is the weight and its phase the phase error
-        weighted = b * np.conj(a)
-        return _resultant_percent(weighted, np.abs(weighted), cfg.epsilon)
-    # |ref| * conj(ref) * unit(rec); a silent rec bin reads as phase 0
-    mag_a = np.abs(a)
-    unit_b = np.divide(b, np.abs(b), out=np.ones_like(b), where=b != 0)
-    return _resultant_percent(mag_a * np.conj(a) * unit_b, mag_a**2, cfg.epsilon)
+class _Icpc(_Resultants):
+    def add(self, a: np.ndarray, b: np.ndarray) -> None:
+        if self.cfg.weight_mode == "product":
+            # |rec * conj(ref)| is the weight and its phase the phase error
+            weighted = b * np.conj(a)
+            self._add(weighted, np.abs(weighted))
+            return
+        # |ref| * conj(ref) * unit(rec); a silent rec bin reads as phase 0
+        mag_a = np.abs(a)
+        unit_b = np.divide(b, np.abs(b), out=np.ones_like(b), where=b != 0)
+        self._add(mag_a * np.conj(a) * unit_b, mag_a**2)
 
 
-def _ccpc_core(
-    ref_left: ComplexSpectrogram | np.ndarray,
-    ref_right: ComplexSpectrogram | np.ndarray,
-    rec_left: ComplexSpectrogram | np.ndarray,
-    rec_right: ComplexSpectrogram | np.ndarray,
-    cfg: CoherenceConfig,
-) -> tuple[float, bool]:
-    al, ar, bl, br = _bins_of(ref_left, ref_right, rec_left, rec_right)
-    # P = (bl conj(br)) conj(al conj(ar)): phase = error of the inter-channel phase
-    # difference, weight sqrt|P|. Built in place: each full-size temporary adds to peak memory.
-    prod = np.conjugate(ar)
-    prod *= al
-    np.conjugate(prod, out=prod)
-    rec_ipd = np.conjugate(br)
-    rec_ipd *= bl
-    prod *= rec_ipd
-    del rec_ipd
-    weights = np.sqrt(np.abs(prod))
-    np.divide(prod, weights, out=prod, where=weights > 0)  # P == 0 stays 0
-    return _resultant_percent(prod, weights, cfg.epsilon)
+class _Ccpc(_Resultants):
+    def add(self, al: np.ndarray, ar: np.ndarray, bl: np.ndarray, br: np.ndarray) -> None:
+        # P = (bl conj(br)) conj(al conj(ar)): phase = error of the inter-channel phase
+        # difference, weight sqrt|P|. Built in place: each temporary adds to peak memory.
+        prod = np.conjugate(ar)
+        prod *= al
+        np.conjugate(prod, out=prod)
+        rec_ipd = np.conjugate(br)
+        rec_ipd *= bl
+        prod *= rec_ipd
+        del rec_ipd
+        weights = np.sqrt(np.abs(prod))
+        np.divide(prod, weights, out=prod, where=weights > 0)  # P == 0 stays 0
+        self._add(prod, weights)
 
 
 def icpc_from_spectra(
@@ -128,7 +135,9 @@ def icpc_from_spectra(
     cfg: CoherenceConfig | None = None,
 ) -> float:
     """ICPC in percent from two precomputed single-channel spectrograms."""
-    return _icpc_core(ref, rec, cfg or CoherenceConfig())[0]
+    acc = _Icpc(cfg or CoherenceConfig())
+    acc.add(*_bins_of(ref, rec))
+    return acc.percent()[0]
 
 
 def ccpc_from_spectra(
@@ -139,7 +148,9 @@ def ccpc_from_spectra(
     cfg: CoherenceConfig | None = None,
 ) -> float:
     """CCPC in percent from the four precomputed channel spectrograms."""
-    return _ccpc_core(ref_left, ref_right, rec_left, rec_right, cfg or CoherenceConfig())[0]
+    acc = _Ccpc(cfg or CoherenceConfig())
+    acc.add(*_bins_of(ref_left, ref_right, rec_left, rec_right))
+    return acc.percent()[0]
 
 
 def icpc(
@@ -153,9 +164,10 @@ def icpc(
     Raises:
         ValueError: on length mismatch or non-finite samples.
     """
-    cfg = cfg or CoherenceConfig()
-    a, b = _channel_pair(ref_ch, rec_ch)
-    return icpc_from_spectra(stft(a, cfg.stft, rate), stft(b, cfg.stft, rate), cfg)
+    acc = _Icpc(cfg or CoherenceConfig())
+    for a, b in _stft_blocks(_channel_pair(ref_ch, rec_ch), acc.cfg.stft):
+        acc.add(a, b)
+    return acc.percent()[0]
 
 
 def ccpc(ref: AudioBuffer, rec: AudioBuffer, cfg: CoherenceConfig | None = None) -> float:
@@ -164,11 +176,11 @@ def ccpc(ref: AudioBuffer, rec: AudioBuffer, cfg: CoherenceConfig | None = None)
     Raises:
         ValueError: on mono, mismatched or non-finite input.
     """
-    cfg = cfg or CoherenceConfig()
     _check_stereo_pair(ref, rec, "ccpc")
-    rate = ref.sample_rate
-    specs = (stft(buf.samples[ch], cfg.stft, rate) for buf in (ref, rec) for ch in range(2))
-    return ccpc_from_spectra(*specs, cfg)
+    acc = _Ccpc(cfg or CoherenceConfig())
+    for blocks in _stft_blocks((*ref.samples, *rec.samples), acc.cfg.stft):
+        acc.add(*blocks)
+    return acc.percent()[0]
 
 
 def si_sdr(ref: np.ndarray, rec: np.ndarray) -> float:
@@ -289,48 +301,48 @@ def align_pair(ref: AudioBuffer, rec: AudioBuffer) -> tuple[AudioBuffer, AudioBu
     return ref, rec, flags
 
 
-def _coherence(
-    specs: list[tuple[ComplexSpectrogram, ComplexSpectrogram]], cfg: CoherenceConfig
-) -> tuple[float, float, bool]:
-    """Mean ICPC, CCPC and the degeneracy flag from a ``(ref, rec)`` pair per channel."""
-    (ref_l, rec_l), (ref_r, rec_r) = specs
-    icpc_l, icpc_r = _icpc_core(ref_l, rec_l, cfg), _icpc_core(ref_r, rec_r, cfg)
-    ccpc_value, degenerate = _ccpc_core(ref_l, ref_r, rec_l, rec_r, cfg)
-    return float(np.mean([icpc_l[0], icpc_r[0]])), ccpc_value, icpc_l[1] or icpc_r[1] or degenerate
-
-
 def _evaluate_aligned(
     ref: AudioBuffer,
     rec: AudioBuffer,
     ms_cfg: MultiScaleConfig,
     coh_cfg: CoherenceConfig,
 ) -> tuple[dict, list[str]]:
-    """One pass over the scales, channels inside. Each spectrogram and its
-    magnitude feed the log and mel distances, and at the scale equal to the
-    coherence STFT also ICPC/CCPC. One scale's spectra are alive at a time."""
+    """One pass over the scales, each a pass over blocks of frames with the
+    channels inside. Each block and its magnitudes feed the log and mel
+    distances, and at the scale equal to the coherence STFT also ICPC/CCPC;
+    a coherence STFT that matches no scale takes one more pass. One block of
+    frames is alive at a time."""
     rate = ref.sample_rate
     _check_length(ref.num_samples, ms_cfg)
-
-    def spectra(sc: StftConfig) -> list[tuple[ComplexSpectrogram, ComplexSpectrogram]]:
-        return [(stft(ref.samples[ch], sc, rate), stft(rec.samples[ch], sc, rate)) for ch in range(2)]
-
+    eps = ms_cfg.log_epsilon
+    scales = [
+        (ms_cfg.stft_config(n), mel_filterbank(ms_cfg.mel_bins_for(i), n, rate))
+        for i, n in enumerate(ms_cfg.fft_sizes)
+    ]
+    coh_at = next((i for i, (sc, _) in enumerate(scales) if sc == coh_cfg.stft), len(scales))
+    if coh_at == len(scales):
+        scales.append((coh_cfg.stft, None))
+    channels = (ref.samples[0], rec.samples[0], ref.samples[1], rec.samples[1])
     stft_vals: list[list[float]] = [[], []]
     mel_vals: list[list[float]] = [[], []]
-    coherence = None
-    for i, n in enumerate(ms_cfg.fft_sizes):
-        sc = ms_cfg.stft_config(n)
-        mel_fb = mel_filterbank(ms_cfg.mel_bins_for(i), n, rate)
-        specs = spectra(sc)
-        if coherence is None and sc == coh_cfg.stft:
-            coherence = _coherence(specs, coh_cfg)
-        for ch, (a, b) in enumerate(specs):
-            mag_a, mag_b = np.abs(a.bins), np.abs(b.bins)
-            stft_vals[ch].append(_scale_distance(mag_a, mag_b, ms_cfg.log_epsilon))
-            mel_vals[ch].append(_scale_distance(mag_a, mag_b, ms_cfg.log_epsilon, mel_fb))
-        del specs, a, b, mag_a, mag_b
-    if coherence is None:
-        coherence = _coherence(spectra(coh_cfg.stft), coh_cfg)
-    icpc_value, ccpc_value, degenerate = coherence
+    for i, (sc, mel_fb) in enumerate(scales):
+        dists = [(_LogL1(eps), _LogL1(eps, mel_fb)) for _ in range(2)] if mel_fb is not None else []
+        coh = (_Icpc(coh_cfg), _Icpc(coh_cfg), _Ccpc(coh_cfg)) if i == coh_at else ()
+        for a_l, b_l, a_r, b_r in _stft_blocks(channels, sc):
+            for (stft_d, mel_d), a, b in zip(dists, (a_l, a_r), (b_l, b_r)):
+                mag_a, mag_b = np.abs(a), np.abs(b)
+                stft_d.add(mag_a, mag_b)
+                mel_d.add(mag_a, mag_b)
+            if coh:
+                coh[0].add(a_l, b_l)
+                coh[1].add(a_r, b_r)
+                coh[2].add(a_l, a_r, b_l, b_r)
+        for ch, (stft_d, mel_d) in enumerate(dists):
+            stft_vals[ch].append(stft_d.mean())
+            mel_vals[ch].append(mel_d.mean())
+        if coh:
+            (icpc_l, deg_l), (icpc_r, deg_r), (ccpc_value, deg_c) = (c.percent() for c in coh)
+            icpc_value, degenerate = float(np.mean([icpc_l, icpc_r])), deg_l or deg_r or deg_c
     metrics = {
         "mel_dist": float(np.mean([np.mean(v) for v in mel_vals])),
         "stft_dist": float(np.mean([np.mean(v) for v in stft_vals])),

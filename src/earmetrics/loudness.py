@@ -11,11 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import log10
+from math import isfinite, log10
 
 import numpy as np
 
 from .audio import AudioBuffer
+from .stereo import _non_finite
 from .weighting import apply_cascade, design_k_weighting
 
 __all__ = [
@@ -131,7 +132,7 @@ def true_peak_dbtp(buf: AudioBuffer) -> TruePeakResult:
     floor value ``SILENCE_FLOOR_DBTP``.
 
     Raises:
-        ValueError: on an empty buffer.
+        ValueError: on an empty buffer or one holding NaN or inf samples.
     """
     if buf.num_samples == 0:
         raise ValueError("cannot measure true peak of an empty buffer")
@@ -141,8 +142,11 @@ def true_peak_dbtp(buf: AudioBuffer) -> TruePeakResult:
         peak = 0.0
         for j in range(_TP_FACTOR):
             branch = np.convolve(ch, taps[j::_TP_FACTOR])
-            peak = max(peak, float(np.abs(branch, out=branch).max()))
+            branch_peak = float(np.abs(branch, out=branch).max())
             del branch  # free it before the next branch is convolved
+            if not isfinite(branch_peak):  # max() would drop a NaN
+                raise _non_finite("buffer")
+            peak = max(peak, branch_peak)
         per_channel.append(20.0 * log10(peak) if peak > 0.0 else SILENCE_FLOOR_DBTP)
     return TruePeakResult(dbtp=max(per_channel), per_channel=tuple(per_channel))
 

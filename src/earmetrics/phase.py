@@ -79,7 +79,8 @@ def _wrapped_diff(x: np.ndarray, axis: int) -> np.ndarray:
     """Wrapped forward difference of a 2-D phase matrix along ``axis``."""
     if x.ndim != 2 or x.shape[axis] < 2:
         raise ValueError(f"need a 2-D phase matrix with >= 2 {('frames', 'bins')[axis]}, got shape {x.shape}")
-    return wrap_phase(np.diff(x, axis=axis))
+    # what np.diff computes, without its per-call overhead (it runs once per block)
+    return wrap_phase(x[1:] - x[:-1] if axis == 0 else x[:, 1:] - x[:, :-1])
 
 
 def instantaneous_frequency(phase: np.ndarray) -> np.ndarray:
@@ -100,6 +101,24 @@ def group_delay(phase: np.ndarray) -> np.ndarray:
     return _wrapped_diff(-np.asarray(phase, dtype=np.float64), axis=1)
 
 
+class _CorrelationSums:
+    """Running sum of ``Re(rec * conj(ref)) / (|rec| |ref| + epsilon)`` and its
+    bin count over the blocks of frames it is given."""
+
+    def __init__(self, cfg: PhaseLossConfig) -> None:
+        self.eps = cfg.epsilon
+        self.total, self.count = 0.0, 0
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> None:
+        num = np.real(b * np.conj(a))
+        den = np.abs(b) * np.abs(a) + self.eps
+        self.total += float(np.sum(num / den))
+        self.count += num.size
+
+    def loss(self) -> float:
+        return 1.0 - self.total / self.count
+
+
 def correlation_loss(
     ref: ComplexSpectrogram | np.ndarray,
     rec: ComplexSpectrogram | np.ndarray,
@@ -110,17 +129,54 @@ def correlation_loss(
     Computed as ``1 - mean(Re(rec * conj(ref) / (|rec| |ref| + epsilon)))``
     so zero-magnitude bins contribute zero correlation rather than NaN.
     """
-    cfg = cfg or PhaseLossConfig()
-    a, b = _bins_of(ref, rec)
-    num = np.real(b * np.conj(a))
-    den = np.abs(b) * np.abs(a) + cfg.epsilon
-    return float(1.0 - np.mean(num / den))
+    sums = _CorrelationSums(cfg or PhaseLossConfig())
+    sums.add(*_bins_of(ref, rec))
+    return sums.loss()
 
 
-def _weighted_abs_mean(err: np.ndarray, weights: np.ndarray | None, eps: float) -> float:
-    if weights is None:
-        return float(np.mean(np.abs(err)))
-    return float(np.sum(weights * np.abs(err)) / (np.sum(weights) + eps))
+def _abs_sums(d: np.ndarray, mag: np.ndarray | None, axis: int) -> tuple[float, float]:
+    """Sum of ``|d|`` and its count, or, given the reference magnitudes, the sum
+    of ``w * |d|`` and of ``w``, where ``w`` is the mean magnitude of the two
+    bins each difference along ``axis`` spans."""
+    if mag is None:
+        return float(np.sum(np.abs(d))), d.size
+    w = (mag[:-1, :] + mag[1:, :]) / 2.0 if axis == 0 else (mag[:, :-1] + mag[:, 1:]) / 2.0
+    return float(np.sum(w * np.abs(d))), float(np.sum(w))
+
+
+class _PhaseSums:
+    """Sums behind :func:`phase_loss` over consecutive blocks of frames.
+
+    The IF error of a block's first frame is taken against the last frame of
+    the block before it, whose phase error and reference magnitude are
+    carried over as a one-frame halo.
+    """
+
+    def __init__(self, cfg: PhaseLossConfig) -> None:
+        self.cfg = cfg
+        self.sums = np.zeros(4)  # IF error, IF weight, GD error, GD weight
+        self.halo: tuple[np.ndarray, np.ndarray | None] | None = None
+
+    def add(self, a: np.ndarray, b: np.ndarray) -> None:
+        # wrap(wrap(x) - wrap(y)) == wrap(x - y) and |wrap(-d)| == |wrap(d)|
+        err = np.angle(b)
+        err -= np.angle(a)
+        mag = np.abs(a) if self.cfg.magnitude_weighting else None
+        err_if, mag_if = err, mag
+        if self.halo is not None:
+            err_if = np.concatenate((self.halo[0], err))
+            mag_if = None if mag is None else np.concatenate((self.halo[1], mag))
+        self.halo = (err[-1:].copy(), None if mag is None else mag[-1:].copy())
+        self.sums += (
+            *_abs_sums(_wrapped_diff(err_if, axis=0), mag_if, 0),
+            *_abs_sums(_wrapped_diff(err, axis=1), mag, 1),
+        )
+
+    def loss(self) -> float:
+        # unweighted, the weights are counts and each term a plain mean
+        eps = self.cfg.epsilon if self.cfg.magnitude_weighting else 0.0
+        if_err, if_weight, gd_err, gd_weight = self.sums
+        return float(if_err / (if_weight + eps) + gd_err / (gd_weight + eps))
 
 
 def phase_loss(
@@ -138,15 +194,6 @@ def phase_loss(
     float64. Magnitude weighting (default) weights each derivative location
     by the mean reference magnitude of its two parent bins.
     """
-    cfg = cfg or PhaseLossConfig()
-    a, b = _bins_of(ref, rec)
-    # wrap(wrap(x) - wrap(y)) == wrap(x - y) and |wrap(-d)| == |wrap(d)|
-    err = np.angle(b)
-    err -= np.angle(a)
-    d_if, d_gd = _wrapped_diff(err, axis=0), _wrapped_diff(err, axis=1)
-    w_if = w_gd = None
-    if cfg.magnitude_weighting:
-        mag = np.abs(a)
-        w_if = (mag[:-1, :] + mag[1:, :]) / 2.0
-        w_gd = (mag[:, :-1] + mag[:, 1:]) / 2.0
-    return _weighted_abs_mean(d_if, w_if, cfg.epsilon) + _weighted_abs_mean(d_gd, w_gd, cfg.epsilon)
+    sums = _PhaseSums(cfg or PhaseLossConfig())
+    sums.add(*_bins_of(ref, rec))
+    return sums.loss()

@@ -14,8 +14,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioBuffer, StftConfig, stft
-from .phase import PhaseLossConfig, correlation_loss, phase_loss
+from .audio import AudioBuffer, StftConfig, _stft_blocks
+from .phase import PhaseLossConfig, _CorrelationSums, _PhaseSums
 from .stereo import _channel_pair, _check_stereo_pair, split_mslr
 from .weighting import _prefilter_pair
 
@@ -140,27 +140,39 @@ def _check_length(num_samples: int, cfg: MultiScaleConfig) -> None:
         )
 
 
-def _scale_distance(mag_a: np.ndarray, mag_b: np.ndarray, eps: float, mel_fb: np.ndarray | None = None) -> float:
-    """Mean L1 log-magnitude distance at one scale, after the mel projection ``mel_fb`` if given."""
-    if mel_fb is not None:
-        mag_a, mag_b = mag_a @ mel_fb.T, mag_b @ mel_fb.T
-    log_a, log_b = (np.log(x, out=x) for x in (mag_a + eps, mag_b + eps))
-    log_a -= log_b
-    return float(np.mean(np.abs(log_a, out=log_a)))
+class _LogL1:
+    """Running mean of ``|log(|A| + eps) - log(|B| + eps)|`` over every frame
+    and bin of the magnitude blocks it is given, after the mel projection
+    ``mel_fb`` if given."""
+
+    def __init__(self, eps: float, mel_fb: np.ndarray | None = None) -> None:
+        self.eps, self.mel_fb = eps, mel_fb
+        self.total, self.count = 0.0, 0
+
+    def add(self, mag_a: np.ndarray, mag_b: np.ndarray) -> None:
+        if self.mel_fb is not None:
+            mag_a, mag_b = mag_a @ self.mel_fb.T, mag_b @ self.mel_fb.T
+        log_a, log_b = (np.log(x, out=x) for x in (mag_a + self.eps, mag_b + self.eps))
+        log_a -= log_b
+        self.total += float(np.sum(np.abs(log_a, out=log_a)))
+        self.count += log_a.size
+
+    def mean(self) -> float:
+        return self.total / self.count
 
 
 def _multiscale_distance(
     ref_ch: np.ndarray, rec_ch: np.ndarray, rate: int, cfg: MultiScaleConfig | None, mel: bool
 ) -> float:
     cfg = cfg or MultiScaleConfig()
-    a, b = _channel_pair(ref_ch, rec_ch)
-    _check_length(a.shape[0], cfg)
+    pair = _channel_pair(ref_ch, rec_ch)
+    _check_length(pair[0].shape[0], cfg)
     per_scale = []
     for i, n in enumerate(cfg.fft_sizes):
-        sc = cfg.stft_config(n)
-        mel_fb = mel_filterbank(cfg.mel_bins_for(i), n, int(rate)) if mel else None
-        mags = (np.abs(stft(x, sc, rate).bins) for x in (a, b))
-        per_scale.append(_scale_distance(*mags, cfg.log_epsilon, mel_fb))
+        dist = _LogL1(cfg.log_epsilon, mel_filterbank(cfg.mel_bins_for(i), n, int(rate)) if mel else None)
+        for a, b in _stft_blocks(pair, cfg.stft_config(n)):
+            dist.add(np.abs(a), np.abs(b))
+        per_scale.append(dist.mean())
     return float(np.mean(per_scale))
 
 
@@ -201,7 +213,9 @@ def composite_objective(
     The log-magnitude term averages over the mid, side, left, and right
     components; the correlation and phase terms average over left and right
     only, across every scale of ``cfg``. An optional pre-filter (``"k"`` or
-    ``"a"``) is applied to both signals before any analysis.
+    ``"a"``) is applied to both signals before any analysis. Each scale is one
+    pass over blocks of frames per component, so one block of frames of one
+    component pair is alive at a time, and every term is summed block by block.
 
     Raises:
         ValueError: on mono, mismatched or non-finite input, signals shorter
@@ -211,7 +225,6 @@ def composite_objective(
     phase_cfg = phase_cfg or PhaseLossConfig()
     _check_stereo_pair(ref, rec, "composite objective")
     _check_length(ref.num_samples, cfg)
-    rate = ref.sample_rate
     sig_ref, sig_rec = (split_mslr(buf) for buf in _prefilter_pair(prefilter, ref, rec))
     mag_terms: dict[str, list[float]] = {c: [] for c in ("mid", "side", "left", "right")}
     corr_terms: dict[str, list[float]] = {c: [] for c in ("left", "right")}
@@ -219,12 +232,17 @@ def composite_objective(
     for n in cfg.fft_sizes:
         sc = cfg.stft_config(n)
         for c, per_scale in mag_terms.items():
-            spec_ref = stft(sig_ref.component(c), sc, rate)
-            spec_rec = stft(sig_rec.component(c), sc, rate)
-            per_scale.append(_scale_distance(np.abs(spec_ref.bins), np.abs(spec_rec.bins), cfg.log_epsilon))
+            mag_sums = _LogL1(cfg.log_epsilon)
+            corr_sums, phase_sums = _CorrelationSums(phase_cfg), _PhaseSums(phase_cfg)
+            for a, b in _stft_blocks((sig_ref.component(c), sig_rec.component(c)), sc):
+                mag_sums.add(np.abs(a), np.abs(b))
+                if c in corr_terms:
+                    corr_sums.add(a, b)
+                    phase_sums.add(a, b)
+            per_scale.append(mag_sums.mean())
             if c in corr_terms:
-                corr_terms[c].append(correlation_loss(spec_ref, spec_rec, phase_cfg))
-                phase_terms[c].append(phase_loss(spec_ref, spec_rec, phase_cfg))
+                corr_terms[c].append(corr_sums.loss())
+                phase_terms[c].append(phase_sums.loss())
     # same reduction order as averaging per component first
     stft_mag = float(np.mean([np.mean(v) for v in mag_terms.values()]))
     corr = float(np.mean(corr_terms["left"] + corr_terms["right"]))

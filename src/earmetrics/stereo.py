@@ -1,4 +1,4 @@
-"""Mid/side/left/right decomposition of stereo signals and spectrograms.
+"""Mid/side/left/right decomposition of stereo signals.
 
 Mid and side use the plain averaging convention ``M = (L + R) / 2`` and
 ``S = (L - R) / 2`` (no energy-preserving sqrt(2) factor), which gives the
@@ -11,14 +11,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, ComplexSpectrogram, StftConfig, stft
+from .audio import AudioBuffer
 
 __all__ = [
     "MslrSignals",
-    "MslrSpectra",
     "split_mslr",
     "merge_mslr",
-    "mslr_spectra",
 ]
 
 
@@ -38,20 +36,14 @@ class MslrSignals:
         return getattr(self, name)
 
 
-@dataclass(frozen=True, eq=False)
-class MslrSpectra:
-    """STFTs of all four components under one shared configuration."""
-
-    l_spec: ComplexSpectrogram
-    r_spec: ComplexSpectrogram
-    m_spec: ComplexSpectrogram
-    s_spec: ComplexSpectrogram
+def _non_finite(name: str) -> ValueError:
+    return ValueError(f"{name} holds non-finite samples (NaN or inf)")
 
 
 def _check_finite(ref: np.ndarray, rec: np.ndarray) -> None:
     for name, x in (("reference", ref), ("reconstruction", rec)):
         if not np.isfinite(x).all():
-            raise ValueError(f"{name} holds non-finite samples (NaN or inf)")
+            raise _non_finite(name)
 
 
 def _channel_pair(ref_ch: np.ndarray, rec_ch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -100,19 +92,3 @@ def merge_mslr(mid: np.ndarray, side: np.ndarray, rate: int) -> AudioBuffer:
     if mid.shape != side.shape or mid.ndim != 1:
         raise ValueError(f"mid and side must be equal-length 1-D arrays, got {mid.shape} and {side.shape}")
     return AudioBuffer(np.stack([mid + side, mid - side]), rate)
-
-
-def mslr_spectra(buf: AudioBuffer, config: StftConfig) -> MslrSpectra:
-    """STFT all four components of a stereo buffer under one config.
-
-    Mid and side are formed in the time domain before the transform, which
-    by linearity matches combining the left/right spectra bin-wise.
-    """
-    sig = split_mslr(buf)
-    rate = buf.sample_rate
-    return MslrSpectra(
-        l_spec=stft(sig.left, config, rate),
-        r_spec=stft(sig.right, config, rate),
-        m_spec=stft(sig.mid, config, rate),
-        s_spec=stft(sig.side, config, rate),
-    )

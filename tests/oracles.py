@@ -3,6 +3,12 @@
 Everything here is written as plain loops over scalars, directly from the
 defining formulas, and deliberately shares no code with the package beyond
 numpy scalars. Slow is fine; these run on tiny inputs.
+
+The exceptions are the whole-array references at the end: they compute each
+metric from one whole spectrogram per channel and scale, as numpy array
+formulas, and check the package's block-by-block analysis on real signal
+lengths. They take the mel filterbank from the package, which is not what
+they check.
 """
 from __future__ import annotations
 
@@ -204,3 +210,104 @@ def true_peak_direct(x: np.ndarray) -> float:
                 total += h[k] * float(x[i])
         peak = max(peak, abs(total))
     return peak
+
+
+def _stft_whole(x: np.ndarray, n: int, hop: int) -> np.ndarray:
+    """Hann-windowed one-sided STFT of a reflect-padded copy of ``x``."""
+    from scipy.signal import get_window
+
+    padded = np.pad(x, n // 2, mode="reflect")
+    count = 1 + (padded.shape[0] - n) // hop
+    frames = np.lib.stride_tricks.sliding_window_view(padded, n)[::hop][:count]
+    return np.fft.rfft(frames * get_window("hann", n), axis=1)
+
+
+def _wrap_whole(x: np.ndarray) -> np.ndarray:
+    return x - TWO_PI * np.round(x / TWO_PI)
+
+
+def _log_l1_whole(mag_a: np.ndarray, mag_b: np.ndarray, eps: float) -> float:
+    return float(np.mean(np.abs(np.log(mag_a + eps) - np.log(mag_b + eps))))
+
+
+def _resultant_whole(weighted: np.ndarray, weights: np.ndarray, eps: float) -> tuple[float, bool]:
+    resultant = np.abs(weighted.sum(axis=1))
+    energy = weights.sum(axis=1)
+    total = float(energy.sum())
+    if total < eps:
+        return 100.0, True
+    score = 100.0 * float(np.sum(resultant / (energy + eps) * energy) / (total + eps))
+    return min(max(score, 0.0), 100.0), False
+
+
+def _unit(z: np.ndarray, silent: float) -> np.ndarray:
+    """``z / |z|``, and ``silent`` where ``z == 0``."""
+    mag = np.abs(z)
+    return np.divide(z, mag, out=np.full_like(z, silent), where=mag > 0)
+
+
+def evaluate_whole(ref: np.ndarray, rec: np.ndarray, rate: int, ms_cfg, coh_cfg) -> dict:
+    """``mel_dist``, ``stft_dist``, ``icpc_percent``, ``ccpc_percent`` and the
+    ``degenerate`` flag of an aligned ``(2, n)`` pair."""
+    from earmetrics import mel_filterbank
+
+    eps = ms_cfg.log_epsilon
+    stft_d: list[list[float]] = [[], []]
+    mel_d: list[list[float]] = [[], []]
+    for i, n in enumerate(ms_cfg.fft_sizes):
+        fb = mel_filterbank(ms_cfg.mel_bins_for(i), n, rate).T
+        for ch in range(2):
+            mag_a, mag_b = (np.abs(_stft_whole(x[ch], n, ms_cfg.hop_for(n))) for x in (ref, rec))
+            stft_d[ch].append(_log_l1_whole(mag_a, mag_b, eps))
+            mel_d[ch].append(_log_l1_whole(mag_a @ fb, mag_b @ fb, eps))
+    n, hop, c_eps = coh_cfg.stft.fft_size, coh_cfg.stft.hop, coh_cfg.epsilon
+    (al, ar), (bl, br) = ([_stft_whole(x[ch], n, hop) for ch in range(2)] for x in (ref, rec))
+    icpcs = []
+    for a, b in ((al, bl), (ar, br)):
+        if coh_cfg.weight_mode == "product":
+            w = np.abs(a) * np.abs(b)
+        else:
+            w = np.abs(a) ** 2
+        icpcs.append(_resultant_whole(w * _unit(b, 1.0) * np.conj(_unit(a, 1.0)), w, c_eps))
+    p = (bl * np.conj(br)) * np.conj(al * np.conj(ar))
+    w = np.sqrt(np.abs(p))
+    ccpc, ccpc_degenerate = _resultant_whole(w * _unit(p, 0.0), w, c_eps)
+    return {
+        "mel_dist": float(np.mean([np.mean(v) for v in mel_d])),
+        "stft_dist": float(np.mean([np.mean(v) for v in stft_d])),
+        "icpc_percent": (icpcs[0][0] + icpcs[1][0]) / 2.0,
+        "ccpc_percent": ccpc,
+        "degenerate": icpcs[0][1] or icpcs[1][1] or ccpc_degenerate,
+    }
+
+
+def objective_whole(ref: np.ndarray, rec: np.ndarray, cfg, eps: float = 1e-8) -> tuple[float, float, float]:
+    """``(stft_mag, corr, phase)`` of the composite objective of a ``(2, n)``
+    pair, with magnitude-weighted phase loss."""
+    comps = {
+        "mid": lambda x: (x[0] + x[1]) / 2.0,
+        "side": lambda x: (x[0] - x[1]) / 2.0,
+        "left": lambda x: x[0],
+        "right": lambda x: x[1],
+    }
+    mag_terms: dict[str, list[float]] = {c: [] for c in comps}
+    corr_terms: list[float] = []
+    phase_terms: list[float] = []
+    for n in cfg.fft_sizes:
+        for c, part in comps.items():
+            a, b = (_stft_whole(part(x), n, cfg.hop_for(n)) for x in (ref, rec))
+            mag_terms[c].append(_log_l1_whole(np.abs(a), np.abs(b), cfg.log_epsilon))
+            if c in ("left", "right"):
+                corr_terms.append(1.0 - float(np.mean(np.real(b * np.conj(a)) / (np.abs(a) * np.abs(b) + eps))))
+                err = np.angle(b) - np.angle(a)
+                mag = np.abs(a)
+                w_if, w_gd = (mag[:-1] + mag[1:]) / 2.0, (mag[:, :-1] + mag[:, 1:]) / 2.0
+                d_if, d_gd = (np.abs(_wrap_whole(np.diff(err, axis=k))) for k in (0, 1))
+                phase_terms.append(
+                    float(np.sum(w_if * d_if) / (np.sum(w_if) + eps) + np.sum(w_gd * d_gd) / (np.sum(w_gd) + eps))
+                )
+    return (
+        float(np.mean([np.mean(v) for v in mag_terms.values()])),
+        float(np.mean(corr_terms)),
+        float(np.mean(phase_terms)),
+    )

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import earmetrics
-from earmetrics import AudioBuffer, save_wav
+import earmetrics.coherence
+from earmetrics import AudioBuffer, align_pair, composite_objective, evaluate_pair, load_wav, save_wav
 from earmetrics.cli import main
 from helpers import noise_stereo
 
@@ -57,6 +58,25 @@ class TestEvalCommand:
             50 * breakdown["stft_mag"] + 10 * breakdown["corr"] + 10 * breakdown["phase"],
             rel=1e-12,
         )
+
+    def test_objective_aligns_once(self, tmp_path, monkeypatch, capsys):
+        # a 48 kHz reconstruction is resampled once, for the report and the
+        # objective alike, and both lines equal the library's values
+        paths = [tmp_path / "ref.wav", tmp_path / "rec.wav"]
+        save_wav(paths[0], noise_stereo(rate=44100, seconds=1.0, amp=0.4, seed=93), sample_format="float32")
+        save_wav(paths[1], noise_stereo(rate=48000, seconds=1.2, amp=0.4, seed=94), sample_format="float32")
+        ref, rec = (load_wav(p) for p in paths)
+        ids = [str(p) for p in paths]
+        report = evaluate_pair(ref, rec, reference_id=ids[0], reconstruction_id=ids[1], prefilter="k")
+        objective = composite_objective(*align_pair(ref, rec)[:2], prefilter="k")
+        calls = []
+        resample = earmetrics.coherence.resample
+        monkeypatch.setattr(earmetrics.coherence, "resample", lambda *a: calls.append(a) or resample(*a))
+        assert main(["eval", *ids, "--objective", "--prefilter", "k"]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines == [report.to_json(), json.dumps(objective.as_dict())]
+        assert report.flags == ("reconstruction_resampled", "truncated_to_common_length")
+        assert len(calls) == 1
 
     def test_chunked(self, tmp_path, capsys):
         ref = noise_stereo(seconds=3.0, amp=0.4, seed=91)

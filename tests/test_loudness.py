@@ -113,6 +113,13 @@ class TestTruePeak:
         out = true_peak_dbtp(AudioBuffer(np.zeros((2, 1000)), 44100))
         assert out.dbtp == SILENCE_FLOOR_DBTP
 
+    def test_nan_sample_rejected(self):
+        # max(peak, nan) keeps peak, so one NaN used to read as silence (-200 dBTP)
+        x = np.full((2, 1000), 0.5)
+        x[0, 500] = np.nan
+        with pytest.raises(ValueError, match="non-finite samples"):
+            true_peak_dbtp(AudioBuffer(x, 44100))
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             true_peak_dbtp(AudioBuffer(np.zeros((2, 0)), 44100))

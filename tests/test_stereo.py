@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from earmetrics import AudioBuffer, StftConfig, merge_mslr, mslr_spectra, split_mslr
+from earmetrics import AudioBuffer, StftConfig, merge_mslr, split_mslr, stft
 from helpers import noise_stereo
 
 
@@ -75,12 +75,14 @@ class TestMerge:
 class TestSpectra:
     def test_shapes_and_consistency(self):
         buf = noise_stereo(seconds=0.5, seed=6)
-        spectra = mslr_spectra(buf, StftConfig(512))
-        shapes = {
-            s.bins.shape
-            for s in (spectra.l_spec, spectra.r_spec, spectra.m_spec, spectra.s_spec)
+        sig = split_mslr(buf)
+        spectra = {
+            c: stft(sig.component(c), StftConfig(512), buf.sample_rate).bins
+            for c in ("left", "right", "mid", "side")
         }
-        assert len(shapes) == 1
-        # mid spectrum equals the mean of the channel spectra (STFT is linear)
-        mid_direct = (spectra.l_spec.bins + spectra.r_spec.bins) / 2
-        np.testing.assert_allclose(spectra.m_spec.bins, mid_direct, atol=1e-12)
+        assert len({s.shape for s in spectra.values()}) == 1
+        # mid and side formed in time equal (L +- R) / 2 bin-wise (STFT is linear)
+        mid_direct = (spectra["left"] + spectra["right"]) / 2
+        side_direct = (spectra["left"] - spectra["right"]) / 2
+        np.testing.assert_allclose(spectra["mid"], mid_direct, atol=1e-12)
+        np.testing.assert_allclose(spectra["side"], side_direct, atol=1e-12)

@@ -1,54 +1,69 @@
-"""Each channel is transformed once per STFT configuration.
+"""Every frame of every analyzed signal is transformed exactly once.
 
-Every module that imported :func:`earmetrics.stft` gets a counting wrapper,
-so calls are seen whichever module makes them.
+All STFT frames, whole spectrograms and blocks alike, are cut and
+transformed by ``earmetrics.audio._frame_bins``. A counting wrapper records
+the frame range of each call per (channel contents, StftConfig); each such
+analysis must cover its frames ``0 .. num_frames - 1`` once, with no frame
+analyzed twice, and the number of analyses is the number of distinct
+(signal, channel, config) triples a call needs.
 """
 from __future__ import annotations
 
-import sys
+import hashlib
+from collections import defaultdict
 
 import numpy as np
 import pytest
 
+import earmetrics.audio
 from earmetrics import AudioBuffer, CoherenceConfig, StftConfig, composite_objective, evaluate_pair
-from earmetrics.audio import stft
 from helpers import noise_stereo
+
+SECONDS = 3.5  # several blocks of frames at every scale
 
 
 @pytest.fixture
-def stft_calls(monkeypatch) -> list[StftConfig]:
-    calls: list[StftConfig] = []
+def analyses(monkeypatch) -> dict[tuple[str, StftConfig], list[int]]:
+    """Frame indices transformed, per (channel contents, config)."""
+    frames: dict[tuple[str, StftConfig], list[int]] = defaultdict(list)
+    frame_bins = earmetrics.audio._frame_bins
 
-    def counting(channel, config, rate):
-        calls.append(config)
-        return stft(channel, config, rate)
+    def counting(x, config, start, stop):
+        frames[(hashlib.sha1(x.tobytes()).hexdigest(), config)].extend(range(start, stop))
+        return frame_bins(x, config, start, stop)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "earmetrics" and getattr(module, "stft", None) is stft:
-            monkeypatch.setattr(module, "stft", counting)
-    return calls
+    monkeypatch.setattr(earmetrics.audio, "_frame_bins", counting)
+    return frames
 
 
 @pytest.fixture
 def pair() -> tuple[AudioBuffer, AudioBuffer]:
-    ref = noise_stereo(seconds=1.0, amp=0.4, seed=80)
+    ref = noise_stereo(seconds=SECONDS, amp=0.4, seed=80)
     noise = 0.05 * np.random.default_rng(81).standard_normal(ref.samples.shape)
     return ref, AudioBuffer(ref.samples + noise, ref.sample_rate)
 
 
-def test_evaluate_pair_shares_the_coherence_scale(stft_calls, pair):
+def _each_frame_once(analyses: dict, num_samples: int) -> None:
+    for (_, config), frames in analyses.items():
+        assert sorted(frames) == list(range(1 + num_samples // config.hop)), config
+
+
+def test_evaluate_pair_shares_the_coherence_scale(analyses, pair):
     # six scales, two channels, two signals; coherence reuses the 2048 scale
     evaluate_pair(*pair)
-    assert len(stft_calls) == 24
+    assert len(analyses) == 24
+    _each_frame_once(analyses, pair[0].num_samples)
 
 
-def test_separate_coherence_config_adds_four(stft_calls, pair):
+def test_separate_coherence_config_adds_four(analyses, pair):
     evaluate_pair(*pair, coh_cfg=CoherenceConfig(StftConfig(1024, hop=512)))
-    assert len(stft_calls) == 28
-    assert stft_calls.count(StftConfig(1024, hop=512)) == 4
+    assert len(analyses) == 28
+    assert [config for _, config in analyses].count(StftConfig(1024, hop=512)) == 4
+    _each_frame_once(analyses, pair[0].num_samples)
 
 
-def test_composite_objective_one_stft_per_component_and_scale(stft_calls, pair):
+def test_composite_objective_one_stft_per_component_and_scale(analyses, pair):
     # six scales, four components, two signals
     composite_objective(*pair)
-    assert len(stft_calls) == 48
+    assert len(analyses) == 48
+    _each_frame_once(analyses, pair[0].num_samples)
