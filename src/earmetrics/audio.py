@@ -37,7 +37,9 @@ class AudioBuffer:
 
     Args:
         samples: array of shape ``(channels, num_samples)``; a 1-D array is
-            promoted to one channel. Copied to float64 and frozen.
+            promoted to one channel. A read-only float64 array is kept as it
+            is, without a copy; any other input is converted to float64, a
+            writeable caller array is copied, and the result is frozen.
         sample_rate: sampling rate in Hz, positive integer.
 
     Raises:
@@ -48,7 +50,8 @@ class AudioBuffer:
     sample_rate: int
 
     def __post_init__(self) -> None:
-        arr = np.array(self.samples, dtype=np.float64, copy=True)
+        arr = np.asarray(self.samples, dtype=np.float64)
+        arr = arr.copy() if arr is self.samples and arr.flags.writeable else arr
         if arr.ndim == 1:
             arr = arr[np.newaxis, :]
         if arr.ndim != 2:
@@ -76,11 +79,17 @@ class AudioBuffer:
         return self.num_samples / self.sample_rate
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only, so that :class:`AudioBuffer` keeps it without a copy."""
+    arr.flags.writeable = False
+    return arr
+
+
 def _as_stereo(buf: AudioBuffer) -> AudioBuffer:
     """A mono buffer duplicated to two channels; a stereo buffer as it is."""
     if buf.channels == 2:
         return buf
-    return AudioBuffer(np.vstack([buf.samples[0], buf.samples[0]]), buf.sample_rate)
+    return AudioBuffer(_frozen(np.vstack([buf.samples[0], buf.samples[0]])), buf.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -170,17 +179,17 @@ def load_wav(path: str | Path) -> AudioBuffer:
     if data.ndim == 2 and data.shape[1] > 2:
         raise ValueError(f"unsupported channel count {data.shape[1]}")
     name = data.dtype.name
-    if name in _INT_SCALE:
-        samples = data.astype(np.float64) / _INT_SCALE[name]
-    elif name in ("float32", "float64"):
-        samples = data.astype(np.float64)
-    else:
+    if name not in _INT_SCALE and name not in ("float32", "float64"):
         raise ValueError(f"unsupported sample format {data.dtype} in {path}")
-    if samples.ndim == 1:
-        samples = samples[np.newaxis, :]
+    # converted in one pass straight into the buffer's (channels, n) layout:
+    # the same arithmetic as astype(float64) / scale
+    frames = data[:, np.newaxis] if data.ndim == 1 else data
+    samples = np.empty(frames.shape[::-1])
+    if name in _INT_SCALE:
+        np.divide(frames.T, _INT_SCALE[name], out=samples)
     else:
-        samples = samples.T
-    return AudioBuffer(samples, int(rate))
+        samples[...] = frames.T
+    return AudioBuffer(_frozen(samples), int(rate))
 
 
 def save_wav(path: str | Path, buf: AudioBuffer, sample_format: str = "float32") -> None:
@@ -251,7 +260,7 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     out = signal.resample_poly(buf.samples, up, down, axis=-1, window=_resample_taps(up, down))
     q, r = divmod(buf.num_samples * target_rate, buf.sample_rate)
     n_out = q + (1 if (2 * r > buf.sample_rate or (2 * r == buf.sample_rate and q % 2 == 1)) else 0)
-    return AudioBuffer(out[:, :n_out], target_rate)
+    return AudioBuffer(_frozen(out[:, :n_out]), target_rate)
 
 
 @lru_cache(maxsize=16)

@@ -26,6 +26,7 @@ from .pipeline import (
     curate_batch,
 )
 from .spectral import MultiScaleConfig, composite_objective
+from .weighting import _prefilter_pair
 
 __all__ = ["build_parser", "main", "entry"]
 
@@ -91,29 +92,30 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         return 1
     ms_cfg = MultiScaleConfig(fft_sizes=tuple(args.fft_sizes)) if args.fft_sizes else MultiScaleConfig()
     try:
-        # aligned (and resampled) once; the report and the objective share the pair
+        # aligned (and resampled) and prefiltered once; the report and the objective share the pair
         ref, rec, flags = align_pair(ref, rec)
+        ref, rec = _prefilter_pair(args.prefilter, ref, rec)
         report = evaluate_pair(
             ref,
             rec,
             ms_cfg=ms_cfg,
             reference_id=args.reference,
             reconstruction_id=args.reconstruction,
-            prefilter=args.prefilter,
             chunk_seconds=args.chunk_seconds,
         )
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    # evaluate_pair got an aligned pair, so the alignment flags come from here
-    report = replace(report, flags=(*flags, *report.flags))
+    # evaluate_pair got an aligned, prefiltered pair, so the flags and the prefilter come from here
+    config = {**report.config, "prefilter": args.prefilter}
+    report = replace(report, flags=(*flags, *report.flags), config=config)
     if args.format == "json":
         print(report.to_json())
     else:
         print(MetricReport.csv_header())
         print(report.to_csv_row())
     if args.objective:
-        breakdown = composite_objective(ref, rec, cfg=ms_cfg, prefilter=args.prefilter)
+        breakdown = replace(composite_objective(ref, rec, cfg=ms_cfg), prefilter=args.prefilter)
         print(json.dumps(breakdown.as_dict()))
     return 0
 

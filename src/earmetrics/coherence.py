@@ -21,7 +21,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .audio import AudioBuffer, ComplexSpectrogram, StftConfig, _as_stereo, _stft_blocks, resample
+from .audio import (
+    _BLOCK_SAMPLES,
+    AudioBuffer,
+    ComplexSpectrogram,
+    StftConfig,
+    _as_stereo,
+    _stft_blocks,
+    resample,
+)
 from .loudness import dbtp_distance
 from .phase import _bins_of
 from .spectral import MultiScaleConfig, _check_length, _LogL1, mel_filterbank
@@ -205,10 +213,13 @@ def si_sdr(ref: np.ndarray, rec: np.ndarray) -> float:
     if ref_power == 0.0:
         raise ValueError("reference signal is all zeros")
     alpha = float(np.dot(b, a)) / ref_power
-    target = alpha * a
-    residual = b - target
-    target_power = float(np.dot(target, target))
-    residual_power = float(np.dot(residual, residual))
+    # the powers are summed over blocks, so no full-length temporary is made
+    target_power = residual_power = 0.0
+    for lo in range(0, a.shape[0], _BLOCK_SAMPLES):
+        target = alpha * a[lo : lo + _BLOCK_SAMPLES]
+        residual = b[lo : lo + _BLOCK_SAMPLES] - target
+        target_power += float(np.dot(target, target))
+        residual_power += float(np.dot(residual, residual))
     if target_power == 0.0:
         return -SI_SDR_CAP_DB
     if residual_power == 0.0:

@@ -15,7 +15,7 @@ from math import isfinite, log10
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import _BLOCK_SAMPLES, AudioBuffer
 from .stereo import _non_finite
 from .weighting import apply_cascade, design_k_weighting
 
@@ -128,7 +128,10 @@ def true_peak_dbtp(buf: AudioBuffer) -> TruePeakResult:
     Oversampled sample ``4*i + j`` is ``sum_l taps[4*l + j] * x[i - l]``, so
     branch ``j`` is the full convolution of the channel with ``taps[j::4]``.
     The full convolution runs over the filter's whole support, so peaks near
-    the boundaries are seen without padding. Digital silence reports the
+    the boundaries are seen without padding. Each branch is convolved over
+    blocks of ``_BLOCK_SAMPLES`` input samples, each led by the 48 samples
+    before it, so only one block of output is alive at a time; every output
+    is the same sum as in the whole convolution. Digital silence reports the
     floor value ``SILENCE_FLOOR_DBTP``.
 
     Raises:
@@ -137,16 +140,22 @@ def true_peak_dbtp(buf: AudioBuffer) -> TruePeakResult:
     if buf.num_samples == 0:
         raise ValueError("cannot measure true peak of an empty buffer")
     taps = _true_peak_taps()
+    branches = [taps[j::_TP_FACTOR] for j in range(_TP_FACTOR)]
+    overlap = len(branches[0]) - 1
+    n = buf.num_samples
     per_channel = []
     for ch in buf.samples:
         peak = 0.0
-        for j in range(_TP_FACTOR):
-            branch = np.convolve(ch, taps[j::_TP_FACTOR])
-            branch_peak = float(np.abs(branch, out=branch).max())
-            del branch  # free it before the next branch is convolved
-            if not isfinite(branch_peak):  # max() would drop a NaN
-                raise _non_finite("buffer")
-            peak = max(peak, branch_peak)
+        for lo in range(0, n, _BLOCK_SAMPLES):
+            hi = min(lo + _BLOCK_SAMPLES, n)
+            start = max(0, lo - overlap)
+            for h in branches:
+                # outputs lo..hi-1 of the whole convolution; the last block also its tail
+                out = np.convolve(ch[start:hi], h)[lo - start : hi - start if hi < n else None]
+                block_peak = float(np.abs(out, out=out).max())
+                if not isfinite(block_peak):  # max() would drop a NaN
+                    raise _non_finite("buffer")
+                peak = max(peak, block_peak)
         per_channel.append(20.0 * log10(peak) if peak > 0.0 else SILENCE_FLOOR_DBTP)
     return TruePeakResult(dbtp=max(per_channel), per_channel=tuple(per_channel))
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import AudioBuffer, _frozen
 
 __all__ = [
     "MslrSignals",
@@ -91,4 +91,4 @@ def merge_mslr(mid: np.ndarray, side: np.ndarray, rate: int) -> AudioBuffer:
     side = np.asarray(side, dtype=np.float64)
     if mid.shape != side.shape or mid.ndim != 1:
         raise ValueError(f"mid and side must be equal-length 1-D arrays, got {mid.shape} and {side.shape}")
-    return AudioBuffer(np.stack([mid + side, mid - side]), rate)
+    return AudioBuffer(_frozen(np.stack([mid + side, mid - side])), rate)

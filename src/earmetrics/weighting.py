@@ -15,7 +15,7 @@ from math import pi, tan
 
 import numpy as np
 
-from .audio import AudioBuffer
+from .audio import AudioBuffer, _frozen
 
 __all__ = [
     "FilterLabel",
@@ -182,7 +182,7 @@ def apply_cascade(cascade: BiquadCascade, buf: AudioBuffer) -> AudioBuffer:
     from scipy import signal
 
     filtered = signal.sosfilt(cascade.sos(), buf.samples, axis=-1)
-    return AudioBuffer(filtered, buf.sample_rate)
+    return AudioBuffer(_frozen(filtered), buf.sample_rate)
 
 
 def _prefilter_pair(name: str, ref: AudioBuffer, rec: AudioBuffer) -> tuple[AudioBuffer, AudioBuffer]:

@@ -311,3 +311,23 @@ def objective_whole(ref: np.ndarray, rec: np.ndarray, cfg, eps: float = 1e-8) ->
         float(np.mean(corr_terms)),
         float(np.mean(phase_terms)),
     )
+
+
+def true_peak_whole(x: np.ndarray, taps: np.ndarray) -> float:
+    """Largest absolute sample of the 4x oversampled channel ``x``, as the max
+    of each polyphase branch ``taps[j::4]`` convolved with the whole channel."""
+    return max(float(np.abs(np.convolve(x, taps[j::4])).max()) for j in range(4))
+
+
+def load_wav_direct(path) -> tuple[int, np.ndarray]:
+    """Rate and ``(channels, n)`` float64 samples of a WAV file: scipy's
+    decode converted whole, integer formats divided by ``2**(bits - 1)``."""
+    from scipy.io import wavfile
+
+    rate, data = wavfile.read(str(path))
+    x = data.astype(np.float64)
+    if data.dtype == np.int16:
+        x = x / 2**15
+    elif data.dtype == np.int32:
+        x = x / 2**31
+    return rate, (x[np.newaxis, :] if x.ndim == 1 else x.T)

@@ -1,9 +1,15 @@
 from __future__ import annotations
 
+import tempfile
+import tracemalloc
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.io import wavfile
 
 from earmetrics import (
     AudioBuffer,
@@ -15,7 +21,10 @@ from earmetrics import (
     save_wav,
     stft,
 )
-from earmetrics.audio import _hann_window
+from earmetrics.audio import _BLOCK_SAMPLES, _hann_window
+from oracles import load_wav_direct
+
+WAV_FORMATS = ["pcm16", "pcm24", "pcm32", "float32"]
 
 
 class TestAudioBuffer:
@@ -35,6 +44,31 @@ class TestAudioBuffer:
         buf = AudioBuffer(np.zeros((2, 10)), 44100)
         with pytest.raises(ValueError):
             buf.samples[0, 0] = 1.0
+
+    def test_writeable_caller_array_is_copied(self):
+        src = np.zeros((2, 10))
+        buf = AudioBuffer(src, 44100)
+        src[0, 0] = 1.0
+        assert buf.samples[0, 0] == 0.0
+        assert not np.shares_memory(buf.samples, src)
+        assert src.flags.writeable
+
+    def test_read_only_float64_array_is_kept(self):
+        src = np.arange(20.0).reshape(2, 10)
+        src.flags.writeable = False
+        buf = AudioBuffer(src, 44100)
+        assert np.shares_memory(buf.samples, src)
+        mono = np.arange(10.0)
+        mono.flags.writeable = False
+        assert np.shares_memory(AudioBuffer(mono, 44100).samples, mono)
+
+    def test_read_only_float32_array_is_converted(self):
+        src = np.linspace(-1.0, 1.0, 20, dtype=np.float32).reshape(2, 10)
+        src.flags.writeable = False
+        buf = AudioBuffer(src, 44100)
+        assert buf.samples.dtype == np.float64
+        assert not np.shares_memory(buf.samples, src)
+        np.testing.assert_array_equal(buf.samples, src.astype(np.float64))
 
     def test_rejects_more_than_two_channels(self):
         with pytest.raises(ValueError, match="channel count"):
@@ -99,6 +133,68 @@ class TestWavIo:
         loaded = load_wav(path)
         assert loaded.samples[0, 1] == pytest.approx(1.0, abs=1e-4)
         assert loaded.samples[0, 2] == pytest.approx(-1.0, abs=1e-4)
+
+    @pytest.mark.parametrize("fmt", WAV_FORMATS)
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize("length", [0, 1, 4000])
+    def test_load_equals_whole_decode(self, tmp_path, fmt, channels, length):
+        # one decode straight into the buffer gives the bits of astype(float64) / scale
+        x = 0.9 * np.random.default_rng(length).uniform(-1.0, 1.0, (channels, length))
+        path = tmp_path / f"{fmt}.wav"
+        save_wav(path, AudioBuffer(x, 48000), sample_format=fmt)
+        buf = load_wav(path)
+        rate, expected = load_wav_direct(path)
+        assert (buf.sample_rate, buf.samples.shape) == (rate, (channels, length))
+        assert buf.samples.dtype == np.float64
+        assert buf.samples.flags.c_contiguous and not buf.samples.flags.writeable
+        np.testing.assert_array_equal(buf.samples, expected, strict=True)
+
+    def test_load_peak_memory_is_one_buffer_and_the_decoded_file(self, tmp_path):
+        # scipy's float32 frames (half the buffer) and the float64 buffer: 1.5x;
+        # one more float64 copy of the file would make it 2.5x
+        path = tmp_path / "ten.wav"
+        x = 0.5 * np.random.default_rng(3).standard_normal((2, 10 * 44100))
+        save_wav(path, AudioBuffer(x, 44100), sample_format="float32")
+        tracemalloc.start()
+        try:
+            buf = load_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * buf.samples.nbytes, f"peak {peak / buf.samples.nbytes:.2f}x the buffer"
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        length=st.integers(0, 3 * _BLOCK_SAMPLES),
+        channels=st.integers(1, 2),
+        fmt=st.sampled_from(WAV_FORMATS),
+        rate=st.sampled_from([8000, 22050, 44100, 48000, 96000]),
+        cut=st.one_of(st.none(), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_truncated_files_decode_or_fail_by_name(self, length, channels, fmt, rate, cut, seed):
+        x = np.random.default_rng(seed).uniform(-1.0, 1.0, (channels, length))
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("ignore", wavfile.WavFileWarning)  # a short data chunk
+            path = Path(tmp) / "x.wav"
+            save_wav(path, AudioBuffer(x, rate), sample_format=fmt)
+            if cut is not None:
+                raw = path.read_bytes()
+                path.write_bytes(raw[: int(cut * len(raw))])
+            try:
+                expected = load_wav_direct(path)
+            except Exception:
+                expected = None
+            try:
+                buf = load_wav(path)
+            except ValueError as exc:
+                assert str(exc).startswith(f"cannot decode {path}")
+                assert expected is None
+                return
+        assert expected is not None
+        assert buf.sample_rate == expected[0]
+        assert buf.samples.flags.c_contiguous and not buf.samples.flags.writeable
+        np.testing.assert_array_equal(buf.samples, expected[1], strict=True)
 
     def test_mono_file_loads_as_one_channel(self, tmp_path):
         path = tmp_path / "mono.wav"

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,7 @@ import pytest
 
 import earmetrics
 import earmetrics.coherence
+import earmetrics.weighting
 from earmetrics import AudioBuffer, align_pair, composite_objective, evaluate_pair, load_wav, save_wav
 from earmetrics.cli import main
 from helpers import noise_stereo
@@ -77,6 +79,42 @@ class TestEvalCommand:
         assert lines == [report.to_json(), json.dumps(objective.as_dict())]
         assert report.flags == ("reconstruction_resampled", "truncated_to_common_length")
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("prefilter", ["k", "a"])
+    def test_objective_prefilters_once(self, wav_pair, monkeypatch, capsys, prefilter):
+        # the report and the objective share one filtered pair: 2 filter calls, not 4
+        ref, rec = (load_wav(p) for p in wav_pair)
+        report = evaluate_pair(ref, rec, reference_id=wav_pair[0], reconstruction_id=wav_pair[1], prefilter=prefilter)
+        objective = composite_objective(ref, rec, prefilter=prefilter)
+        calls = []
+        apply_cascade = earmetrics.weighting.apply_cascade
+        monkeypatch.setattr(earmetrics.weighting, "apply_cascade", lambda *a: calls.append(a) or apply_cascade(*a))
+        assert main(["eval", *wav_pair, "--objective", "--prefilter", prefilter]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines == [report.to_json(), json.dumps(objective.as_dict())]
+        assert json.loads(lines[0])["config"]["prefilter"] == prefilter
+        assert len(calls) == 2
+
+    def test_peak_memory_is_two_buffers_and_a_block(self, tmp_path, wav_pair, capsys):
+        # two 21.2 MB buffers and a block working set of about 10.6 MB: 1.25x;
+        # one more float64 copy of a file while loading would make it 1.75x.
+        # 30 s, because the working set does not grow with length: at 10 s
+        # it alone is 0.75x of the buffers.
+        paths = [tmp_path / "ref30.wav", tmp_path / "rec30.wav"]
+        ref = noise_stereo(seconds=30.0, amp=0.3, seed=95)
+        save_wav(paths[0], ref, sample_format="float32")
+        save_wav(paths[1], AudioBuffer(0.9 * ref.samples, 44100), sample_format="float32")
+        buffers = 2 * ref.samples.nbytes
+        del ref
+        assert main(["eval", *wav_pair]) == 0  # fills the per-process filterbank and window caches
+        tracemalloc.start()
+        try:
+            assert main(["eval", *map(str, paths)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        capsys.readouterr()
+        assert peak < 1.4 * buffers, f"peak {peak / buffers:.2f}x the two buffers"
 
     def test_chunked(self, tmp_path, capsys):
         ref = noise_stereo(seconds=3.0, amp=0.4, seed=91)

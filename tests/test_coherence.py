@@ -21,6 +21,7 @@ from earmetrics import (
     si_sdr,
     stft,
 )
+from earmetrics.audio import _BLOCK_SAMPLES
 from helpers import noise_stereo, toy_pair, toy_with_silent_bins
 from oracles import ccpc_direct, icpc_direct, si_sdr_direct
 
@@ -138,6 +139,14 @@ class TestSiSdr:
     def test_zero_reconstruction_floors(self, rng):
         x = rng.standard_normal(1000)
         assert si_sdr(x, np.zeros(1000)) == -100.0
+
+    def test_blocked_sums_match_direct_oracle(self, rng):
+        n = 3 * _BLOCK_SAMPLES + 17
+        x = rng.standard_normal(n)
+        y = 0.7 * x + 0.2 * rng.standard_normal(n)
+        assert si_sdr(x, y) == pytest.approx(si_sdr_direct(x, y), rel=1e-12, abs=0.0)
+        assert si_sdr(x, 0.25 * x) == 100.0
+        assert si_sdr(x, np.zeros(n)) == -100.0
 
     def test_orthogonal_reconstruction_floors(self):
         # projection is exactly zero, so the target vanishes

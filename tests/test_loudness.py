@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from math import log10
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,12 @@ from earmetrics import (
     integrated_lufs,
     true_peak_dbtp,
 )
+from earmetrics.audio import _BLOCK_SAMPLES
+from earmetrics.loudness import _true_peak_taps
 from helpers import faded, noise_stereo, quarter_rate_sine_45
-from oracles import integrated_lufs_direct, true_peak_direct
+from oracles import integrated_lufs_direct, true_peak_direct, true_peak_whole
+
+BLOCK = _BLOCK_SAMPLES
 
 
 def _sine_buf(freq: float, rate: int, seconds: float, amp: float, channel: str = "left"):
@@ -123,6 +129,31 @@ class TestTruePeak:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             true_peak_dbtp(AudioBuffer(np.zeros((2, 0)), 44100))
+
+    @pytest.mark.parametrize("n", [1, 48, 49, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK])
+    def test_blocks_equal_whole_branch_convolutions(self, n):
+        # lengths shorter than a branch, one sample past a block (a last block
+        # of one sample and its 48-sample lead), and several whole blocks
+        x = 0.5 * np.random.default_rng(n).standard_normal((2, n))
+        taps = _true_peak_taps()
+        expected = tuple(20.0 * log10(true_peak_whole(ch, taps)) for ch in x)
+        assert true_peak_dbtp(AudioBuffer(x, 44100)).per_channel == expected
+
+    def test_peak_across_a_block_edge(self):
+        # the largest output any input within +/-1 can give, sum |h|, is the
+        # first output of the second block: it sums the 47 samples before it
+        taps = _true_peak_taps()
+        h = max((taps[j::4] for j in range(4)), key=lambda b: np.abs(b).sum())
+        x = np.zeros(2 * BLOCK)
+        x[BLOCK - np.arange(h.size)] = np.sign(h)
+        assert true_peak_whole(x, taps) == pytest.approx(np.abs(h).sum(), rel=1e-12)
+        assert true_peak_dbtp(AudioBuffer(x, 44100)).dbtp == 20.0 * log10(true_peak_whole(x, taps))
+
+    def test_nan_in_last_block_rejected(self):
+        x = np.full((2, 2 * BLOCK + 10), 0.5)
+        x[1, -1] = np.nan
+        with pytest.raises(ValueError, match="buffer holds non-finite samples"):
+            true_peak_dbtp(AudioBuffer(x, 44100))
 
     @pytest.mark.parametrize("length", [1, 2, 10, 97, 400])
     def test_matches_direct_polyphase_oracle(self, length):
