@@ -9,6 +9,7 @@ real FFTs; every function here is pure and safe to call from many threads.
 
 from __future__ import annotations
 
+import struct
 import wave
 from dataclasses import dataclass
 from functools import lru_cache
@@ -38,8 +39,10 @@ class AudioBuffer:
     Args:
         samples: array of shape ``(channels, num_samples)``; a 1-D array is
             promoted to one channel. A read-only float64 array is kept as it
-            is, without a copy; any other input is converted to float64, a
-            writeable caller array is copied, and the result is frozen.
+            is, without a copy, so ``samples`` may be a read-only view (a
+            mono signal promoted to stereo is one row seen twice); any other
+            input is converted to float64, a writeable caller array is
+            copied, and the result is frozen.
         sample_rate: sampling rate in Hz, positive integer.
 
     Raises:
@@ -86,10 +89,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _as_stereo(buf: AudioBuffer) -> AudioBuffer:
-    """A mono buffer duplicated to two channels; a stereo buffer as it is."""
+    """A mono buffer as a read-only two-channel view of its one channel, with
+    no copy; a stereo buffer as it is."""
     if buf.channels == 2:
         return buf
-    return AudioBuffer(_frozen(np.vstack([buf.samples[0], buf.samples[0]])), buf.sample_rate)
+    return AudioBuffer(np.broadcast_to(buf.samples, (2, buf.num_samples)), buf.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,26 @@ class ComplexSpectrogram:
 _INT_SCALE = {"int16": 2 ** 15, "int32": 2 ** 31}
 
 
+def _check_data_chunk(path: str | Path) -> None:
+    """Raise ValueError when the data chunk of a RIFF/RIFX file declares more
+    bytes than the file holds. scipy only warns and returns the frames it
+    found when such a file ends on a frame boundary."""
+    with open(path, "rb") as fh:
+        head = fh.read(12)
+        if head[:4] not in (b"RIFF", b"RIFX") or head[8:] != b"WAVE":
+            return  # scipy names the bad header
+        order = "<" if head[:4] == b"RIFF" else ">"
+        size, pos = fh.seek(0, 2), 12
+        while pos + 8 <= size:
+            fh.seek(pos)
+            chunk, length = struct.unpack(order + "4sI", fh.read(8))
+            if chunk == b"data":
+                if pos + 8 + length > size:
+                    raise ValueError(f"data chunk declares {length} bytes, the file holds {size - pos - 8}")
+                return
+            pos += 8 + length + (length & 1)  # chunks are padded to even length
+
+
 def load_wav(path: str | Path) -> AudioBuffer:
     """Read a RIFF WAV file into an :class:`AudioBuffer`.
 
@@ -168,9 +192,11 @@ def load_wav(path: str | Path) -> AudioBuffer:
 
     Raises:
         FileNotFoundError: missing file.
-        ValueError: undecodable file, unsupported format, or >2 channels.
+        ValueError: undecodable or truncated file (its data chunk declares
+            more bytes than the file holds), unsupported format, or >2 channels.
     """
     try:
+        _check_data_chunk(path)
         rate, data = _wavfile.read(str(path))
     except FileNotFoundError:
         raise

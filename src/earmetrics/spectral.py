@@ -2,9 +2,9 @@
 
 Distances average an L1 log-magnitude error over a bank of STFT resolutions
 (quarter-window hop at every scale). The composite objective combines the
-log-magnitude term over all four mid/side/left/right components with the
-correlation and phase losses over left/right only, under configurable
-weights defaulting to (50, 10, 10).
+log-magnitude term over mid/side/left/right, whose mid and side spectra are
+taken from the left/right ones by linearity, with the correlation and phase
+losses over left/right only, under weights defaulting to (50, 10, 10).
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .audio import AudioBuffer, StftConfig, _stft_blocks
 from .phase import PhaseLossConfig, _CorrelationSums, _PhaseSums
-from .stereo import _channel_pair, _check_stereo_pair, split_mslr
+from .stereo import _channel_pair, _check_stereo_pair
 from .weighting import _prefilter_pair
 
 __all__ = [
@@ -214,8 +214,8 @@ def composite_objective(
     components; the correlation and phase terms average over left and right
     only, across every scale of ``cfg``. An optional pre-filter (``"k"`` or
     ``"a"``) is applied to both signals before any analysis. Each scale is one
-    pass over blocks of frames per component, so one block of frames of one
-    component pair is alive at a time, and every term is summed block by block.
+    pass over blocks of left/right frames; the mid and side spectra are half
+    their sum and difference, and every term is summed block by block.
 
     Raises:
         ValueError: on mono, mismatched or non-finite input, signals shorter
@@ -225,28 +225,27 @@ def composite_objective(
     phase_cfg = phase_cfg or PhaseLossConfig()
     _check_stereo_pair(ref, rec, "composite objective")
     _check_length(ref.num_samples, cfg)
-    sig_ref, sig_rec = (split_mslr(buf) for buf in _prefilter_pair(prefilter, ref, rec))
-    mag_terms: dict[str, list[float]] = {c: [] for c in ("mid", "side", "left", "right")}
-    corr_terms: dict[str, list[float]] = {c: [] for c in ("left", "right")}
-    phase_terms: dict[str, list[float]] = {c: [] for c in ("left", "right")}
+    ref, rec = _prefilter_pair(prefilter, ref, rec)
+    mag_terms: list[list[float]] = [[], [], [], []]  # mid, side, left, right
+    lr_terms: list[list[float]] = [[], [], [], []]  # corr left, corr right, phase left, phase right
     for n in cfg.fft_sizes:
-        sc = cfg.stft_config(n)
-        for c, per_scale in mag_terms.items():
-            mag_sums = _LogL1(cfg.log_epsilon)
-            corr_sums, phase_sums = _CorrelationSums(phase_cfg), _PhaseSums(phase_cfg)
-            for a, b in _stft_blocks((sig_ref.component(c), sig_rec.component(c)), sc):
-                mag_sums.add(np.abs(a), np.abs(b))
-                if c in corr_terms:
-                    corr_sums.add(a, b)
-                    phase_sums.add(a, b)
-            per_scale.append(mag_sums.mean())
-            if c in corr_terms:
-                corr_terms[c].append(corr_sums.loss())
-                phase_terms[c].append(phase_sums.loss())
-    # same reduction order as averaging per component first
-    stft_mag = float(np.mean([np.mean(v) for v in mag_terms.values()]))
-    corr = float(np.mean(corr_terms["left"] + corr_terms["right"]))
-    phase = float(np.mean(phase_terms["left"] + phase_terms["right"]))
+        mag_sums = [_LogL1(cfg.log_epsilon) for _ in mag_terms]
+        lr_sums = [_CorrelationSums(phase_cfg) for _ in "lr"] + [_PhaseSums(phase_cfg) for _ in "lr"]
+        for a_l, a_r, b_l, b_r in _stft_blocks((*ref.samples, *rec.samples), cfg.stft_config(n)):
+            # the STFT is linear, so mid and side are (a_l +/- a_r) / 2; one such pair at a time
+            mag_sums[0].add(np.abs(a_l + a_r) / 2, np.abs(b_l + b_r) / 2)
+            mag_sums[1].add(np.abs(a_l - a_r) / 2, np.abs(b_l - b_r) / 2)
+            for i, (a, b) in enumerate(((a_l, b_l), (a_r, b_r))):
+                mag_sums[2 + i].add(np.abs(a), np.abs(b))
+                lr_sums[i].add(a, b)
+                lr_sums[2 + i].add(a, b)
+        for per_scale, sums in zip(mag_terms, mag_sums):
+            per_scale.append(sums.mean())
+        for per_scale, sums in zip(lr_terms, lr_sums):
+            per_scale.append(sums.loss())
+    # per component over scales, then over components; all left scales before all right
+    stft_mag = float(np.mean([np.mean(v) for v in mag_terms]))
+    corr, phase = (float(np.mean(lr_terms[k] + lr_terms[k + 1])) for k in (0, 2))
     lam_mag, lam_corr, lam_phase = (float(v) for v in lambdas)
     total = lam_mag * stft_mag + lam_corr * corr + lam_phase * phase
     return ObjectiveBreakdown(

@@ -1,15 +1,15 @@
 from __future__ import annotations
 
+import re
+import struct
 import tempfile
 import tracemalloc
-import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.io import wavfile
 
 from earmetrics import (
     AudioBuffer,
@@ -21,7 +21,8 @@ from earmetrics import (
     save_wav,
     stft,
 )
-from earmetrics.audio import _BLOCK_SAMPLES, _hann_window
+from earmetrics.audio import _BLOCK_SAMPLES, _as_stereo, _hann_window
+from helpers import noise_stereo
 from oracles import load_wav_direct
 
 WAV_FORMATS = ["pcm16", "pcm24", "pcm32", "float32"]
@@ -32,6 +33,14 @@ class TestAudioBuffer:
         buf = AudioBuffer(np.zeros(100), 44100)
         assert buf.samples.shape == (1, 100)
         assert buf.channels == 1
+
+    def test_mono_to_stereo_is_a_read_only_view_of_the_one_channel(self):
+        mono = AudioBuffer(np.random.default_rng(4).uniform(-1.0, 1.0, 1000), 44100)
+        stereo = _as_stereo(mono)
+        assert stereo.samples.shape == (2, 1000)
+        assert np.shares_memory(stereo.samples, mono.samples)
+        assert not stereo.samples.flags.writeable
+        np.testing.assert_array_equal(stereo.samples, np.vstack([mono.samples[0]] * 2), strict=True)
 
     def test_samples_are_float64_copies(self):
         src = np.zeros((2, 10), dtype=np.float32)
@@ -173,28 +182,57 @@ class TestWavIo:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_truncated_files_decode_or_fail_by_name(self, length, channels, fmt, rate, cut, seed):
+        # save_wav writes the data chunk last, so every strict cut of the file
+        # cuts the header or the data chunk short; an uncut file decodes whole
         x = np.random.default_rng(seed).uniform(-1.0, 1.0, (channels, length))
-        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
-            warnings.simplefilter("ignore", wavfile.WavFileWarning)  # a short data chunk
+        with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "x.wav"
             save_wav(path, AudioBuffer(x, rate), sample_format=fmt)
-            if cut is not None:
-                raw = path.read_bytes()
-                path.write_bytes(raw[: int(cut * len(raw))])
-            try:
-                expected = load_wav_direct(path)
-            except Exception:
-                expected = None
-            try:
-                buf = load_wav(path)
-            except ValueError as exc:
-                assert str(exc).startswith(f"cannot decode {path}")
-                assert expected is None
+            raw = path.read_bytes()
+            kept = len(raw) if cut is None else int(cut * len(raw))
+            path.write_bytes(raw[:kept])
+            if kept < len(raw):
+                with pytest.raises(ValueError, match=f"^cannot decode {re.escape(str(path))}: "):
+                    load_wav(path)
                 return
-        assert expected is not None
+            buf = load_wav(path)
+            expected = load_wav_direct(path)
         assert buf.sample_rate == expected[0]
         assert buf.samples.flags.c_contiguous and not buf.samples.flags.writeable
         np.testing.assert_array_equal(buf.samples, expected[1], strict=True)
+
+    @pytest.mark.parametrize("fmt", WAV_FORMATS)
+    @pytest.mark.parametrize("channels", [1, 2])
+    def test_every_cut_of_a_short_file_fails_by_name(self, tmp_path, fmt, channels):
+        # cuts inside the RIFF, fmt and data headers and on every frame boundary
+        path = tmp_path / "x.wav"
+        save_wav(path, AudioBuffer(np.full((channels, 3), 0.25), 8000), sample_format=fmt)
+        raw = path.read_bytes()
+        for kept in range(len(raw)):
+            path.write_bytes(raw[:kept])
+            with pytest.raises(ValueError, match=f"^cannot decode {re.escape(str(path))}: "):
+                load_wav(path)
+
+    def test_data_chunk_cut_on_a_frame_boundary_is_named(self, tmp_path):
+        # scipy returns the 20,000 frames it finds, with only a warning
+        path = tmp_path / "cut.wav"
+        save_wav(path, noise_stereo(seconds=1.0, amp=0.05, seed=87), sample_format="pcm16")
+        path.write_bytes(path.read_bytes()[:80044])
+        with pytest.raises(ValueError, match="data chunk declares 176400 bytes, the file holds 80000"):
+            load_wav(path)
+
+    @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
+    @pytest.mark.parametrize("fmt", WAV_FORMATS)
+    def test_unknown_chunks_are_skipped(self, tmp_path, fmt):
+        # an odd-length chunk (with its pad byte) before the data chunk and one after it
+        path = tmp_path / "x.wav"
+        save_wav(path, AudioBuffer(np.random.default_rng(5).uniform(-1, 1, (2, 1000)), 44100), sample_format=fmt)
+        raw = path.read_bytes()
+        data_at = raw.index(b"data")
+        extra = b"abcd" + struct.pack("<I", 3) + b"xyz\0"
+        body = raw[12:data_at] + extra + raw[data_at:] + extra
+        path.with_name("y.wav").write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
+        np.testing.assert_array_equal(load_wav(path.with_name("y.wav")).samples, load_wav(path).samples, strict=True)
 
     def test_mono_file_loads_as_one_channel(self, tmp_path):
         path = tmp_path / "mono.wav"

@@ -160,16 +160,35 @@ def test_accumulators_in_blocks_match_one_block_on_silent_bins(block, weighting)
     assert ccpc.percent()[0] == ccpc_from_spectra(al, ar, bl, br, coh_cfg)
 
 
+def _traced_peak(fn, *args) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _long_pair() -> tuple[AudioBuffer, AudioBuffer]:
+    ref = noise_stereo(seconds=20.0, amp=0.4, seed=7)
+    return ref, AudioBuffer(ref.samples + 0.05 * np.random.default_rng(8).standard_normal(ref.samples.shape), RATE)
+
+
 def test_evaluate_pair_memory_is_bounded_by_its_inputs():
     # whole spectra of the four channels at one scale took about 6x the
     # inputs; a block of frames takes a fixed amount, whatever the length
-    ref = noise_stereo(seconds=20.0, amp=0.4, seed=7)
-    rec = AudioBuffer(ref.samples + 0.05 * np.random.default_rng(8).standard_normal(ref.samples.shape), RATE)
+    ref, rec = _long_pair()
     inputs = ref.samples.nbytes + rec.samples.nbytes
-    tracemalloc.start()
-    try:
-        evaluate_pair(ref, rec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(evaluate_pair, ref, rec)
     assert peak < 2 * inputs, f"peak {peak / 1e6:.1f} MB above inputs of {inputs / 1e6:.1f} MB"
+
+
+def test_composite_objective_memory_is_below_half_its_inputs():
+    # time-domain mid/side signals took 1.21x the inputs and the four mid/side
+    # blocks formed next to the four left/right ones 0.53x; forming one
+    # derived pair at a time takes 0.35x
+    ref, rec = _long_pair()
+    inputs = ref.samples.nbytes + rec.samples.nbytes
+    peak = _traced_peak(composite_objective, ref, rec)
+    assert peak < inputs / 2, f"peak {peak / 1e6:.1f} MB against inputs of {inputs / 1e6:.1f} MB"

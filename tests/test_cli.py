@@ -18,6 +18,20 @@ from earmetrics.cli import main
 from helpers import noise_stereo
 
 
+def _traced_eval_peak(paths: list[Path], warm_pair: tuple[str, str], capsys) -> int:
+    """Peak traced bytes of ``earmetrics eval`` on ``paths``, after one eval of
+    ``warm_pair`` fills the per-process filterbank and window caches."""
+    assert main(["eval", *warm_pair]) == 0
+    tracemalloc.start()
+    try:
+        assert main(["eval", *map(str, paths)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    return peak
+
+
 @pytest.fixture
 def wav_pair(tmp_path):
     ref = noise_stereo(seconds=1.0, amp=0.4, seed=90)
@@ -106,15 +120,20 @@ class TestEvalCommand:
         save_wav(paths[1], AudioBuffer(0.9 * ref.samples, 44100), sample_format="float32")
         buffers = 2 * ref.samples.nbytes
         del ref
-        assert main(["eval", *wav_pair]) == 0  # fills the per-process filterbank and window caches
-        tracemalloc.start()
-        try:
-            assert main(["eval", *map(str, paths)]) == 0
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        capsys.readouterr()
+        peak = _traced_eval_peak(paths, wav_pair, capsys)
         assert peak < 1.4 * buffers, f"peak {peak / buffers:.2f}x the two buffers"
+
+    def test_mono_peak_memory_is_below_two_mono_buffers(self, tmp_path, wav_pair, capsys):
+        # a mono pair promoted to stereo by a view: its two 10.6 MB buffers
+        # and the block working set, 1.5x; copying each channel to stereo took 3.0x
+        paths = [tmp_path / "ref30.wav", tmp_path / "rec30.wav"]
+        ref = noise_stereo(seconds=30.0, amp=0.3, seed=96).samples[0]
+        save_wav(paths[0], AudioBuffer(ref, 44100), sample_format="float32")
+        save_wav(paths[1], AudioBuffer(0.9 * ref, 44100), sample_format="float32")
+        buffers = 2 * ref.nbytes
+        del ref
+        peak = _traced_eval_peak(paths, wav_pair, capsys)
+        assert peak < 2 * buffers, f"peak {peak / buffers:.2f}x the two mono buffers"
 
     def test_chunked(self, tmp_path, capsys):
         ref = noise_stereo(seconds=3.0, amp=0.4, seed=91)

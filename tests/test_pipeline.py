@@ -96,11 +96,14 @@ class TestStage1:
         mono = AudioBuffer(0.05 * rng.standard_normal(3 * 44100), 44100)
         src = tmp_path / "mono.wav"
         save_wav(src, mono, sample_format="float32")
+        # the kept file has the bytes a stereo copy of the decoded channel gives
+        save_wav(tmp_path / "copy.wav", AudioBuffer(np.vstack([load_wav(src).samples[0]] * 2), 44100))
         decision = curate_stage1(src, tmp_path)
         assert decision.verdict == "keep"
         out = load_wav(decision.output_path)
         assert out.channels == 2
         np.testing.assert_array_equal(out.samples[0], out.samples[1])
+        assert Path(decision.output_path).read_bytes() == (tmp_path / "copy.wav").read_bytes()
 
     def test_undecodable_file_rejected(self, tmp_path):
         bad = tmp_path / "bad.wav"
@@ -145,6 +148,18 @@ class TestCurateAll:
         assert decision.measured["lufs_i"] == pytest.approx(-19.89, abs=0.05)
         assert decision.measured["dbtp"] < 1.0
         assert os.path.exists(decision.output_path)
+
+    def test_truncated_file_rejected_before_any_write(self, tmp_path):
+        # a data chunk cut on a frame boundary: scipy alone would load 20,000
+        # of 44,100 frames, and this file would be kept at -19.9 LUFS
+        src = tmp_path / "cut.wav"
+        save_wav(src, noise_stereo(seconds=1.0, amp=0.05, seed=87), sample_format="pcm16")
+        src.write_bytes(src.read_bytes()[:80044])
+        out = tmp_path / "out"
+        out.mkdir()
+        decision = curate_all(src, out)
+        assert (decision.verdict, decision.reason) == ("reject", "decode_error")
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("spike,reason", [(0.0, "none"), (1.5, "true_peak_exceeded")])
     def test_matches_stage1_then_stage2(self, tmp_path, spike, reason):
