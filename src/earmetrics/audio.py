@@ -225,12 +225,12 @@ def save_wav(path: str | Path, buf: AudioBuffer, sample_format: str = "float32")
     output), ``pcm16``, ``pcm24``, ``pcm32``. PCM output is rounded and
     clipped to the integer range.
     """
-    interleaved = np.ascontiguousarray(buf.samples.T)
     if sample_format == "float32":
-        _wavfile.write(str(path), buf.sample_rate, interleaved.astype(np.float32))
+        _wavfile.write(str(path), buf.sample_rate, buf.samples.T.astype(np.float32, order="C"))
         return
     if sample_format not in ("pcm16", "pcm24", "pcm32"):
         raise ValueError(f"unsupported sample format {sample_format!r}")
+    interleaved = np.ascontiguousarray(buf.samples.T)
     bits = int(sample_format[3:])
     full = 2 ** (bits - 1)
     q = np.clip(np.rint(interleaved * full), -full, full - 1).astype(np.int64)

@@ -199,7 +199,8 @@ def si_sdr(ref: np.ndarray, rec: np.ndarray) -> float:
     ``(channels, n)`` return the mean over channels.
 
     Raises:
-        ValueError: on shape mismatch or an all-zero reference.
+        ValueError: on shape mismatch, non-finite samples or an all-zero
+            reference.
     """
     a = np.asarray(ref, dtype=np.float64)
     b = np.asarray(rec, dtype=np.float64)
@@ -209,6 +210,7 @@ def si_sdr(ref: np.ndarray, rec: np.ndarray) -> float:
         return float(np.mean([si_sdr(a[i], b[i]) for i in range(a.shape[0])]))
     if a.ndim != 1:
         raise ValueError(f"expected 1-D or 2-D input, got {a.ndim}-D")
+    _check_finite(a, b)
     ref_power = float(np.dot(a, a))
     if ref_power == 0.0:
         raise ValueError("reference signal is all zeros")
@@ -381,12 +383,14 @@ def evaluate_pair(
     pre-filtered (``"k"`` or ``"a"``) before all metrics. With
     ``chunk_seconds`` the aligned signals are cut into consecutive
     whole chunks of that duration, each chunk is evaluated, and the report
-    carries the arithmetic mean of every metric over chunks.
+    carries the arithmetic mean of every metric over chunks. A chunk obeys
+    the whole pair's length rule.
 
     Raises:
         ValueError: on non-finite samples, empty overlap, a signal or chunk
-            shorter than the largest analysis window, a ``chunk_seconds`` that
-            is not finite and positive, or an invalid prefilter.
+            shorter than the largest window of the scale bank, a
+            ``chunk_seconds`` that is not finite and positive, or an invalid
+            prefilter.
     """
     if chunk_seconds is not None and not 0.0 < chunk_seconds < float("inf"):
         raise ValueError(f"chunk_seconds must be finite and positive, got {chunk_seconds!r}")
@@ -395,7 +399,6 @@ def evaluate_pair(
     ref, rec, flags = align_pair(ref, rec)
     rate = ref.sample_rate
     ref, rec = _prefilter_pair(prefilter, ref, rec)
-    min_len = max(max(ms_cfg.fft_sizes), coh_cfg.stft.fft_size)
     config = {
         "sample_rate": rate,
         "fft_sizes": list(ms_cfg.fft_sizes),
@@ -413,10 +416,7 @@ def evaluate_pair(
     chunks, tail = [(ref, rec)], []
     if chunk_seconds is not None:
         n_chunk = int(round(chunk_seconds * rate))
-        if n_chunk < min_len:
-            raise ValueError(
-                f"chunk of {n_chunk} samples is shorter than the largest analysis window ({min_len})"
-            )
+        _check_length(n_chunk, ms_cfg, "chunk")
         n_chunks = ref.num_samples // n_chunk
         tail = ["chunked" if n_chunks else "shorter_than_one_chunk"]
         if n_chunks:

@@ -79,7 +79,8 @@ def integrated_lufs(buf: AudioBuffer) -> LoudnessResult:
     Channel weights are 1.0 for both left and right.
 
     Raises:
-        ValueError: rate below 8 kHz or duration under one 400 ms block.
+        ValueError: rate below 8 kHz, duration under one 400 ms block, or a
+            NaN or inf sample.
     """
     rate = buf.sample_rate
     if rate < 8000:
@@ -92,6 +93,9 @@ def integrated_lufs(buf: AudioBuffer) -> LoudnessResult:
             f"< one {block}-sample gating block"
         )
     weighted = apply_cascade(design_k_weighting(rate), buf)
+    # the filter's feedback carries a NaN or inf sample on to the last output
+    if not np.isfinite(weighted.samples[:, -1]).all():
+        raise _non_finite("buffer")
     count = 1 + (buf.num_samples - block) // step
     power = np.zeros(count)
     for ch in weighted.samples:

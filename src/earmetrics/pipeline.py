@@ -333,12 +333,8 @@ def run_batch(
         except Exception:
             return _reject(path, "decode_error")
 
-    workers = resolve_jobs(jobs)
-    if workers == 1:
-        decisions = [safe(i) for i in range(len(ordered))]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            decisions = list(pool.map(safe, range(len(ordered))))
+    with ThreadPoolExecutor(max_workers=resolve_jobs(jobs)) as pool:
+        decisions = list(pool.map(safe, range(len(ordered))))
     with _atomic_target(log_path) as tmp, open(tmp, "w", encoding="utf-8", newline="\n") as fh:
         for decision in decisions:
             fh.write(decision.to_json() + "\n")

@@ -132,10 +132,10 @@ def mel_filterbank(n_mels: int, fft_size: int, rate: int) -> np.ndarray:
     return fb
 
 
-def _check_length(num_samples: int, cfg: MultiScaleConfig) -> None:
+def _check_length(num_samples: int, cfg: MultiScaleConfig, what: str = "signals") -> None:
     if num_samples < max(cfg.fft_sizes):
         raise ValueError(
-            f"signals of {num_samples} samples are shorter than the largest analysis window "
+            f"{what} of {num_samples} samples too short for the largest analysis window "
             f"({max(cfg.fft_sizes)})"
         )
 

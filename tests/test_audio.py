@@ -172,6 +172,17 @@ class TestWavIo:
             tracemalloc.stop()
         assert peak < 1.6 * buf.samples.nbytes, f"peak {peak / buf.samples.nbytes:.2f}x the buffer"
 
+    def test_float32_save_peak_memory_is_one_float32_copy(self, tmp_path):
+        # one interleaved float32 copy is half the buffer; a float64 copy before it makes 1.5x
+        buf = AudioBuffer(0.5 * np.random.default_rng(4).standard_normal((2, 10 * 44100)), 44100)
+        tracemalloc.start()
+        try:
+            save_wav(tmp_path / "ten.wav", buf, sample_format="float32")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * buf.samples.nbytes, f"peak {peak / buf.samples.nbytes:.2f}x the buffer"
+
     @settings(max_examples=30, deadline=None)
     @given(
         length=st.integers(0, 3 * _BLOCK_SAMPLES),

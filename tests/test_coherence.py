@@ -11,6 +11,7 @@ from earmetrics import (
     AudioBuffer,
     CoherenceConfig,
     MetricReport,
+    MultiScaleConfig,
     StftConfig,
     align_pair,
     ccpc,
@@ -159,6 +160,17 @@ class TestSiSdr:
         y = x + 1e-30 * rng.standard_normal(4096)
         assert si_sdr(x, y) == 100.0
 
+    @pytest.mark.parametrize("shape", [(4096,), (2, 4096)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("which", ["reference", "reconstruction"])
+    def test_non_finite_input_named(self, rng, shape, which):
+        # one NaN used to give nan
+        x = rng.standard_normal(shape)
+        bad = x.copy()
+        bad.flat[-1] = np.nan
+        pair = (bad, x) if which == "reference" else (x, bad)
+        with pytest.raises(ValueError, match=f"{which} holds non-finite samples"):
+            si_sdr(*pair)
+
 
 class TestMetricReport:
     def _report(self, **overrides):
@@ -300,6 +312,19 @@ class TestEvaluatePair:
         report = evaluate_pair(buf, buf, chunk_seconds=10.0)
         assert "shorter_than_one_chunk" in report.flags
         assert report.stft_dist == 0.0
+
+    def test_one_chunk_obeys_the_whole_pair_length_rule(self):
+        # a coherence window longer than the pair is fine for the whole pair,
+        # so it is for a chunk of the same length
+        ms_cfg = MultiScaleConfig(fft_sizes=(1024,))
+        coh_cfg = CoherenceConfig(StftConfig(4096, hop=1024))
+        x = 0.3 * np.random.default_rng(79).standard_normal((2, 3000))
+        ref, rec = AudioBuffer(x, 44100), AudioBuffer(x + 0.05 * np.roll(x, 7, axis=1), 44100)
+        whole = evaluate_pair(ref, rec, ms_cfg, coh_cfg)
+        chunked = evaluate_pair(ref, rec, ms_cfg, coh_cfg, chunk_seconds=3000 / 44100)
+        assert "chunked" in chunked.flags
+        for name in MetricReport.METRIC_FIELDS:
+            assert getattr(chunked, name) == getattr(whole, name), name
 
     def test_chunk_below_analysis_window_rejected(self):
         buf = noise_stereo(seconds=1.0, seed=76)

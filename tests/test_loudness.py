@@ -88,6 +88,14 @@ class TestIntegratedLufs:
         with pytest.raises(ValueError):
             integrated_lufs(AudioBuffer(np.zeros((2, 10000)), 4000))
 
+    @pytest.mark.parametrize("value,at", [(np.nan, 0), (np.nan, -1), (np.inf, 0), (-np.inf, -1)])
+    def test_non_finite_sample_rejected(self, value, at):
+        # one NaN used to read as digital silence (-inf LUFS, no gated block)
+        x = noise_stereo(seconds=1.0, seed=81).samples.copy()
+        x[1, at] = value
+        with pytest.raises(ValueError, match="non-finite samples"):
+            integrated_lufs(AudioBuffer(x, 44100))
+
 
 class TestTruePeak:
     def test_intersample_peak_of_quarter_rate_sine(self):
