@@ -18,6 +18,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -321,50 +322,44 @@ def _evaluate_aligned(
     coh_cfg: CoherenceConfig,
 ) -> tuple[dict, list[str]]:
     """One pass over the scales, each a pass over blocks of frames with the
-    channels inside. Each block and its magnitudes feed the log and mel
-    distances, and at the scale equal to the coherence STFT also ICPC/CCPC;
+    channels inside. Each block's magnitudes feed the log and mel distances,
+    and at the config equal to the coherence STFT the block feeds ICPC/CCPC;
     a coherence STFT that matches no scale takes one more pass. One block of
     frames is alive at a time."""
     rate = ref.sample_rate
     _check_length(ref.num_samples, ms_cfg)
     eps = ms_cfg.log_epsilon
-    scales = [
-        (ms_cfg.stft_config(n), mel_filterbank(ms_cfg.mel_bins_for(i), n, rate))
+    dists = [
+        [(_LogL1(eps), _LogL1(eps, mel_filterbank(ms_cfg.mel_bins_for(i), n, rate))) for _ in "lr"]
         for i, n in enumerate(ms_cfg.fft_sizes)
     ]
-    coh_at = next((i for i, (sc, _) in enumerate(scales) if sc == coh_cfg.stft), len(scales))
-    if coh_at == len(scales):
-        scales.append((coh_cfg.stft, None))
+    configs = [ms_cfg.stft_config(n) for n in ms_cfg.fft_sizes]
+    if coh_cfg.stft not in configs:
+        configs.append(coh_cfg.stft)
+    coh = (_Icpc(coh_cfg), _Icpc(coh_cfg), _Ccpc(coh_cfg))
     channels = (ref.samples[0], rec.samples[0], ref.samples[1], rec.samples[1])
-    stft_vals: list[list[float]] = [[], []]
-    mel_vals: list[list[float]] = [[], []]
-    for i, (sc, mel_fb) in enumerate(scales):
-        dists = [(_LogL1(eps), _LogL1(eps, mel_fb)) for _ in range(2)] if mel_fb is not None else []
-        coh = (_Icpc(coh_cfg), _Icpc(coh_cfg), _Ccpc(coh_cfg)) if i == coh_at else ()
+    for sc, scale_dists in zip_longest(configs, dists, fillvalue=()):
         for a_l, b_l, a_r, b_r in _stft_blocks(channels, sc):
-            for (stft_d, mel_d), a, b in zip(dists, (a_l, a_r), (b_l, b_r)):
+            for (stft_d, mel_d), a, b in zip(scale_dists, (a_l, a_r), (b_l, b_r)):
                 mag_a, mag_b = np.abs(a), np.abs(b)
                 stft_d.add(mag_a, mag_b)
                 mel_d.add(mag_a, mag_b)
-            if coh:
+            mag_a = mag_b = None  # released before ICPC/CCPC form their products
+            if sc == coh_cfg.stft:
                 coh[0].add(a_l, b_l)
                 coh[1].add(a_r, b_r)
                 coh[2].add(a_l, a_r, b_l, b_r)
-        for ch, (stft_d, mel_d) in enumerate(dists):
-            stft_vals[ch].append(stft_d.mean())
-            mel_vals[ch].append(mel_d.mean())
-        if coh:
-            (icpc_l, deg_l), (icpc_r, deg_r), (ccpc_value, deg_c) = (c.percent() for c in coh)
-            icpc_value, degenerate = float(np.mean([icpc_l, icpc_r])), deg_l or deg_r or deg_c
+    (icpc_l, deg_l), (icpc_r, deg_r), (ccpc_value, deg_c) = (c.percent() for c in coh)
+    # per channel over scales, then over channels
     metrics = {
-        "mel_dist": float(np.mean([np.mean(v) for v in mel_vals])),
-        "stft_dist": float(np.mean([np.mean(v) for v in stft_vals])),
-        "icpc_percent": icpc_value,
+        "mel_dist": float(np.mean([np.mean([d[ch][1].mean() for d in dists]) for ch in (0, 1)])),
+        "stft_dist": float(np.mean([np.mean([d[ch][0].mean() for d in dists]) for ch in (0, 1)])),
+        "icpc_percent": float(np.mean([icpc_l, icpc_r])),
         "ccpc_percent": ccpc_value,
         "si_sdr_db": si_sdr(ref.samples, rec.samples),
         "dbtp_dist": dbtp_distance(ref, rec),
     }
-    return metrics, ["degenerate_coherence_input"] if degenerate else []
+    return metrics, ["degenerate_coherence_input"] if deg_l or deg_r or deg_c else []
 
 
 def evaluate_pair(

@@ -103,15 +103,15 @@ def group_delay(phase: np.ndarray) -> np.ndarray:
 
 class _CorrelationSums:
     """Running sum of ``Re(rec * conj(ref)) / (|rec| |ref| + epsilon)`` and its
-    bin count over the blocks of frames it is given."""
+    bin count over the blocks of frames and their magnitudes it is given."""
 
     def __init__(self, cfg: PhaseLossConfig) -> None:
         self.eps = cfg.epsilon
         self.total, self.count = 0.0, 0
 
-    def add(self, a: np.ndarray, b: np.ndarray) -> None:
+    def add(self, a: np.ndarray, b: np.ndarray, mag_a: np.ndarray, mag_b: np.ndarray) -> None:
         num = np.real(b * np.conj(a))
-        den = np.abs(b) * np.abs(a) + self.eps
+        den = mag_b * mag_a + self.eps
         self.total += float(np.sum(num / den))
         self.count += num.size
 
@@ -130,7 +130,8 @@ def correlation_loss(
     so zero-magnitude bins contribute zero correlation rather than NaN.
     """
     sums = _CorrelationSums(cfg or PhaseLossConfig())
-    sums.add(*_bins_of(ref, rec))
+    a, b = _bins_of(ref, rec)
+    sums.add(a, b, np.abs(a), np.abs(b))
     return sums.loss()
 
 
@@ -147,9 +148,9 @@ def _abs_sums(d: np.ndarray, mag: np.ndarray | None, axis: int) -> tuple[float, 
 class _PhaseSums:
     """Sums behind :func:`phase_loss` over consecutive blocks of frames.
 
-    The IF error of a block's first frame is taken against the last frame of
-    the block before it, whose phase error and reference magnitude are
-    carried over as a one-frame halo.
+    Each block comes with its reference magnitudes. The IF error of a block's
+    first frame is taken against the last frame of the block before it, whose
+    phase error and reference magnitude are carried over as a one-frame halo.
     """
 
     def __init__(self, cfg: PhaseLossConfig) -> None:
@@ -157,11 +158,11 @@ class _PhaseSums:
         self.sums = np.zeros(4)  # IF error, IF weight, GD error, GD weight
         self.halo: tuple[np.ndarray, np.ndarray | None] | None = None
 
-    def add(self, a: np.ndarray, b: np.ndarray) -> None:
+    def add(self, a: np.ndarray, b: np.ndarray, mag_a: np.ndarray) -> None:
         # wrap(wrap(x) - wrap(y)) == wrap(x - y) and |wrap(-d)| == |wrap(d)|
         err = np.angle(b)
         err -= np.angle(a)
-        mag = np.abs(a) if self.cfg.magnitude_weighting else None
+        mag = mag_a if self.cfg.magnitude_weighting else None
         err_if, mag_if = err, mag
         if self.halo is not None:
             err_if = np.concatenate((self.halo[0], err))
@@ -195,5 +196,6 @@ def phase_loss(
     by the mean reference magnitude of its two parent bins.
     """
     sums = _PhaseSums(cfg or PhaseLossConfig())
-    sums.add(*_bins_of(ref, rec))
+    a, b = _bins_of(ref, rec)
+    sums.add(a, b, np.abs(a))
     return sums.loss()

@@ -60,6 +60,7 @@ REASONS = (
     "lufs_high",
     "true_peak_exceeded",
     "decode_error",
+    "write_error",
     "non_finite",
     "too_short",
     "duplicate_output",
@@ -154,20 +155,34 @@ def _output_path(path: str, out_dir: str | Path, stage: str) -> str:
 @contextmanager
 def _atomic_target(path: str | Path) -> Iterator[str]:
     """A temporary name beside ``path`` to write to. It replaces ``path`` when
-    the block completes and is removed when the block raises."""
+    the block completes and is removed when the block or the rename raises."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         yield str(tmp)
+        os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
-    os.replace(tmp, path)
 
 
-def _save_kept(path: str, buf: AudioBuffer) -> None:
-    with _atomic_target(path) as tmp:
-        save_wav(tmp, buf, sample_format="float32")
+class _WriteError(OSError):
+    """A kept file that could not be written; ``decision`` holds its measurements."""
+
+    def __init__(self, decision: CurateDecision, cause: OSError) -> None:
+        super().__init__(f"cannot write {decision.output_path}: {cause}")
+        self.decision = decision
+
+
+def _write_kept(decision: CurateDecision, write: Callable[[str], object]) -> CurateDecision:
+    """``decision`` once ``write`` has filled a temporary name that then replaced
+    its output path; a failed write raises :class:`_WriteError`."""
+    try:
+        with _atomic_target(decision.output_path) as tmp:
+            write(tmp)
+    except OSError as exc:
+        raise _WriteError(decision, exc) from exc
+    return decision
 
 
 def _load(path: str) -> AudioBuffer | CurateDecision:
@@ -233,7 +248,7 @@ def curate_stage1(
     """
     decision, stored = _stage1(str(path), out_dir, lufs_min, lufs_max)
     if stored is not None:
-        _save_kept(decision.output_path, stored)
+        decision = _write_kept(decision, lambda tmp: save_wav(tmp, stored, sample_format="float32"))
     return decision
 
 
@@ -257,8 +272,7 @@ def curate_stage2(
     out_path = None if out_dir is None else _output_path(path, out_dir, "stage2")
     decision = _peak_gate(path, buf, {"native_rate": buf.sample_rate, "lufs_i": None}, dbtp_max, out_path)
     if decision.verdict == "keep" and out_path and os.path.abspath(out_path) != os.path.abspath(path):
-        with _atomic_target(out_path) as tmp:
-            shutil.copyfile(path, tmp)
+        return _write_kept(decision, lambda tmp: shutil.copyfile(path, tmp))
     return decision
 
 
@@ -276,7 +290,7 @@ def curate_all(
         return decision
     decision = _peak_gate(str(path), stored, decision.measured, dbtp_max, decision.output_path)
     if decision.verdict == "keep":
-        _save_kept(decision.output_path, stored)
+        return _write_kept(decision, lambda tmp: save_wav(tmp, stored, sample_format="float32"))
     return decision
 
 
@@ -318,9 +332,10 @@ def run_batch(
 
     Results are emitted in sorted input order regardless of completion
     order. A path listed more than once is processed once: its later entries
-    are rejected as ``duplicate_output`` unread. A worker exception is
-    recorded as a ``decode_error`` rejection for that file and never aborts
-    the batch.
+    are rejected as ``duplicate_output`` unread. A kept file that cannot be
+    written is recorded as a ``write_error`` rejection with its measurements,
+    any other worker exception as a ``decode_error`` rejection; neither
+    aborts the batch.
     """
     ordered = sorted(str(p) for p in paths)
 
@@ -330,6 +345,8 @@ def run_batch(
             return _reject(path, "duplicate_output")
         try:
             return worker(path)
+        except _WriteError as exc:
+            return _reject(path, "write_error", exc.decision.measured)
         except Exception:
             return _reject(path, "decode_error")
 

@@ -236,9 +236,11 @@ def composite_objective(
             mag_sums[0].add(np.abs(a_l + a_r) / 2, np.abs(b_l + b_r) / 2)
             mag_sums[1].add(np.abs(a_l - a_r) / 2, np.abs(b_l - b_r) / 2)
             for i, (a, b) in enumerate(((a_l, b_l), (a_r, b_r))):
-                mag_sums[2 + i].add(np.abs(a), np.abs(b))
-                lr_sums[i].add(a, b)
-                lr_sums[2 + i].add(a, b)
+                mag_a, mag_b = np.abs(a), np.abs(b)  # shared by all three terms
+                mag_sums[2 + i].add(mag_a, mag_b)
+                lr_sums[i].add(a, b, mag_a, mag_b)
+                lr_sums[2 + i].add(a, b, mag_a)
+                del mag_a, mag_b
         for per_scale, sums in zip(mag_terms, mag_sums):
             per_scale.append(sums.mean())
         for per_scale, sums in zip(lr_terms, lr_sums):

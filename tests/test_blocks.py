@@ -150,8 +150,8 @@ def test_accumulators_in_blocks_match_one_block_on_silent_bins(block, weighting)
     starts = [0, *range(2, a.shape[0], block)]
     for lo, hi in zip(starts, [*starts[1:], a.shape[0]]):
         rows = slice(lo, hi)
-        phase.add(a[rows], b[rows])
-        corr.add(a[rows], b[rows])
+        phase.add(a[rows], b[rows], np.abs(a[rows]))
+        corr.add(a[rows], b[rows], np.abs(a[rows]), np.abs(b[rows]))
         icpc.add(a[rows], b[rows])
         ccpc.add(al[rows], ar[rows], bl[rows], br[rows])
     assert phase.loss() == pytest.approx(phase_loss(a, b, phase_cfg), rel=REL, abs=0.0)

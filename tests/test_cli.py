@@ -183,6 +183,27 @@ def test_eval_without_prefilter_never_imports_scipy_signal(wav_pair):
     assert json.loads(run.stdout.strip().splitlines()[-1]) == [False, 0, False]
 
 
+def _run_cli_module(*args: str) -> subprocess.CompletedProcess:
+    """``python -m earmetrics.cli <args>`` in a fresh interpreter that imports this source tree."""
+    src = str(Path(earmetrics.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "earmetrics.cli", *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestModuleRun:
+    def test_help_prints_the_usage(self):
+        run = _run_cli_module("--help")
+        assert run.returncode == 0
+        assert run.stdout.startswith("usage: earmetrics ")
+
+    def test_eval_prints_the_line_of_main(self, wav_pair, capsys):
+        run = _run_cli_module("eval", *wav_pair)
+        assert main(["eval", *wav_pair]) == 0
+        assert (run.returncode, run.stdout, run.stderr) == (0, capsys.readouterr().out, "")
+
+
 class TestCurateCommand:
     def test_full_run_summary(self, tmp_path, curation_corpus, capsys):
         out = tmp_path / "out"

@@ -2,11 +2,15 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import shutil
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import earmetrics.pipeline
 from earmetrics import (
@@ -23,6 +27,7 @@ from earmetrics import (
     save_wav,
     true_peak_dbtp,
 )
+from earmetrics.pipeline import REASONS
 from helpers import calibrated_burst_buffer, noise_stereo
 
 
@@ -284,6 +289,97 @@ class TestAtomicWrites:
             curate_batch(curation_corpus["dir"], out, stage="stage2")
         assert (out / "decisions.jsonl").read_bytes() == before
         assert not [p for p in out.iterdir() if p.suffix == ".tmp"]
+
+
+class TestWriteError:
+    """A kept file whose output path is a directory cannot be renamed into place."""
+
+    STAGES = {"stage1": curate_stage1, "stage2": curate_stage2, "all": curate_all}
+
+    @pytest.fixture
+    def src(self, tmp_path):
+        path = tmp_path / "in" / "a.wav"
+        path.parent.mkdir()
+        save_wav(path, noise_stereo(seconds=5.0, amp=0.05, seed=88), sample_format="float32")
+        save_wav(path.with_name("b.wav"), noise_stereo(seconds=5.0, amp=0.05, seed=89), sample_format="float32")
+        return path
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_single_file_raises_by_name_and_leaves_no_temporary(self, tmp_path, src, stage):
+        out = tmp_path / "out"
+        (out / "a.wav").mkdir(parents=True)
+        with pytest.raises(OSError, match=f"^cannot write {re.escape(str(out / 'a.wav'))}: "):
+            self.STAGES[stage](src, out)
+        assert [p.name for p in out.iterdir()] == ["a.wav"]
+        assert list((out / "a.wav").iterdir()) == []
+
+    @pytest.mark.parametrize("stage", STAGES)
+    def test_batch_logs_write_error_with_the_measurements(self, tmp_path, src, stage):
+        clean, _ = curate_batch(src.parent, tmp_path / "clean", stage=stage)
+        out = tmp_path / "out"
+        (out / "a.wav").mkdir(parents=True)
+        decisions, summary = curate_batch(src.parent, out, stage=stage)
+        assert [d.reason for d in clean] == ["none", "none"]
+        assert [d.reason for d in decisions] == ["write_error", "none"]
+        assert decisions[0].measured == clean[0].measured
+        assert decisions[0].output_path is None
+        assert decisions[1] == CurateDecision(
+            clean[1].input_path, "keep", "none", clean[1].measured, output_path=str(out / "b.wav")
+        )
+        assert (summary.total, summary.kept, summary.rejected_by_reason) == (2, 1, {"write_error": 1})
+        logged = [json.loads(line)["reason"] for line in (out / "decisions.jsonl").read_text().splitlines()]
+        assert logged == ["write_error", "none"]
+        assert sorted(p.name for p in out.iterdir()) == ["a.wav", "b.wav", "decisions.jsonl"]
+
+
+class TestCurationProperty:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seconds=st.one_of(st.sampled_from([0.0, 0.4, 1.0, 2.0]), st.floats(0.0, 2.0)),
+        rate=st.sampled_from([22050, 44100, 48000, 96000]),
+        channels=st.integers(1, 2),
+        fmt=st.sampled_from(["pcm16", "pcm24", "pcm32", "float32"]),
+        amp=st.sampled_from([0.0, 0.003, 0.03, 0.3, 1.0]),
+        cut=st.one_of(st.none(), st.floats(0.0, 1.0, exclude_max=True)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_every_file_ends_in_one_named_reason(self, seconds, rate, channels, fmt, amp, cut, seed):
+        # a strict cut of a save_wav file always cuts its data chunk short
+        x = amp * np.random.default_rng(seed).uniform(-1.0, 1.0, (channels, int(seconds * rate)))
+        with tempfile.TemporaryDirectory() as tmp:
+            src = Path(tmp) / "x.wav"
+            save_wav(src, AudioBuffer(x, rate), sample_format=fmt)
+            raw = src.read_bytes()
+            if cut is not None:
+                src.write_bytes(raw[: int(cut * len(raw))])
+            decisions = []
+            for curate in (curate_stage1, curate_stage2, curate_all):
+                out = Path(tmp) / curate.__name__
+                out.mkdir()
+                decisions.append(d := curate(src, out))
+                assert d.reason in REASONS
+                assert [p.name for p in out.iterdir()] == (["x.wav"] if d.verdict == "keep" else [])
+            s1, s2, both = decisions
+            if cut is not None:
+                assert {d.reason for d in decisions} == {"decode_error"}
+                return
+            if x.shape[1] == 0:
+                assert s2.reason == "too_short"
+            else:
+                assert s2.reason in ("none", "true_peak_exceeded")
+            standardized = x.shape[1] * 44100 / rate  # samples at 44.1 kHz
+            assert s1.reason != "decode_error"
+            if rate < 44100:
+                assert s1.reason == "below_rate"
+            elif standardized < 17639:  # one 400 ms gating block is 17640 samples
+                assert s1.reason == "too_short"
+            elif standardized > 17641:
+                assert s1.reason != "too_short"
+            # all is stage1 and then stage2 on what stage1 writes
+            if s1.verdict == "reject":
+                assert (both.reason, both.measured) == (s1.reason, s1.measured)
+            else:
+                assert both.reason == curate_stage2(s1.output_path).reason
 
 
 class TestNonFinite:
