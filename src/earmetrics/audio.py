@@ -10,15 +10,13 @@ real FFTs; every function here is pure and safe to call from many threads.
 from __future__ import annotations
 
 import struct
-import wave
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
-from scipy.io import wavfile as _wavfile
 
 __all__ = [
     "AudioBuffer",
@@ -160,62 +158,174 @@ class ComplexSpectrogram:
         return self.bins.shape[1]
 
 
-_INT_SCALE = {"int16": 2 ** 15, "int32": 2 ** 31}
+_PCM, _FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
+# bytes 4..16 of a WAVE_FORMAT_EXTENSIBLE subformat GUID whose first four
+# bytes hold a plain format tag (RFC 2361), as stored in RIFF and in RIFX
+_GUID_TAIL = {
+    "<": b"\x00\x00\x10\x00\x80\x00\x00\xaa\x00\x38\x9b\x71",
+    ">": b"\x00\x00\x00\x10\x80\x00\x00\xaa\x00\x38\x9b\x71",
+}
 
 
-def _check_data_chunk(path: str | Path) -> None:
-    """Raise ValueError when the data chunk of a RIFF/RIFX file declares more
-    bytes than the file holds. scipy only warns and returns the frames it
-    found when such a file ends on a frame boundary."""
-    with open(path, "rb") as fh:
-        head = fh.read(12)
-        if head[:4] not in (b"RIFF", b"RIFX") or head[8:] != b"WAVE":
-            return  # scipy names the bad header
-        order = "<" if head[:4] == b"RIFF" else ">"
-        size, pos = fh.seek(0, 2), 12
-        while pos + 8 <= size:
-            fh.seek(pos)
-            chunk, length = struct.unpack(order + "4sI", fh.read(8))
-            if chunk == b"data":
-                if pos + 8 + length > size:
-                    raise ValueError(f"data chunk declares {length} bytes, the file holds {size - pos - 8}")
-                return
-            pos += 8 + length + (length & 1)  # chunks are padded to even length
+def _read_fmt(body: bytes, size: int, order: str) -> tuple[int, int, np.dtype]:
+    """Rate, channel count and stored sample dtype from a ``fmt `` chunk;
+    24-bit PCM samples are stored as 3-byte voids.
+
+    The sample container is ``block_align // channels`` bytes, whatever
+    ``wBitsPerSample`` says, so 20-bit samples in 24-bit containers scale as
+    24-bit.
+    """
+    if len(body) < min(size, 40):
+        raise ValueError("fmt chunk is cut short")
+    if size < 16:
+        raise ValueError(f"fmt chunk of {size} bytes, at least 16 are needed")
+    tag, channels, rate, byte_rate, block_align, bits = struct.unpack(order + "HHIIHH", body[:16])
+    if tag == _EXTENSIBLE and size >= 18:
+        if struct.unpack(order + "H", body[16:18])[0] < 22 or size < 40:
+            raise ValueError("WAVE_FORMAT_EXTENSIBLE fmt chunk is too short for its subformat")
+        if body[28:40] == _GUID_TAIL[order]:
+            tag = struct.unpack(order + "I", body[24:28])[0]
+    if tag not in (_PCM, _FLOAT):
+        raise ValueError(f"unsupported format tag {tag:#06x}; only PCM and IEEE float are read")
+    if tag == _PCM and byte_rate != rate * block_align:
+        raise ValueError(
+            f"nAvgBytesPerSec {byte_rate} is not nSamplesPerSec {rate} times nBlockAlign {block_align}"
+        )
+    if channels == 0:
+        raise ValueError("fmt chunk declares no channels")
+    if block_align % channels:
+        raise ValueError(f"block align {block_align} is not whole bytes for each of {channels} channels")
+    if channels > 2:
+        raise ValueError(f"unsupported channel count {channels}")
+    width = block_align // channels
+    if tag == _PCM:
+        if 1 <= bits <= 8:
+            raise ValueError(f"unsupported {bits}-bit PCM: samples of 8 bits or fewer are unsigned")
+        if bits > 64 or width not in (2, 3, 4):
+            raise ValueError(f"unsupported {bits}-bit PCM in {width}-byte samples")
+        dtype = np.dtype("V3") if width == 3 else np.dtype(f"{order}i{width}")
+    else:
+        if bits not in (32, 64) or width not in (4, 8):
+            raise ValueError(f"unsupported {bits}-bit float in {width}-byte samples")
+        dtype = np.dtype(f"{order}f{width}")
+    return rate, channels, dtype
+
+
+def _read_wav(fh: BinaryIO) -> tuple[int, np.ndarray]:
+    """Rate and stored samples, as a ``(frames, channels)`` array, of an open
+    RIFF, RIFX or RF64 WAVE file.
+
+    Walks the chunks to the first ``data`` chunk, which must follow a ``fmt ``
+    chunk, and reads it as one array of the stored integer or float type;
+    24-bit PCM arrives left-justified in 32 bits. Raises ValueError on a
+    malformed header, a format :func:`load_wav` does not read, or a data
+    chunk that declares more bytes than the file holds.
+    """
+    file_size = fh.seek(0, 2)
+    fh.seek(0)
+    head = fh.read(12)
+    if head[:4] not in (b"RIFF", b"RIFX", b"RF64"):
+        raise ValueError(f"file format {head[:4]!r} not understood; only RIFF, RIFX and RF64 are read")
+    if head[8:] != b"WAVE":
+        raise ValueError(f"not a WAV file, the RIFF form type is {head[8:]!r}")
+    order = ">" if head[:4] == b"RIFX" else "<"
+    if head[:4] == b"RF64":
+        # the RIFF and data chunk sizes are 64-bit, in a ds64 chunk that comes first
+        ds64 = fh.read(24)
+        if len(ds64) < 24 or ds64[:4] != b"ds64":
+            raise ValueError("RF64 file without a ds64 chunk")
+        ds64_size, riff_size, data_size = struct.unpack("<IQQ", ds64[4:])
+        pos = 20 + ds64_size
+    else:
+        riff_size, data_size, pos = struct.unpack(order + "I", head[4:8])[0], None, 12
+    fmt = None
+    while pos < riff_size + 8:
+        fh.seek(pos)
+        chunk = fh.read(8)
+        if len(chunk) < 8:
+            break
+        name, size = struct.unpack(order + "4sI", chunk)
+        if name == b"fmt ":
+            fmt = _read_fmt(fh.read(min(size, 40)), size, order)
+        elif name == b"data":
+            if fmt is None:
+                raise ValueError("no fmt chunk before the data chunk")
+            size = size if data_size is None else data_size
+            if pos + 8 + size > file_size:
+                raise ValueError(f"data chunk declares {size} bytes, the file holds {file_size - pos - 8}")
+            rate, channels, dtype = fmt
+            count = size // dtype.itemsize
+            if count % channels:
+                raise ValueError(f"data chunk holds {count} samples, not whole frames of {channels} channels")
+            samples = np.fromfile(fh, dtype, count)
+            if dtype.kind == "V":  # 24-bit PCM, into the high three bytes of int32 words
+                words = np.zeros((count, 4), np.uint8)
+                high = slice(1, 4) if order == "<" else slice(0, 3)
+                words[:, high] = samples.view(np.uint8).reshape(-1, 3)
+                samples = words.view(order + "i4")
+            return rate, samples.reshape(-1, channels)
+        pos += 8 + size + (size & 1)  # chunks are padded to even length
+    raise ValueError("no data chunk")
 
 
 def load_wav(path: str | Path) -> AudioBuffer:
-    """Read a RIFF WAV file into an :class:`AudioBuffer`.
+    """Read a WAV file into an :class:`AudioBuffer`.
 
-    Supports PCM 16/24/32-bit (24-bit arrives left-justified in 32 bits) and
-    IEEE float32, one or two channels. Integer formats are scaled by
-    ``1 / 2**(bits - 1)`` so full-scale negative maps to exactly -1.0.
+    Reads RIFF (little-endian), RIFX (big-endian) and RF64 (64-bit sizes in
+    a ``ds64`` chunk) files with one or two channels of PCM in 16, 24 or 32
+    bit containers, or IEEE float32 or float64, also when the ``fmt `` chunk
+    is ``WAVE_FORMAT_EXTENSIBLE`` with a PCM or float subformat. The
+    container is ``block_align // channels`` bytes, and integer samples are
+    scaled by ``1 / 2**(container_bits - 1)``, so full-scale negative maps to
+    exactly -1.0. Chunks other than ``fmt `` and the first ``data`` chunk
+    are skipped.
 
     Raises:
         FileNotFoundError: missing file.
-        ValueError: undecodable or truncated file (its data chunk declares
-            more bytes than the file holds), unsupported format, or >2 channels.
+        ValueError: naming the path, on a file that is not RIFF/RIFX/RF64
+            WAVE; has no ``fmt `` chunk before its ``data`` chunk or no
+            ``data`` chunk; is truncated (its data chunk declares more bytes
+            than the file holds); has zero or more than two channels, a block
+            align that is not whole bytes per channel, or a data chunk that
+            is not whole frames; or holds another format: PCM of 8 bits or
+            fewer (unsigned), PCM in containers other than 2, 3 or 4 bytes,
+            float other than 32 or 64 bits in 4- or 8-byte containers, A-law,
+            mu-law or any other format tag, or PCM whose
+            ``nAvgBytesPerSec`` is not ``rate * block_align``.
     """
     try:
-        _check_data_chunk(path)
-        rate, data = _wavfile.read(str(path))
+        with open(path, "rb") as fh:
+            rate, frames = _read_wav(fh)
+        # converted in one pass straight into the buffer's (channels, n) layout
+        samples = np.empty(frames.shape[::-1])
+        if frames.dtype.kind == "i":
+            np.divide(frames.T, 2.0 ** (8 * frames.dtype.itemsize - 1), out=samples)
+        else:
+            samples[...] = frames.T
+        return AudioBuffer(_frozen(samples), rate)
     except FileNotFoundError:
         raise
-    except Exception as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot decode {path}: {exc}") from exc
-    if data.ndim == 2 and data.shape[1] > 2:
-        raise ValueError(f"unsupported channel count {data.shape[1]}")
-    name = data.dtype.name
-    if name not in _INT_SCALE and name not in ("float32", "float64"):
-        raise ValueError(f"unsupported sample format {data.dtype} in {path}")
-    # converted in one pass straight into the buffer's (channels, n) layout:
-    # the same arithmetic as astype(float64) / scale
-    frames = data[:, np.newaxis] if data.ndim == 1 else data
-    samples = np.empty(frames.shape[::-1])
-    if name in _INT_SCALE:
-        np.divide(frames.T, _INT_SCALE[name], out=samples)
-    else:
-        samples[...] = frames.T
-    return AudioBuffer(_frozen(samples), int(rate))
+
+
+def _wav_header(tag: int, channels: int, rate: int, width: int, frames: int) -> bytes:
+    """Every byte of a WAV file before its samples: a 16-byte ``fmt `` chunk
+    for PCM; for float an 18-byte one and a ``fact`` chunk with the frame
+    count. RF64, with a ``ds64`` chunk, when the file outgrows 32-bit sizes."""
+    block = channels * width
+    size = frames * block
+    fmt = struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, 8 * width)
+    if tag == _FLOAT:
+        fmt += struct.pack("<H", 0)
+    chunks = b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    if tag == _FLOAT:
+        chunks += b"fact" + struct.pack("<II", 4, frames)
+    riff_size = 4 + len(chunks) + 8 + size
+    if riff_size <= 0xFFFFFFFF:
+        return b"RIFF" + struct.pack("<I", riff_size) + b"WAVE" + chunks + b"data" + struct.pack("<I", size)
+    ds64 = b"ds64" + struct.pack("<IQQQI", 28, riff_size + 36, size, frames, 0)
+    return b"RF64" + b"\xff" * 4 + b"WAVE" + ds64 + chunks + b"data" + b"\xff" * 4
 
 
 def save_wav(path: str | Path, buf: AudioBuffer, sample_format: str = "float32") -> None:
@@ -226,27 +336,20 @@ def save_wav(path: str | Path, buf: AudioBuffer, sample_format: str = "float32")
     clipped to the integer range.
     """
     if sample_format == "float32":
-        _wavfile.write(str(path), buf.sample_rate, buf.samples.T.astype(np.float32, order="C"))
-        return
-    if sample_format not in ("pcm16", "pcm24", "pcm32"):
-        raise ValueError(f"unsupported sample format {sample_format!r}")
-    interleaved = np.ascontiguousarray(buf.samples.T)
-    bits = int(sample_format[3:])
-    full = 2 ** (bits - 1)
-    q = np.clip(np.rint(interleaved * full), -full, full - 1).astype(np.int64)
-    if bits == 16:
-        payload = q.astype("<i2").tobytes()
-    elif bits == 32:
-        payload = q.astype("<i4").tobytes()
-    else:
+        tag, width = _FLOAT, 4
+        payload = buf.samples.T.astype("<f4", order="C")
+    elif sample_format in ("pcm16", "pcm24", "pcm32"):
+        tag, width = _PCM, int(sample_format[3:]) // 8
+        full = 2 ** (8 * width - 1)
+        interleaved = np.ascontiguousarray(buf.samples.T)
+        q = np.clip(np.rint(interleaved * full), -full, full - 1).astype(f"<i{4 if width == 3 else width}")
         # 24-bit: keep the low three bytes of each little-endian 32-bit word
-        raw = q.astype("<i4").tobytes()
-        payload = np.frombuffer(raw, dtype=np.uint8).reshape(-1, 4)[:, :3].tobytes()
-    with wave.open(str(path), "wb") as fh:
-        fh.setnchannels(buf.channels)
-        fh.setsampwidth(bits // 8)
-        fh.setframerate(buf.sample_rate)
-        fh.writeframes(payload)
+        payload = np.ascontiguousarray(q.view(np.uint8).reshape(-1, 4)[:, :3]) if width == 3 else q
+    else:
+        raise ValueError(f"unsupported sample format {sample_format!r}")
+    with open(path, "wb") as fh:
+        fh.write(_wav_header(tag, buf.channels, buf.sample_rate, width, buf.num_samples))
+        fh.write(payload)
 
 
 @lru_cache(maxsize=32)

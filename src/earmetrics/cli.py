@@ -85,13 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     try:
+        ms_cfg = MultiScaleConfig(fft_sizes=tuple(args.fft_sizes)) if args.fft_sizes else MultiScaleConfig()
         ref = load_wav(args.reference)
         rec = load_wav(args.reconstruction)
-    except Exception as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    ms_cfg = MultiScaleConfig(fft_sizes=tuple(args.fft_sizes)) if args.fft_sizes else MultiScaleConfig()
-    try:
         # aligned (and resampled) and prefiltered once; the report and the objective share the pair
         ref, rec, flags = align_pair(ref, rec)
         ref, rec = _prefilter_pair(args.prefilter, ref, rec)

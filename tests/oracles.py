@@ -326,8 +326,8 @@ def load_wav_direct(path) -> tuple[int, np.ndarray]:
 
     rate, data = wavfile.read(str(path))
     x = data.astype(np.float64)
-    if data.dtype == np.int16:
+    if data.dtype.name == "int16":  # by name, so big-endian (RIFX) samples match too
         x = x / 2**15
-    elif data.dtype == np.int32:
+    elif data.dtype.name == "int32":
         x = x / 2**31
     return rate, (x[np.newaxis, :] if x.ndim == 1 else x.T)

@@ -15,17 +15,61 @@ from earmetrics import (
     AudioBuffer,
     ComplexSpectrogram,
     StftConfig,
+    curate_batch,
     istft,
     load_wav,
     resample,
     save_wav,
     stft,
 )
-from earmetrics.audio import _BLOCK_SAMPLES, _as_stereo, _hann_window
+from earmetrics.audio import _BLOCK_SAMPLES, _as_stereo, _hann_window, _wav_header
 from helpers import noise_stereo
 from oracles import load_wav_direct
 
 WAV_FORMATS = ["pcm16", "pcm24", "pcm32", "float32"]
+
+# the header of each format for 2 channels, 44.1 kHz and 3 frames, as the
+# files curation keeps have always been written: RIFF, fmt, (fact,) data
+WAV_HEADERS = {
+    "float32": "524946464a00000057415645"
+    "666d7420120000000300020044ac000020620500080020000000"  # tag 3, cbSize 0
+    "666163740400000003000000"  # 3 frames
+    "6461746118000000",
+    "pcm16": "524946463000000057415645" "666d7420100000000100020044ac000010b1020004001000" "646174610c000000",
+    "pcm24": "524946463600000057415645" "666d7420100000000100020044ac00009809040006001800" "6461746112000000",
+    "pcm32": "524946463c00000057415645" "666d7420100000000100020044ac00002062050008002000" "6461746118000000",
+}
+
+
+def wav_bytes(
+    form: str,
+    tag: int,
+    channels: int,
+    width: int,
+    payload: bytes,
+    *,
+    bits: int | None = None,
+    block_align: int | None = None,
+    subformat: int | None = None,
+    data: bool = True,
+) -> bytes:
+    """A WAV file built field by field: ``form`` is RIFF, RIFX or RF64; a
+    ``subformat`` makes the fmt chunk WAVE_FORMAT_EXTENSIBLE (``tag`` 0xFFFE)."""
+    order = ">" if form == "RIFX" else "<"
+    block = channels * width if block_align is None else block_align
+    bits = 8 * width if bits is None else bits
+    fmt = struct.pack(order + "HHIIHH", tag, channels, 8000, 8000 * block, block, bits)
+    if subformat is not None:
+        guid_tail = "000000108000" if order == ">" else "000010008000"
+        fmt += struct.pack(order + "HHII", 22, bits, 3, subformat) + bytes.fromhex(guid_tail + "00aa00389b71")
+    chunks = b"fmt " + struct.pack(order + "I", len(fmt)) + fmt
+    if data:
+        size = 0xFFFFFFFF if form == "RF64" else len(payload)
+        chunks += b"data" + struct.pack(order + "I", size) + payload
+    if form != "RF64":
+        return form.encode() + struct.pack(order + "I", 4 + len(chunks)) + b"WAVE" + chunks
+    ds64 = b"ds64" + struct.pack("<IQQQI", 28, 40 + len(chunks), len(payload), len(payload) // block, 0)
+    return b"RF64" + b"\xff" * 4 + b"WAVE" + ds64 + chunks
 
 
 class TestAudioBuffer:
@@ -232,7 +276,6 @@ class TestWavIo:
         with pytest.raises(ValueError, match="data chunk declares 176400 bytes, the file holds 80000"):
             load_wav(path)
 
-    @pytest.mark.filterwarnings("ignore::scipy.io.wavfile.WavFileWarning")
     @pytest.mark.parametrize("fmt", WAV_FORMATS)
     def test_unknown_chunks_are_skipped(self, tmp_path, fmt):
         # an odd-length chunk (with its pad byte) before the data chunk and one after it
@@ -244,6 +287,88 @@ class TestWavIo:
         body = raw[12:data_at] + extra + raw[data_at:] + extra
         path.with_name("y.wav").write_bytes(b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body)
         np.testing.assert_array_equal(load_wav(path.with_name("y.wav")).samples, load_wav(path).samples, strict=True)
+
+    @pytest.mark.parametrize("fmt", WAV_FORMATS)
+    def test_header_bytes_are_pinned(self, tmp_path, fmt):
+        path = tmp_path / "x.wav"
+        save_wav(path, AudioBuffer(np.full((2, 3), 0.25), 44100), sample_format=fmt)
+        header = bytes.fromhex(WAV_HEADERS[fmt])
+        raw = path.read_bytes()
+        assert raw[: len(header)] == header
+        assert len(raw) == len(header) + struct.unpack("<I", header[-4:])[0]
+
+    def test_large_files_get_an_rf64_header_the_reader_walks(self, tmp_path):
+        # 2**29 stereo float32 frames are 4 GiB of samples, past 32-bit sizes
+        path = tmp_path / "big.wav"
+        path.write_bytes(_wav_header(3, 2, 44100, 4, 2**29))
+        assert path.read_bytes()[:4] == b"RF64"
+        with pytest.raises(ValueError, match="data chunk declares 4294967296 bytes, the file holds 0"):
+            load_wav(path)
+
+    @pytest.mark.parametrize("channels", [1, 2])
+    @pytest.mark.parametrize(
+        "form,tag,width,kwargs",
+        [
+            ("RIFX", 1, 2, {}),
+            ("RIFX", 1, 3, {}),
+            ("RIFX", 1, 4, {}),
+            ("RIFX", 3, 4, {}),
+            ("RIFX", 3, 8, {}),
+            ("RIFF", 3, 8, {}),
+            ("RIFF", 1, 3, {"bits": 20}),
+            ("RIFF", 0xFFFE, 3, {"subformat": 1}),
+            ("RIFF", 0xFFFE, 4, {"subformat": 3}),
+            ("RIFX", 0xFFFE, 2, {"subformat": 1}),
+            ("RF64", 3, 4, {}),
+            ("RF64", 1, 3, {}),
+        ],
+    )
+    def test_decodes_as_scipy_does(self, tmp_path, form, tag, width, kwargs, channels):
+        order = ">" if form == "RIFX" else "<"
+        rng = np.random.default_rng(width)
+        if tag == 3 or kwargs.get("subformat") == 3:
+            payload = rng.uniform(-1.0, 1.0, 2 * 1001).astype(f"{order}f{width}").tobytes()
+        else:
+            payload = rng.integers(0, 256, 2 * 1001 * width, dtype=np.uint8).tobytes()
+        path = tmp_path / "x.wav"
+        path.write_bytes(wav_bytes(form, tag, channels, width, payload[: 1001 * channels * width], **kwargs))
+        buf = load_wav(path)
+        rate, expected = load_wav_direct(path)
+        assert (buf.sample_rate, buf.samples.shape) == (rate, (channels, 1001))
+        np.testing.assert_array_equal(buf.samples, expected, strict=True)
+
+    def test_rf64_truncation_uses_the_64_bit_data_size(self, tmp_path):
+        path = tmp_path / "x.wav"
+        path.write_bytes(wav_bytes("RF64", 1, 2, 2, bytes(400))[:-4])
+        with pytest.raises(ValueError, match="data chunk declares 400 bytes, the file holds 396"):
+            load_wav(path)
+
+    UNREAD_FILES = {
+        "pcm8": (1, 1, 1, {}),
+        "alaw": (6, 1, 1, {"bits": 8}),
+        "extensible_alaw": (0xFFFE, 2, 1, {"bits": 8, "subformat": 6}),
+        "three_channels": (1, 3, 2, {}),
+        "zero_channels": (1, 0, 2, {"block_align": 4}),
+        "split_block_align": (1, 2, 2, {"block_align": 5}),
+        "no_data_chunk": (1, 2, 2, {"data": False}),
+    }
+
+    @pytest.mark.parametrize("name", UNREAD_FILES)
+    def test_unread_formats_fail_by_name(self, tmp_path, name):
+        tag, channels, width, kwargs = self.UNREAD_FILES[name]
+        path = tmp_path / f"{name}.wav"
+        path.write_bytes(wav_bytes("RIFF", tag, channels, width, bytes(60), **kwargs))
+        with pytest.raises(ValueError, match=f"^cannot decode {re.escape(str(path))}: "):
+            load_wav(path)
+
+    def test_unread_formats_are_curated_as_decode_errors(self, tmp_path):
+        src, out = tmp_path / "in", tmp_path / "out"
+        src.mkdir()
+        for name, (tag, channels, width, kwargs) in self.UNREAD_FILES.items():
+            (src / f"{name}.wav").write_bytes(wav_bytes("RIFF", tag, channels, width, bytes(60), **kwargs))
+        decisions, _ = curate_batch(src, out, stage="all")
+        assert len(decisions) == len(self.UNREAD_FILES)
+        assert {(d.verdict, d.reason) for d in decisions} == {("reject", "decode_error")}
 
     def test_mono_file_loads_as_one_channel(self, tmp_path):
         path = tmp_path / "mono.wav"

@@ -156,6 +156,10 @@ class TestEvalCommand:
         assert main(["eval", missing, missing]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_fft_size_fails_by_name(self, wav_pair, capsys):
+        assert main(["eval", *wav_pair, "--fft-sizes", "1000"]) == 1
+        assert capsys.readouterr().err == "error: fft sizes must be powers of two >= 2, got 1000\n"
+
     def test_bad_option_exits_two(self, wav_pair):
         with pytest.raises(SystemExit) as exc:
             main(["eval", *wav_pair, "--format", "xml"])
@@ -165,22 +169,26 @@ class TestEvalCommand:
 _IMPORT_GUARD = """
 import json, sys
 import earmetrics.cli
-after_import = "scipy.signal" in sys.modules
-code = earmetrics.cli.main(["eval", sys.argv[1], sys.argv[2]])
-print(json.dumps([after_import, code, "scipy.signal" in sys.modules]))
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+loaded = [scipy_modules()]
+for extra in ([], ["--objective"]):
+    loaded += [earmetrics.cli.main(["eval", sys.argv[1], sys.argv[2], *extra]), scipy_modules()]
+print(json.dumps(loaded))
 """
 
 
 def test_eval_without_prefilter_never_imports_scipy_signal(wav_pair):
-    # scipy.signal pulls in scipy.stats and dominates start-up; only
-    # resampling and the weighting filters may load it
+    # scipy.signal pulls in scipy.stats and dominates start-up, and scipy.io
+    # pulls in scipy.sparse; only resampling and the weighting filters may
+    # load scipy at all
     src = str(Path(earmetrics.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     run = subprocess.run(
         [sys.executable, "-c", _IMPORT_GUARD, *wav_pair],
         env=env, capture_output=True, text=True, timeout=120, check=True,
     )
-    assert json.loads(run.stdout.strip().splitlines()[-1]) == [False, 0, False]
+    assert json.loads(run.stdout.strip().splitlines()[-1]) == [[], 0, [], 0, []]
 
 
 def _run_cli_module(*args: str) -> subprocess.CompletedProcess:
