@@ -62,8 +62,7 @@ class AudioBuffer:
         rate = self.sample_rate
         if not isinstance(rate, (int, np.integer)) or rate <= 0:
             raise ValueError(f"sample_rate must be a positive integer, got {rate!r}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "samples", arr)
+        object.__setattr__(self, "samples", _frozen(arr))
         object.__setattr__(self, "sample_rate", int(rate))
 
     @property
@@ -81,7 +80,7 @@ class AudioBuffer:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr`` made read-only, so that :class:`AudioBuffer` keeps it without a copy."""
+    """``arr`` made read-only: safe to share or cache, and kept uncopied by a buffer or spectrogram."""
     arr.flags.writeable = False
     return arr
 
@@ -146,8 +145,7 @@ class ComplexSpectrogram:
                 f"fft_size {self.config.fft_size} (expected {self.config.num_bins})"
             )
         arr = arr.copy() if arr is self.bins and arr.flags.writeable else arr
-        arr.flags.writeable = False
-        object.__setattr__(self, "bins", arr)
+        object.__setattr__(self, "bins", _frozen(arr))
 
     @property
     def num_frames(self) -> int:
@@ -366,9 +364,7 @@ def _resample_taps(up: int, down: int) -> np.ndarray:
     stop_edge = 1.0 / m
     numtaps, beta = signal.kaiserord(100.0, stop_edge - pass_edge)
     numtaps |= 1  # odd length gives an integer group delay
-    taps = signal.firwin(numtaps, (pass_edge + stop_edge) / 2.0, window=("kaiser", beta))
-    taps.flags.writeable = False
-    return taps
+    return _frozen(signal.firwin(numtaps, (pass_edge + stop_edge) / 2.0, window=("kaiser", beta)))
 
 
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
@@ -396,9 +392,7 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
 def _hann_window(n: int) -> np.ndarray:
     """Periodic Hann window, summed term by term as ``scipy.signal.get_window``
     does, so it is bit-identical to ``get_window("hann", n)``."""
-    w = (0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1]
-    w.flags.writeable = False
-    return w
+    return _frozen((0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1])
 
 
 # Windowed samples per block of STFT frames (frames * fft_size), the same at
@@ -473,8 +467,7 @@ def stft(channel: np.ndarray, config: StftConfig, rate: int) -> ComplexSpectrogr
     x = np.asarray(channel, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"channel must be 1-D, got {x.ndim}-D")
-    bins = _frame_bins(x, config, 0, _num_frames(x.shape[0], config))
-    bins.flags.writeable = False  # read-only, so ComplexSpectrogram keeps it without a copy
+    bins = _frozen(_frame_bins(x, config, 0, _num_frames(x.shape[0], config)))
     return ComplexSpectrogram(bins, config, int(rate), x.shape[0])
 
 

@@ -26,7 +26,7 @@ from .pipeline import (
     curate_batch,
 )
 from .spectral import MultiScaleConfig, composite_objective
-from .weighting import _prefilter_pair
+from .weighting import _PREFILTERS, _prefilter_pair
 
 __all__ = ["build_parser", "main", "entry"]
 
@@ -44,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--format", choices=("json", "csv"), default="json", help="report format")
     ev.add_argument(
         "--prefilter",
-        choices=("k", "a", "none"),
+        choices=_PREFILTERS,
         default="none",
         help="weighting filter applied to both signals before all metrics",
     )

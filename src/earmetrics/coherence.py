@@ -203,18 +203,19 @@ def si_sdr(ref: np.ndarray, rec: np.ndarray) -> float:
         ValueError: on shape mismatch, non-finite samples or an all-zero
             reference.
     """
-    a = np.asarray(ref, dtype=np.float64)
-    b = np.asarray(rec, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"shapes differ: {a.shape} vs {b.shape}")
-    if a.ndim == 2:
-        return float(np.mean([si_sdr(a[i], b[i]) for i in range(a.shape[0])]))
-    if a.ndim != 1:
-        raise ValueError(f"expected 1-D or 2-D input, got {a.ndim}-D")
-    _check_finite(a, b)
+    if np.ndim(ref) == 2 and np.shape(ref) == np.shape(rec):
+        return float(np.mean([si_sdr(a, b) for a, b in zip(ref, rec)]))
+    value = _si_sdr_channel(*_channel_pair(ref, rec))
+    if value is None:
+        raise ValueError("reference signal is all zeros")
+    return value
+
+
+def _si_sdr_channel(a: np.ndarray, b: np.ndarray) -> float | None:
+    """SI-SDR of one checked channel pair, or None when the reference is all zeros."""
     ref_power = float(np.dot(a, a))
     if ref_power == 0.0:
-        raise ValueError("reference signal is all zeros")
+        return None
     alpha = float(np.dot(b, a)) / ref_power
     # the powers are summed over blocks, so no full-length temporary is made
     target_power = residual_power = 0.0
@@ -350,16 +351,19 @@ def _evaluate_aligned(
                 coh[1].add(a_r, b_r)
                 coh[2].add(a_l, a_r, b_l, b_r)
     (icpc_l, deg_l), (icpc_r, deg_r), (ccpc_value, deg_c) = (c.percent() for c in coh)
-    # per channel over scales, then over channels
+    sdr = [_si_sdr_channel(*_channel_pair(a, b)) for a, b in zip(ref.samples, rec.samples)]
+    heard = [v for v in sdr if v is not None]
+    # per channel over scales, then over channels; SI-SDR over channels with a reference
     metrics = {
         "mel_dist": float(np.mean([np.mean([d[ch][1].mean() for d in dists]) for ch in (0, 1)])),
         "stft_dist": float(np.mean([np.mean([d[ch][0].mean() for d in dists]) for ch in (0, 1)])),
         "icpc_percent": float(np.mean([icpc_l, icpc_r])),
         "ccpc_percent": ccpc_value,
-        "si_sdr_db": si_sdr(ref.samples, rec.samples),
+        "si_sdr_db": float(np.mean(heard)) if heard else None,
         "dbtp_dist": dbtp_distance(ref, rec),
     }
-    return metrics, ["degenerate_coherence_input"] if deg_l or deg_r or deg_c else []
+    flags = ["degenerate_coherence_input"] if deg_l or deg_r or deg_c else []
+    return metrics, flags + (["silent_reference_channel"] if len(heard) < len(sdr) else [])
 
 
 def evaluate_pair(
@@ -410,9 +414,12 @@ def evaluate_pair(
     }
     chunks, tail = [(ref, rec)], []
     if chunk_seconds is not None:
-        n_chunk = int(round(chunk_seconds * rate))
-        _check_length(n_chunk, ms_cfg, "chunk")
-        n_chunks = ref.num_samples // n_chunk
+        n_chunks = 0
+        # compared as a float first: a finite chunk_seconds * rate can overflow to inf
+        if chunk_seconds * rate < ref.num_samples + 1:
+            n_chunk = int(round(chunk_seconds * rate))
+            _check_length(n_chunk, ms_cfg, "chunk")
+            n_chunks = ref.num_samples // n_chunk
         tail = ["chunked" if n_chunks else "shorter_than_one_chunk"]
         if n_chunks:
             chunks = (
@@ -425,7 +432,9 @@ def evaluate_pair(
         row, extra = _evaluate_aligned(chunk_ref, chunk_rec, ms_cfg, coh_cfg)
         rows.append(row)
         extra_flags.update(extra)
-    metrics = {k: float(np.mean([r[k] for r in rows])) for k in rows[0]}
+    if all(r["si_sdr_db"] is None for r in rows):
+        raise ValueError("reference signal is all zeros")
+    metrics = {k: float(np.mean([r[k] for r in rows if r[k] is not None])) for k in rows[0]}
     flags += sorted(extra_flags) + tail
     return MetricReport(
         reference=reference_id,

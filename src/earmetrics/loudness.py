@@ -15,7 +15,7 @@ from math import isfinite, log10
 
 import numpy as np
 
-from .audio import _BLOCK_SAMPLES, AudioBuffer
+from .audio import _BLOCK_SAMPLES, AudioBuffer, _frozen
 from .stereo import _non_finite
 from .weighting import apply_cascade, design_k_weighting
 
@@ -45,8 +45,9 @@ _TP_KAISER_BETA = 12.0
 class LoudnessResult:
     """Integrated loudness and the block counts behind it.
 
-    ``lufs_i`` is ``-inf`` when every block falls below the absolute gate
-    (digital silence); it is finite iff ``gated_block_count >= 1``.
+    ``lufs_i`` is ``-inf`` with no gated block when every block falls below
+    the absolute gate (digital silence), and ``+inf`` with every block gated
+    when the K-weighted power of finite samples overflows float64.
     """
 
     lufs_i: float
@@ -79,12 +80,10 @@ def integrated_lufs(buf: AudioBuffer) -> LoudnessResult:
     Channel weights are 1.0 for both left and right.
 
     Raises:
-        ValueError: rate below 8 kHz, duration under one 400 ms block, or a
-            NaN or inf sample.
+        ValueError: duration under one 400 ms block (checked first), a rate
+            below ``MIN_DESIGN_RATE``, or a NaN or inf sample.
     """
     rate = buf.sample_rate
-    if rate < 8000:
-        raise ValueError(f"sample rate {rate} Hz too low for loudness gating (need >= 8000)")
     block = int(round(_BLOCK_SECONDS * rate))
     step = block // 4
     if buf.num_samples < block:
@@ -93,13 +92,17 @@ def integrated_lufs(buf: AudioBuffer) -> LoudnessResult:
             f"< one {block}-sample gating block"
         )
     weighted = apply_cascade(design_k_weighting(rate), buf)
-    # the filter's feedback carries a NaN or inf sample on to the last output
-    if not np.isfinite(weighted.samples[:, -1]).all():
+    # feedback carries a NaN or inf sample, or an overflow of finite input, to the last output
+    if not np.isfinite(weighted.samples[:, -1]).all() and not np.isfinite(buf.samples).all():
         raise _non_finite("buffer")
     count = 1 + (buf.num_samples - block) // step
     power = np.zeros(count)
-    for ch in weighted.samples:
-        power += _block_mean_squares(ch, block, step, count)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ch in weighted.samples:
+            power += _block_mean_squares(ch, block, step, count)
+        total = power.sum()
+    if not isfinite(total):  # finite samples whose power overflows float64: louder than any gate
+        return LoudnessResult(float("inf"), count, count)
     with np.errstate(divide="ignore"):
         block_loudness = _LOUDNESS_OFFSET_DB + 10.0 * np.log10(power)
     above_absolute = block_loudness > _ABSOLUTE_GATE_LUFS
@@ -121,9 +124,7 @@ def _true_peak_taps() -> np.ndarray:
     zero-stuffed signal keeps unity passband gain."""
     m = np.arange(_TP_TAPS_TOTAL) - (_TP_TAPS_TOTAL - 1) / 2
     taps = np.sinc(m / _TP_FACTOR) / _TP_FACTOR * np.kaiser(_TP_TAPS_TOTAL, _TP_KAISER_BETA)
-    taps = taps / taps.sum() * _TP_FACTOR
-    taps.flags.writeable = False
-    return taps
+    return _frozen(taps / taps.sum() * _TP_FACTOR)
 
 
 def true_peak_dbtp(buf: AudioBuffer) -> TruePeakResult:

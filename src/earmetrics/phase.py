@@ -135,12 +135,9 @@ def correlation_loss(
     return sums.loss()
 
 
-def _abs_sums(d: np.ndarray, mag: np.ndarray | None, axis: int) -> tuple[float, float]:
-    """Sum of ``|d|`` and its count, or, given the reference magnitudes, the sum
-    of ``w * |d|`` and of ``w``, where ``w`` is the mean magnitude of the two
-    bins each difference along ``axis`` spans."""
-    if mag is None:
-        return float(np.sum(np.abs(d))), d.size
+def _abs_sums(d: np.ndarray, mag: np.ndarray, axis: int) -> tuple[float, float]:
+    """Sum of ``w * |d|`` and of ``w``, where ``w`` is the mean magnitude of the
+    two bins each difference along ``axis`` spans."""
     w = (mag[:-1, :] + mag[1:, :]) / 2.0 if axis == 0 else (mag[:, :-1] + mag[:, 1:]) / 2.0
     return float(np.sum(w * np.abs(d))), float(np.sum(w))
 
@@ -150,24 +147,24 @@ class _PhaseSums:
 
     Each block comes with its reference magnitudes. The IF error of a block's
     first frame is taken against the last frame of the block before it, whose
-    phase error and reference magnitude are carried over as a one-frame halo.
+    phase error and weight are carried over as a one-frame halo.
     """
 
     def __init__(self, cfg: PhaseLossConfig) -> None:
         self.cfg = cfg
         self.sums = np.zeros(4)  # IF error, IF weight, GD error, GD weight
-        self.halo: tuple[np.ndarray, np.ndarray | None] | None = None
+        self.halo: tuple[np.ndarray, np.ndarray] | None = None
 
     def add(self, a: np.ndarray, b: np.ndarray, mag_a: np.ndarray) -> None:
         # wrap(wrap(x) - wrap(y)) == wrap(x - y) and |wrap(-d)| == |wrap(d)|
         err = np.angle(b)
         err -= np.angle(a)
-        mag = mag_a if self.cfg.magnitude_weighting else None
+        # unweighted, unit weights: 1.0 * |d| is |d| and a sum of ones the exact count
+        mag = mag_a if self.cfg.magnitude_weighting else np.ones_like(mag_a)
         err_if, mag_if = err, mag
         if self.halo is not None:
-            err_if = np.concatenate((self.halo[0], err))
-            mag_if = None if mag is None else np.concatenate((self.halo[1], mag))
-        self.halo = (err[-1:].copy(), None if mag is None else mag[-1:].copy())
+            err_if, mag_if = (np.concatenate(pair) for pair in zip(self.halo, (err, mag)))
+        self.halo = (err[-1:].copy(), mag[-1:].copy())
         self.sums += (
             *_abs_sums(_wrapped_diff(err_if, axis=0), mag_if, 0),
             *_abs_sums(_wrapped_diff(err, axis=1), mag, 1),

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioBuffer, StftConfig, _stft_blocks
+from .audio import AudioBuffer, StftConfig, _frozen, _stft_blocks
 from .phase import PhaseLossConfig, _CorrelationSums, _PhaseSums
 from .stereo import _channel_pair, _check_stereo_pair
 from .weighting import _prefilter_pair
@@ -127,9 +127,7 @@ def mel_filterbank(n_mels: int, fft_size: int, rate: int) -> np.ndarray:
     upper = edges[2:][:, np.newaxis]
     rising = (freqs - lower) / (center - lower)
     falling = (upper - freqs) / (upper - center)
-    fb = np.clip(np.minimum(rising, falling), 0.0, 1.0)
-    fb.flags.writeable = False
-    return fb
+    return _frozen(np.clip(np.minimum(rising, falling), 0.0, 1.0))
 
 
 def _check_length(num_samples: int, cfg: MultiScaleConfig, what: str = "signals") -> None:

@@ -29,6 +29,7 @@ __all__ = [
 ]
 
 MIN_DESIGN_RATE = 8000
+_PREFILTERS = ("none", "k", "a")
 
 
 class FilterLabel(str, Enum):
@@ -186,8 +187,8 @@ def apply_cascade(cascade: BiquadCascade, buf: AudioBuffer) -> AudioBuffer:
 
 
 def _prefilter_pair(name: str, ref: AudioBuffer, rec: AudioBuffer) -> tuple[AudioBuffer, AudioBuffer]:
-    if name not in ("none", "k", "a"):
-        raise ValueError(f"prefilter must be one of ('none', 'k', 'a'), got {name!r}")
+    if name not in _PREFILTERS:
+        raise ValueError(f"prefilter must be one of {_PREFILTERS}, got {name!r}")
     if name == "none":
         return ref, rec
     cascade = (design_k_weighting if name == "k" else design_a_weighting)(ref.sample_rate)

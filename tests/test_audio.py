@@ -22,11 +22,30 @@ from earmetrics import (
     save_wav,
     stft,
 )
-from earmetrics.audio import _BLOCK_SAMPLES, _as_stereo, _hann_window, _wav_header
+from earmetrics.audio import _BLOCK_SAMPLES, _as_stereo, _hann_window, _resample_taps, _wav_header
+from earmetrics.loudness import _true_peak_taps
+from earmetrics.spectral import mel_filterbank
 from helpers import noise_stereo
 from oracles import load_wav_direct
 
 WAV_FORMATS = ["pcm16", "pcm24", "pcm32", "float32"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: _resample_taps(160, 147),
+        lambda: _hann_window(512),
+        lambda: stft(np.ones(2048), StftConfig(512), 44100).bins,
+        _true_peak_taps,
+        lambda: mel_filterbank(16, 512, 44100),
+    ],
+    ids=["resample_taps", "hann_window", "stft_bins", "true_peak_taps", "mel_filterbank"],
+)
+def test_cached_and_returned_arrays_are_read_only(make):
+    arr = make()
+    with pytest.raises(ValueError, match="read-only"):
+        arr.flat[0] = 1.0
 
 # the header of each format for 2 channels, 44.1 kHz and 3 frames, as the
 # files curation keeps have always been written: RIFF, fmt, (fact,) data

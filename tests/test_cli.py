@@ -165,6 +165,20 @@ class TestEvalCommand:
             main(["eval", *wav_pair, "--format", "xml"])
         assert exc.value.code == 2
 
+    def test_bad_prefilter_exits_two(self, wav_pair):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", *wav_pair, "--prefilter", "x"])
+        assert exc.value.code == 2
+
+    def test_help_lists_the_prefilters(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["eval", "--help"])
+        assert "--prefilter {none,k,a}" in capsys.readouterr().out
+
+    def test_huge_chunk_evaluates_whole(self, wav_pair, capsys):
+        assert main(["eval", *wav_pair, "--chunk-seconds", "1e308"]) == 0
+        assert "shorter_than_one_chunk" in json.loads(capsys.readouterr().out)["flags"]
+
 
 _IMPORT_GUARD = """
 import json, sys

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -159,6 +160,13 @@ class TestSiSdr:
         x = rng.standard_normal(4096)
         y = x + 1e-30 * rng.standard_normal(4096)
         assert si_sdr(x, y) == 100.0
+
+    @pytest.mark.parametrize(
+        "ref_shape,rec_shape", [((2, 10), (2, 11)), ((2, 10), (10,)), ((2, 2, 5), (2, 2, 5))]
+    )
+    def test_shape_error_names_both_shapes(self, ref_shape, rec_shape):
+        with pytest.raises(ValueError, match=re.escape(f"got {ref_shape} and {rec_shape}")):
+            si_sdr(np.ones(ref_shape), np.ones(rec_shape))
 
     @pytest.mark.parametrize("shape", [(4096,), (2, 4096)], ids=["1d", "2d"])
     @pytest.mark.parametrize("which", ["reference", "reconstruction"])
@@ -334,8 +342,44 @@ class TestEvaluatePair:
 
     def test_invalid_prefilter_rejected(self):
         buf = noise_stereo(seconds=1.0, seed=77)
-        with pytest.raises(ValueError, match="prefilter"):
+        with pytest.raises(ValueError, match=re.escape("prefilter must be one of ('none', 'k', 'a')")):
             evaluate_pair(buf, buf, prefilter="z")
+
+    def test_huge_finite_chunk_evaluates_whole(self):
+        # 1e308 s of samples overflows to inf before any int conversion
+        buf = noise_stereo(seconds=1.0, seed=75)
+        for chunk_seconds in (1e300, 1e308):
+            report = evaluate_pair(buf, buf, chunk_seconds=chunk_seconds)
+            assert "shorter_than_one_chunk" in report.flags
+            assert report.stft_dist == 0.0
+
+    def test_silent_reference_channel_is_left_out_of_si_sdr(self):
+        ref = noise_stereo(seconds=1.0, amp=0.4, seed=95).samples.copy()
+        ref[1] = 0.0
+        rec = ref + 0.05 * np.random.default_rng(96).standard_normal(ref.shape)
+        report = evaluate_pair(AudioBuffer(ref, 44100), AudioBuffer(rec, 44100))
+        assert report.si_sdr_db == si_sdr(ref[0], rec[0])
+        assert "silent_reference_channel" in report.flags
+        assert "silent_reference_channel" not in evaluate_pair(AudioBuffer(rec, 44100), AudioBuffer(ref, 44100)).flags
+
+    def test_silent_reference_chunk_is_left_out_of_si_sdr(self):
+        rate, n = 44100, 2 * 44100
+        ref = noise_stereo(seconds=5.0, amp=0.4, seed=97).samples.copy()
+        ref[:, :n] = 0.0  # a silent intro of exactly one chunk
+        rec = ref + 0.05 * np.random.default_rng(98).standard_normal(ref.shape)
+        ref_buf, rec_buf = AudioBuffer(ref, rate), AudioBuffer(rec, rate)
+        whole = evaluate_pair(ref_buf, rec_buf)
+        assert "silent_reference_channel" not in whole.flags
+        chunked = evaluate_pair(ref_buf, rec_buf, chunk_seconds=2.0)
+        assert chunked.si_sdr_db == si_sdr(ref[:, n : 2 * n], rec[:, n : 2 * n])
+        assert "silent_reference_channel" in chunked.flags
+
+    @pytest.mark.parametrize("chunk_seconds", [None, 0.5])
+    def test_all_silent_reference_rejected(self, chunk_seconds):
+        rec = noise_stereo(seconds=1.0, amp=0.4, seed=99)
+        silent = AudioBuffer(np.zeros((2, rec.num_samples)), 44100)
+        with pytest.raises(ValueError, match="reference signal is all zeros"):
+            evaluate_pair(silent, rec, chunk_seconds=chunk_seconds)
 
     @pytest.mark.parametrize("which", ["reference", "reconstruction"])
     def test_non_finite_input_named(self, which):

@@ -85,8 +85,19 @@ class TestIntegratedLufs:
             integrated_lufs(AudioBuffer(np.zeros((2, 1000)), 44100))
 
     def test_low_rate_rejected(self):
-        with pytest.raises(ValueError):
-            integrated_lufs(AudioBuffer(np.zeros((2, 10000)), 4000))
+        with pytest.raises(ValueError, match="design rate must be an integer >= 8000 Hz, got 4000"):
+            integrated_lufs(AudioBuffer(np.zeros((2, 4000)), 4000))
+        # a buffer both too slow and too short reports the length first
+        with pytest.raises(ValueError, match="too short"):
+            integrated_lufs(AudioBuffer(np.zeros((2, 1000)), 4000))
+
+    @pytest.mark.parametrize("amp", [1e300, 1.5e308])
+    def test_overflowing_power_of_finite_samples_is_plus_infinity(self, amp):
+        # 1e300 squared overflows; at 1.5e308 the K filter's output does too
+        out = integrated_lufs(_sine_buf(1000.0, 44100, 2.0, amp, channel="both"))
+        assert out.lufs_i == np.inf
+        assert out.gated_block_count == out.ungated_block_count == 17
+        assert integrated_lufs(_sine_buf(1000.0, 44100, 2.0, 1e150, channel="both")).lufs_i < np.inf
 
     @pytest.mark.parametrize("value,at", [(np.nan, 0), (np.nan, -1), (np.inf, 0), (-np.inf, -1)])
     def test_non_finite_sample_rejected(self, value, at):

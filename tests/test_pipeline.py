@@ -27,6 +27,7 @@ from earmetrics import (
     save_wav,
     true_peak_dbtp,
 )
+from earmetrics.audio import _FLOAT, _wav_header
 from earmetrics.pipeline import REASONS
 from helpers import calibrated_burst_buffer, noise_stereo
 
@@ -401,6 +402,26 @@ class TestNonFinite:
         assert (decision.verdict, decision.reason) == ("reject", "non_finite")
         assert decision.measured == {"native_rate": 44100, "lufs_i": None, "dbtp": None}
         assert decision.output_path is None
+        assert list(out.iterdir()) == []
+
+
+class TestHugeAmplitude:
+    @pytest.mark.parametrize("amp", [1e300, 1.5e308])
+    @pytest.mark.parametrize("curate", [curate_stage1, curate_all], ids=["stage1", "all"])
+    def test_rejected_as_lufs_high(self, tmp_path, amp, curate):
+        # finite float64 samples whose K-weighted power overflows measure +inf LUFS
+        t = np.arange(2 * 44100) / 44100
+        x = amp * np.sin(2 * np.pi * 1000.0 * t)
+        src = tmp_path / "huge.wav"
+        with open(src, "wb") as fh:
+            fh.write(_wav_header(_FLOAT, 2, 44100, 8, t.size))
+            fh.write(np.stack([x, x]).T.astype("<f8").tobytes())
+        out = tmp_path / "out"
+        out.mkdir()
+        decision = curate(src, out)
+        assert (decision.verdict, decision.reason) == ("reject", "lufs_high")
+        assert decision.measured["lufs_i"] == np.inf
+        assert json.loads(decision.to_json())["measured"]["lufs_i"] is None
         assert list(out.iterdir()) == []
 
 
