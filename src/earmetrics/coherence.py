@@ -200,10 +200,12 @@ def si_sdr(ref: np.ndarray, rec: np.ndarray) -> float:
     ``(channels, n)`` return the mean over channels.
 
     Raises:
-        ValueError: on shape mismatch, non-finite samples or an all-zero
-            reference.
+        ValueError: on shape mismatch, no channels, non-finite samples or an
+            all-zero reference.
     """
     if np.ndim(ref) == 2 and np.shape(ref) == np.shape(rec):
+        if not len(ref):
+            raise ValueError(f"si_sdr needs at least one channel, got shape {np.shape(ref)}")
         return float(np.mean([si_sdr(a, b) for a, b in zip(ref, rec)]))
     value = _si_sdr_channel(*_channel_pair(ref, rec))
     if value is None:
@@ -339,29 +341,33 @@ def _evaluate_aligned(
         configs.append(coh_cfg.stft)
     coh = (_Icpc(coh_cfg), _Icpc(coh_cfg), _Ccpc(coh_cfg))
     channels = (ref.samples[0], rec.samples[0], ref.samples[1], rec.samples[1])
-    for sc, scale_dists in zip_longest(configs, dists, fillvalue=()):
-        for a_l, b_l, a_r, b_r in _stft_blocks(channels, sc):
-            for (stft_d, mel_d), a, b in zip(scale_dists, (a_l, a_r), (b_l, b_r)):
-                mag_a, mag_b = np.abs(a), np.abs(b)
-                stft_d.add(mag_a, mag_b)
-                mel_d.add(mag_a, mag_b)
-            mag_a = mag_b = None  # released before ICPC/CCPC form their products
-            if sc == coh_cfg.stft:
-                coh[0].add(a_l, b_l)
-                coh[1].add(a_r, b_r)
-                coh[2].add(a_l, a_r, b_l, b_r)
-    (icpc_l, deg_l), (icpc_r, deg_r), (ccpc_value, deg_c) = (c.percent() for c in coh)
-    sdr = [_si_sdr_channel(*_channel_pair(a, b)) for a, b in zip(ref.samples, rec.samples)]
-    heard = [v for v in sdr if v is not None]
-    # per channel over scales, then over channels; SI-SDR over channels with a reference
-    metrics = {
-        "mel_dist": float(np.mean([np.mean([d[ch][1].mean() for d in dists]) for ch in (0, 1)])),
-        "stft_dist": float(np.mean([np.mean([d[ch][0].mean() for d in dists]) for ch in (0, 1)])),
-        "icpc_percent": float(np.mean([icpc_l, icpc_r])),
-        "ccpc_percent": ccpc_value,
-        "si_sdr_db": float(np.mean(heard)) if heard else None,
-        "dbtp_dist": dbtp_distance(ref, rec),
-    }
+    # finite samples far beyond full scale overflow the products; named below, not warned
+    with np.errstate(over="ignore", invalid="ignore"):
+        for sc, scale_dists in zip_longest(configs, dists, fillvalue=()):
+            for a_l, b_l, a_r, b_r in _stft_blocks(channels, sc):
+                for (stft_d, mel_d), a, b in zip(scale_dists, (a_l, a_r), (b_l, b_r)):
+                    mag_a, mag_b = np.abs(a), np.abs(b)
+                    stft_d.add(mag_a, mag_b)
+                    mel_d.add(mag_a, mag_b)
+                mag_a = mag_b = None  # released before ICPC/CCPC form their products
+                if sc == coh_cfg.stft:
+                    coh[0].add(a_l, b_l)
+                    coh[1].add(a_r, b_r)
+                    coh[2].add(a_l, a_r, b_l, b_r)
+        (icpc_l, deg_l), (icpc_r, deg_r), (ccpc_value, deg_c) = (c.percent() for c in coh)
+        sdr = [_si_sdr_channel(*_channel_pair(a, b)) for a, b in zip(ref.samples, rec.samples)]
+        heard = [v for v in sdr if v is not None]
+        # per channel over scales, then over channels; SI-SDR over channels with a reference
+        metrics = {
+            "mel_dist": float(np.mean([np.mean([d[ch][1].mean() for d in dists]) for ch in (0, 1)])),
+            "stft_dist": float(np.mean([np.mean([d[ch][0].mean() for d in dists]) for ch in (0, 1)])),
+            "icpc_percent": float(np.mean([icpc_l, icpc_r])),
+            "ccpc_percent": ccpc_value,
+            "si_sdr_db": float(np.mean(heard)) if heard else None,
+            "dbtp_dist": dbtp_distance(ref, rec),
+        }
+    if not np.isfinite([v for v in metrics.values() if v is not None]).all():
+        raise ValueError("samples are too large for the metrics to stay finite in float64")
     flags = ["degenerate_coherence_input"] if deg_l or deg_r or deg_c else []
     return metrics, flags + (["silent_reference_channel"] if len(heard) < len(sdr) else [])
 
@@ -386,7 +392,8 @@ def evaluate_pair(
     the whole pair's length rule.
 
     Raises:
-        ValueError: on non-finite samples, empty overlap, a signal or chunk
+        ValueError: on non-finite samples, finite samples so large that a
+            metric overflows float64, empty overlap, a signal or chunk
             shorter than the largest window of the scale bank, a
             ``chunk_seconds`` that is not finite and positive, or an invalid
             prefilter.

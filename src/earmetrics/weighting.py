@@ -10,7 +10,6 @@ coefficient table printed in the standard.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from math import pi, tan
 
 import numpy as np
@@ -18,8 +17,6 @@ import numpy as np
 from .audio import AudioBuffer, _frozen
 
 __all__ = [
-    "FilterLabel",
-    "BiquadSection",
     "BiquadCascade",
     "design_k_weighting",
     "design_a_weighting",
@@ -32,50 +29,40 @@ MIN_DESIGN_RATE = 8000
 _PREFILTERS = ("none", "k", "a")
 
 
-class FilterLabel(str, Enum):
-    K_WEIGHTING = "k_weighting"
-    A_WEIGHTING = "a_weighting"
+@dataclass(frozen=True, eq=False)
+class BiquadCascade:
+    """Ordered chain of second-order sections tied to one design rate.
 
-
-@dataclass(frozen=True)
-class BiquadSection:
-    """Second-order section with ``a0`` normalized to 1.
+    ``sos`` is a read-only float64 ``(sections, 6)`` array of rows
+    ``(b0, b1, b2, 1, a1, a2)``, the layout ``scipy.signal.sosfilt`` takes;
+    the constructor copies its input. Equality is identity.
 
     Raises:
-        ValueError: if the poles are not strictly inside the unit circle.
+        ValueError: on no rows, a row width other than 6, ``a0 != 1``, a pole
+            on or outside the unit circle, or a design rate that is not a
+            positive integer.
     """
 
-    b0: float
-    b1: float
-    b2: float
-    a1: float
-    a2: float
-
-    def __post_init__(self) -> None:
-        poles = np.roots([1.0, self.a1, self.a2])
-        if poles.size and np.max(np.abs(poles)) >= 1.0:
-            raise ValueError(f"unstable biquad section: pole magnitude {np.max(np.abs(poles)):.6f}")
-
-    @property
-    def sos_row(self) -> tuple[float, float, float, float, float, float]:
-        return (self.b0, self.b1, self.b2, 1.0, self.a1, self.a2)
-
-
-@dataclass(frozen=True)
-class BiquadCascade:
-    """Ordered chain of biquad sections tied to one design rate."""
-
-    sections: tuple[BiquadSection, ...]
+    sos: np.ndarray
     design_rate: int
-    label: FilterLabel
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sections", tuple(self.sections))
-        if not self.sections:
+        sos = np.array(self.sos, dtype=np.float64)
+        if sos.ndim != 2 or sos.shape[1] != 6:
+            raise ValueError(f"sos must have shape (sections, 6), got {sos.shape}")
+        if not sos.shape[0]:
             raise ValueError("cascade needs at least one section")
-
-    def sos(self) -> np.ndarray:
-        return np.array([s.sos_row for s in self.sections], dtype=np.float64)
+        if np.any(sos[:, 3] != 1.0):
+            raise ValueError(f"sos rows must have a0 == 1, got {sos[:, 3]}")
+        for a1, a2 in sos[:, 4:]:
+            poles = np.roots([1.0, a1, a2])
+            if poles.size and np.max(np.abs(poles)) >= 1.0:
+                raise ValueError(f"unstable biquad section: pole magnitude {np.max(np.abs(poles)):.6f}")
+        rate = self.design_rate
+        if not isinstance(rate, (int, np.integer)) or rate <= 0:
+            raise ValueError(f"design_rate must be a positive integer, got {rate!r}")
+        object.__setattr__(self, "sos", _frozen(sos))
+        object.__setattr__(self, "design_rate", int(rate))
 
 
 # Analog prototype of the BS.1770 K-weighting stages. The shelf gain is split
@@ -112,23 +99,18 @@ def design_k_weighting(rate: int) -> BiquadCascade:
     vh = 10.0 ** (_K_SHELF_GAIN_DB / 20.0)
     vb = vh ** _K_SHELF_SPLIT
     d = 1.0 + k / _K_SHELF_Q + k * k
-    shelf = BiquadSection(
-        b0=(vh + vb * k / _K_SHELF_Q + k * k) / d,
-        b1=2.0 * (k * k - vh) / d,
-        b2=(vh - vb * k / _K_SHELF_Q + k * k) / d,
-        a1=2.0 * (k * k - 1.0) / d,
-        a2=(1.0 - k / _K_SHELF_Q + k * k) / d,
+    shelf = (
+        (vh + vb * k / _K_SHELF_Q + k * k) / d,
+        2.0 * (k * k - vh) / d,
+        (vh - vb * k / _K_SHELF_Q + k * k) / d,
+        1.0,
+        2.0 * (k * k - 1.0) / d,
+        (1.0 - k / _K_SHELF_Q + k * k) / d,
     )
     k = tan(pi * _K_HIGHPASS_HZ / rate)
     d = 1.0 + k / _K_HIGHPASS_Q + k * k
-    highpass = BiquadSection(
-        b0=1.0,
-        b1=-2.0,
-        b2=1.0,
-        a1=2.0 * (k * k - 1.0) / d,
-        a2=(1.0 - k / _K_HIGHPASS_Q + k * k) / d,
-    )
-    return BiquadCascade((shelf, highpass), rate, FilterLabel.K_WEIGHTING)
+    highpass = (1.0, -2.0, 1.0, 1.0, 2.0 * (k * k - 1.0) / d, (1.0 - k / _K_HIGHPASS_Q + k * k) / d)
+    return BiquadCascade((shelf, highpass), rate)
 
 
 def design_a_weighting(rate: int) -> BiquadCascade:
@@ -146,16 +128,10 @@ def design_a_weighting(rate: int) -> BiquadCascade:
     f1, f2, f3, f4 = _A_POLES_HZ
     poles = [-2.0 * pi * f for f in (f1, f1, f2, f3, f4, f4)]
     zd, pd, kd = signal.bilinear_zpk(zeros, poles, 1.0, rate)
-    rows = signal.zpk2sos(zd, pd, kd)
-    sections = [
-        BiquadSection(r[0] / r[3], r[1] / r[3], r[2] / r[3], r[4] / r[3], r[5] / r[3])
-        for r in rows
-    ]
-    cascade = BiquadCascade(tuple(sections), rate, FilterLabel.A_WEIGHTING)
-    gain = np.abs(frequency_response(cascade, np.array([1000.0])))[0]
-    head = sections[0]
-    sections[0] = BiquadSection(head.b0 / gain, head.b1 / gain, head.b2 / gain, head.a1, head.a2)
-    return BiquadCascade(tuple(sections), rate, FilterLabel.A_WEIGHTING)
+    sos = signal.zpk2sos(zd, pd, kd)
+    gain = np.abs(frequency_response(BiquadCascade(sos, rate), np.array([1000.0])))[0]
+    sos[0, :3] /= gain
+    return BiquadCascade(sos, rate)
 
 
 def frequency_response(cascade: BiquadCascade, freqs_hz: np.ndarray) -> np.ndarray:
@@ -164,8 +140,8 @@ def frequency_response(cascade: BiquadCascade, freqs_hz: np.ndarray) -> np.ndarr
     z1 = np.exp(-2j * pi * f / cascade.design_rate)
     z2 = z1 * z1
     h = np.ones_like(z1)
-    for s in cascade.sections:
-        h *= (s.b0 + s.b1 * z1 + s.b2 * z2) / (1.0 + s.a1 * z1 + s.a2 * z2)
+    for b0, b1, b2, _, a1, a2 in cascade.sos:
+        h *= (b0 + b1 * z1 + b2 * z2) / (1.0 + a1 * z1 + a2 * z2)
     return h
 
 
@@ -182,7 +158,8 @@ def apply_cascade(cascade: BiquadCascade, buf: AudioBuffer) -> AudioBuffer:
         )
     from scipy import signal
 
-    filtered = signal.sosfilt(cascade.sos(), buf.samples, axis=-1)
+    # sosfilt rejects a read-only sos ("buffer source array is read-only")
+    filtered = signal.sosfilt(cascade.sos.copy(), buf.samples, axis=-1)
     return AudioBuffer(_frozen(filtered), buf.sample_rate)
 
 

@@ -21,6 +21,11 @@ ACCEPTANCE_LINES: list[str] = []
 # about 39 ulp(pi).
 PHASE_ROTATION_BUDGET = 8 * np.spacing(np.pi)
 
+# Reference/reconstruction amplitudes of unit noise at which evaluate_pair's
+# products (CCPC multiplies four spectra, SI-SDR squares samples) overflow
+# float64; at 1e70 for both the metrics stay finite.
+HUGE_AMPLITUDES = [(1e300, 1.0), (1e300, 1e300), (1e160, 1e160), (1e80, 1e80)]
+
 
 def noise_stereo(
     rate: int = 44100,
@@ -30,6 +35,11 @@ def noise_stereo(
 ) -> AudioBuffer:
     rng = np.random.default_rng(seed)
     return AudioBuffer(amp * rng.standard_normal((2, int(seconds * rate))), rate)
+
+
+def huge_noise_pair(ref_amp: float, rec_amp: float) -> tuple[AudioBuffer, AudioBuffer]:
+    """One second of independent stereo noise at the two amplitudes."""
+    return noise_stereo(seconds=1.0, amp=ref_amp, seed=80), noise_stereo(seconds=1.0, amp=rec_amp, seed=81)
 
 
 def sine_stereo(

@@ -123,7 +123,7 @@ def test_criterion_01_perfect_reconstruction_battery():
 
 
 def test_criterion_02_k_weighting_calibration():
-    sos = design_k_weighting(48000).sos()
+    sos = design_k_weighting(48000).sos
     coef_err = max(
         abs(row[i] - want)
         for row, table in zip(sos, K_TABLE_48K)

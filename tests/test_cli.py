@@ -15,7 +15,8 @@ import earmetrics.coherence
 import earmetrics.weighting
 from earmetrics import AudioBuffer, align_pair, composite_objective, evaluate_pair, load_wav, save_wav
 from earmetrics.cli import main
-from helpers import noise_stereo
+from earmetrics.audio import _FLOAT, _wav_header
+from helpers import HUGE_AMPLITUDES, huge_noise_pair, noise_stereo
 
 
 def _traced_eval_peak(paths: list[Path], warm_pair: tuple[str, str], capsys) -> int:
@@ -150,6 +151,22 @@ class TestEvalCommand:
         save_wav(bad, AudioBuffer(samples, 44100), sample_format="float32")
         assert main(["eval", wav_pair[0], str(bad)]) == 1
         assert "reconstruction holds non-finite samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("ref_amp,rec_amp", [*HUGE_AMPLITUDES, (1e70, 1e70)])
+    def test_huge_finite_samples_fail_by_name(self, tmp_path, capsys, ref_amp, rec_amp):
+        paths = [str(tmp_path / "ref.wav"), str(tmp_path / "rec.wav")]
+        for path, buf in zip(paths, huge_noise_pair(ref_amp, rec_amp)):
+            with open(path, "wb") as fh:  # float64 WAV: float32 cannot hold these amplitudes
+                fh.write(_wav_header(_FLOAT, 2, 44100, 8, buf.num_samples))
+                fh.write(buf.samples.T.astype("<f8").tobytes())
+        code = main(["eval", *paths, "--fft-sizes", "512"])
+        out, err = capsys.readouterr()
+        if ref_amp == 1e70:  # the control: large, but every metric stays finite
+            assert (code, err) == (0, "")
+            assert json.loads(out)["icpc_percent"] <= 100.0
+        else:
+            assert code == 1
+            assert err == "error: samples are too large for the metrics to stay finite in float64\n"
 
     def test_missing_file_fails(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.wav")

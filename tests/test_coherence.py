@@ -24,7 +24,7 @@ from earmetrics import (
     stft,
 )
 from earmetrics.audio import _BLOCK_SAMPLES
-from helpers import noise_stereo, toy_pair, toy_with_silent_bins
+from helpers import HUGE_AMPLITUDES, huge_noise_pair, noise_stereo, toy_pair, toy_with_silent_bins
 from oracles import ccpc_direct, icpc_direct, si_sdr_direct
 
 
@@ -137,6 +137,11 @@ class TestSiSdr:
     def test_zero_reference_rejected(self):
         with pytest.raises(ValueError, match="zero"):
             si_sdr(np.zeros(100), np.ones(100))
+
+    def test_empty_channel_set_rejected(self):
+        # a mean over no channels used to give nan
+        with pytest.raises(ValueError, match=re.escape("at least one channel, got shape (0, 10)")):
+            si_sdr(np.zeros((0, 10)), np.zeros((0, 10)))
 
     def test_zero_reconstruction_floors(self, rng):
         x = rng.standard_normal(1000)
@@ -380,6 +385,17 @@ class TestEvaluatePair:
         silent = AudioBuffer(np.zeros((2, rec.num_samples)), 44100)
         with pytest.raises(ValueError, match="reference signal is all zeros"):
             evaluate_pair(silent, rec, chunk_seconds=chunk_seconds)
+
+    @pytest.mark.parametrize("ref_amp,rec_amp", HUGE_AMPLITUDES)
+    def test_huge_finite_samples_named(self, ref_amp, rec_amp):
+        # used to warn of overflow and fail on "ccpc_percent must be within [0, 100], got nan"
+        ref, rec = huge_noise_pair(ref_amp, rec_amp)
+        with pytest.raises(ValueError, match="samples are too large for the metrics to stay finite in float64"):
+            evaluate_pair(ref, rec, ms_cfg=MultiScaleConfig((512,)))
+
+    def test_large_finite_samples_still_evaluate(self):
+        report = evaluate_pair(*huge_noise_pair(1e70, 1e70), ms_cfg=MultiScaleConfig((512,)))
+        assert all(np.isfinite(getattr(report, k)) for k in report.METRIC_FIELDS)
 
     @pytest.mark.parametrize("which", ["reference", "reconstruction"])
     def test_non_finite_input_named(self, which):
