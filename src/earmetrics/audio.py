@@ -85,6 +85,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _non_finite(name: str) -> ValueError:
+    return ValueError(f"{name} holds non-finite samples (NaN or inf)")
+
+
 def _as_stereo(buf: AudioBuffer) -> AudioBuffer:
     """A mono buffer as a read-only two-channel view of its one channel, with
     no copy; a stereo buffer as it is."""
@@ -367,24 +371,101 @@ def _resample_taps(up: int, down: int) -> np.ndarray:
     return _frozen(signal.firwin(numtaps, (pass_edge + stop_edge) / 2.0, window=("kaiser", beta)))
 
 
+@lru_cache(maxsize=32)
+def _resample_plan(up: int, down: int) -> tuple[int, int, tuple[tuple[int, int, np.ndarray], ...]]:
+    """Polyphase matrices for resampling by ``up / down``: ``(outputs, inputs, groups)``.
+
+    Output ``k`` is ``sum_n up * h[k * down - n * up + half] * x[n]``, with
+    ``h`` the :func:`_resample_taps` filter of ``2 * half + 1`` taps, the sum
+    ``scipy.signal.resample_poly`` forms. The outputs fall into rows of
+    ``outputs`` (whole cycles of ``up``), and each row reads its inputs
+    ``inputs`` samples later than the row before, so one matrix serves every
+    row. Group ``(offset, phase, w)`` holds outputs ``phase`` to
+    ``phase + w.shape[1] - 1`` of row ``q``: they are
+    ``x[q * inputs + offset :][: w.shape[0]] @ w``, ``x`` zero outside the
+    signal.
+
+    A group holds about ``taps / (2 * down)`` consecutive outputs, whose
+    windows start within half the filter's length of each other, so ``w``
+    is at most about 1.5 times the ``taps / up`` inputs one output reads,
+    and the groups of one cycle hold about 1.5 times the filter's taps,
+    however large ``up * down`` is. When ``up`` is smaller than a group,
+    whole cycles are folded into one row, so that each product still has
+    many columns; the plan then holds the filter once per folded cycle.
+    """
+    taps = _resample_taps(up, down)
+    half = (taps.shape[0] - 1) // 2
+    span = max(1, taps.shape[0] // (2 * down))
+    cycles = max(1, span // up)
+    outputs = cycles * up
+    count = -(-outputs // span)
+    groups = []
+    for g in range(count):
+        p0, p1 = g * outputs // count, (g + 1) * outputs // count
+        first = -((half - p0 * down) // up)
+        last = ((p1 - 1) * down + half) // up
+        j = np.arange(p0, p1) * down - np.arange(first, last + 1)[:, np.newaxis] * up + half
+        inside = (j >= 0) & (j < taps.shape[0])
+        w = np.where(inside, taps[np.where(inside, j, 0)] * up, 0.0)
+        groups.append((first, p0, _frozen(w)))
+    return outputs, cycles * down, tuple(groups)
+
+
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Band-limited sample-rate conversion via polyphase filtering.
 
     Output length is ``num_samples * target_rate / sample_rate`` rounded to
     nearest (ties to even). Returns the input unchanged when the rates match.
+    The sums are dense matrix products (see :func:`_resample_plan`) over
+    blocks of about ``_BLOCK_SAMPLES`` values, so no temporary grows with
+    the signal.
+
+    Raises:
+        ValueError: on a target rate that is not a positive integer, or a
+            buffer holding NaN or inf samples.
     """
     if not isinstance(target_rate, (int, np.integer)) or target_rate <= 0:
         raise ValueError(f"target_rate must be a positive integer, got {target_rate!r}")
     target_rate = int(target_rate)
     if target_rate == buf.sample_rate:
         return buf
-    from scipy import signal
-
     g = gcd(buf.sample_rate, target_rate)
     up, down = target_rate // g, buf.sample_rate // g
-    out = signal.resample_poly(buf.samples, up, down, axis=-1, window=_resample_taps(up, down))
     q, r = divmod(buf.num_samples * target_rate, buf.sample_rate)
     n_out = q + (1 if (2 * r > buf.sample_rate or (2 * r == buf.sample_rate and q % 2 == 1)) else 0)
+    outputs, inputs, groups = _resample_plan(up, down)
+    n = buf.num_samples
+    rows = -(-n_out // outputs)
+    reach = groups[0][0], groups[-1][0] + groups[-1][2].shape[0]  # a row's inputs, from its start
+    step = max(1, _BLOCK_SAMPLES // max(w.shape[0] for _, _, w in groups))
+    # rows before head read before the first sample, rows from tail on past the
+    # last: only those few rows are taken from zero-padded copies
+    head = min(rows, -(reach[0] // inputs))
+    tail = max(head, min(rows, (n - reach[1]) // inputs + 1))
+    bounds = [0, *range(head, tail, step), tail, rows]
+    out = np.empty((buf.channels, rows * outputs))
+    # finite samples near the float64 limit may overflow, silently, as a direct sum would
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, y in zip(buf.samples, out.reshape(buf.channels, rows, outputs)):
+            for r0, r1 in zip(bounds, bounds[1:]):
+                if r0 == r1:
+                    continue
+                # the last block also checks any tail that no row reads
+                read = x[max(r0 * inputs + reach[0], 0) : n if r1 == rows else (r1 - 1) * inputs + reach[1]]
+                if not np.isfinite(read).all():  # a NaN would spread over whole rows
+                    raise _non_finite("buffer")
+                for offset, phase, w in groups:
+                    lo = r0 * inputs + offset
+                    hi = (r1 - 1) * inputs + offset + w.shape[0]
+                    a = max(lo, 0)
+                    b = max(min(hi, n), a)
+                    seg = x[a:b]
+                    if lo < 0 or hi > n:
+                        seg = np.concatenate((np.zeros(a - lo), seg, np.zeros(hi - b)))
+                    rows_in = np.lib.stride_tricks.as_strided(
+                        seg, (r1 - r0, w.shape[0]), (inputs * seg.strides[0], seg.strides[0])
+                    )
+                    np.matmul(rows_in.copy(), w, out=y[r0:r1, phase : phase + w.shape[1]])
     return AudioBuffer(_frozen(out[:, :n_out]), target_rate)
 
 

@@ -15,8 +15,7 @@ from math import isfinite, log10
 
 import numpy as np
 
-from .audio import _BLOCK_SAMPLES, AudioBuffer, _frozen
-from .stereo import _non_finite
+from .audio import _BLOCK_SAMPLES, AudioBuffer, _frozen, _non_finite
 from .weighting import apply_cascade, design_k_weighting
 
 __all__ = [

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio import AudioBuffer, _frozen
+from .audio import AudioBuffer, _frozen, _non_finite
 
 __all__ = [
     "MslrSignals",
@@ -34,10 +34,6 @@ class MslrSignals:
         if name not in ("left", "right", "mid", "side"):
             raise ValueError(f"unknown component {name!r}")
         return getattr(self, name)
-
-
-def _non_finite(name: str) -> ValueError:
-    return ValueError(f"{name} holds non-finite samples (NaN or inf)")
 
 
 def _check_finite(ref: np.ndarray, rec: np.ndarray) -> None:

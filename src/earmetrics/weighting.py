@@ -38,9 +38,9 @@ class BiquadCascade:
     the constructor copies its input. Equality is identity.
 
     Raises:
-        ValueError: on no rows, a row width other than 6, ``a0 != 1``, a pole
-            on or outside the unit circle, or a design rate that is not a
-            positive integer.
+        ValueError: on no rows, a row width other than 6, a NaN or inf
+            coefficient, ``a0 != 1``, a pole on or outside the unit circle,
+            or a design rate that is not a positive integer.
     """
 
     sos: np.ndarray
@@ -52,6 +52,8 @@ class BiquadCascade:
             raise ValueError(f"sos must have shape (sections, 6), got {sos.shape}")
         if not sos.shape[0]:
             raise ValueError("cascade needs at least one section")
+        if not np.isfinite(sos).all():
+            raise ValueError(f"sos coefficients must be finite, got {sos.tolist()}")
         if np.any(sos[:, 3] != 1.0):
             raise ValueError(f"sos rows must have a0 == 1, got {sos[:, 3]}")
         for a1, a2 in sos[:, 4:]:

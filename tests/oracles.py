@@ -8,7 +8,8 @@ The exceptions are the whole-array references at the end: they compute each
 metric from one whole spectrogram per channel and scale, as numpy array
 formulas, and check the package's block-by-block analysis on real signal
 lengths. They take the mel filterbank from the package, which is not what
-they check.
+they check; likewise the resampling reference takes the package's filter
+and sums it with ``scipy.signal.resample_poly``.
 """
 from __future__ import annotations
 
@@ -331,3 +332,14 @@ def load_wav_direct(path) -> tuple[int, np.ndarray]:
     elif data.dtype.name == "int32":
         x = x / 2**31
     return rate, (x[np.newaxis, :] if x.ndim == 1 else x.T)
+
+
+def resample_poly_direct(x: np.ndarray, up: int, down: int, n_out: int) -> np.ndarray:
+    """``x`` resampled by ``up / down`` along its last axis with the package's
+    ``_resample_taps`` filter, summed by ``scipy.signal.resample_poly``, and
+    trimmed to ``n_out`` samples."""
+    from scipy import signal
+
+    from earmetrics.audio import _resample_taps
+
+    return signal.resample_poly(x, up, down, axis=-1, window=_resample_taps(up, down))[..., :n_out]

@@ -4,6 +4,8 @@ import re
 import struct
 import tempfile
 import tracemalloc
+from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +24,18 @@ from earmetrics import (
     save_wav,
     stft,
 )
-from earmetrics.audio import _BLOCK_SAMPLES, _as_stereo, _hann_window, _resample_taps, _wav_header
+from earmetrics.audio import (
+    _BLOCK_SAMPLES,
+    _as_stereo,
+    _hann_window,
+    _resample_plan,
+    _resample_taps,
+    _wav_header,
+)
 from earmetrics.loudness import _true_peak_taps
 from earmetrics.spectral import mel_filterbank
 from helpers import noise_stereo
-from oracles import load_wav_direct
+from oracles import load_wav_direct, resample_poly_direct
 
 WAV_FORMATS = ["pcm16", "pcm24", "pcm32", "float32"]
 
@@ -39,8 +48,9 @@ WAV_FORMATS = ["pcm16", "pcm24", "pcm32", "float32"]
         lambda: stft(np.ones(2048), StftConfig(512), 44100).bins,
         _true_peak_taps,
         lambda: mel_filterbank(16, 512, 44100),
+        lambda: _resample_plan(160, 147)[2][0][2],
     ],
-    ids=["resample_taps", "hann_window", "stft_bins", "true_peak_taps", "mel_filterbank"],
+    ids=["resample_taps", "hann_window", "stft_bins", "true_peak_taps", "mel_filterbank", "resample_plan"],
 )
 def test_cached_and_returned_arrays_are_read_only(make):
     arr = make()
@@ -535,3 +545,52 @@ class TestResample:
         buf = AudioBuffer(rng.standard_normal((1, 100)), 44100)
         with pytest.raises(ValueError):
             resample(buf, 0)
+
+    @pytest.mark.parametrize(
+        "source,target",
+        [(48000, 44100), (96000, 44100), (88200, 44100), (192000, 44100), (44100, 48000), (22050, 44100), (44100, 22050)],
+    )
+    def test_matches_resample_poly(self, source, target):
+        up, down = target // gcd(source, target), source // gcd(source, target)
+        half = len(_resample_taps(up, down)) // (2 * up)  # input samples under half the filter
+        _, inputs, groups = _resample_plan(up, down)
+        step = max(1, _BLOCK_SAMPLES // max(w.shape[0] for _, _, w in groups))
+        # the length at which the rows read wholly inside the signal fill one block
+        block = (step - 1 - groups[0][0] // inputs) * inputs + groups[-1][0] + groups[-1][2].shape[0]
+        rng = np.random.default_rng(source + target)
+        for n in (1, 2, half - 1, half + 1, block - 1, block, block + inputs):
+            mono = AudioBuffer(rng.standard_normal(n), source)
+            for buf in (mono, AudioBuffer(rng.standard_normal((2, n)), source), _as_stereo(mono)):
+                out = resample(buf, target)
+                want = resample_poly_direct(buf.samples, up, down, round(Fraction(n * target, source)))
+                assert out.sample_rate == target and out.samples.shape == want.shape
+                peak = np.max(np.abs(want), initial=0.0)
+                np.testing.assert_allclose(out.samples, want, rtol=0, atol=1e-12 * peak)
+
+    def test_plan_for_nearly_equal_rates_stays_small(self):
+        # one (window, up) matrix for 44101 -> 44100 Hz would hold up * down + taps values, about 15 GB
+        taps = _resample_taps(44100, 44101)
+        buf = AudioBuffer(np.random.default_rng(7).standard_normal(3000), 44101)
+        _resample_plan.cache_clear()
+        tracemalloc.start()
+        try:
+            out = resample(buf, 44100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        try:
+            assert peak < 2 * taps.nbytes
+            want = resample_poly_direct(buf.samples, 44100, 44101, 3000)
+            np.testing.assert_allclose(out.samples, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+        finally:  # the filter and its plan take about 140 MB
+            _resample_plan.cache_clear()
+            _resample_taps.cache_clear()
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf])
+    @pytest.mark.parametrize("where", [0, 100_000, -1], ids=["first", "middle", "last"])
+    def test_non_finite_input_named(self, value, where):
+        # one NaN at 48 kHz used to give 162 NaN outputs, with no error
+        samples = np.random.default_rng(5).standard_normal((2, 200_001))
+        samples[1, where] = value
+        with pytest.raises(ValueError, match=re.escape("buffer holds non-finite samples (NaN or inf)")):
+            resample(AudioBuffer(samples, 48000), 44100)

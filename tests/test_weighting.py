@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,18 @@ class TestBiquadCascade:
     def test_rejects_row_width(self, shape):
         with pytest.raises(ValueError, match=re.escape(f"sos must have shape (sections, 6), got {shape}")):
             BiquadCascade(np.ones(shape), 48000)
+
+    @pytest.mark.parametrize(
+        "row",
+        [[np.nan, 0.0, 0.0, 1.0, 0.0, 0.0], [np.inf, 0.0, 0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0, np.nan, 0.0]],
+        ids=["nan_b0", "inf_b0", "nan_a1"],
+    )
+    def test_rejects_non_finite_coefficient(self, row):
+        # a NaN or inf b0 used to be accepted, and a NaN a1 failed inside np.roots
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sos coefficients must be finite"):
+                BiquadCascade([row], 48000)
 
     def test_rejects_a0_other_than_one(self):
         with pytest.raises(ValueError, match="a0 == 1"):
