@@ -354,7 +354,6 @@ def save_wav(path: str | Path, buf: AudioBuffer, sample_format: str = "float32")
         fh.write(payload)
 
 
-@lru_cache(maxsize=32)
 def _resample_taps(up: int, down: int) -> np.ndarray:
     """Kaiser-windowed sinc for polyphase resampling.
 
@@ -371,17 +370,20 @@ def _resample_taps(up: int, down: int) -> np.ndarray:
     return _frozen(signal.firwin(numtaps, (pass_edge + stop_edge) / 2.0, window=("kaiser", beta)))
 
 
-@lru_cache(maxsize=32)
-def _resample_plan(up: int, down: int) -> tuple[int, int, tuple[tuple[int, int, np.ndarray], ...]]:
-    """Polyphase matrices for resampling by ``up / down``: ``(outputs, inputs, groups)``.
+_Plan = tuple[int, int, tuple[tuple[int, int, np.ndarray], ...]]
 
-    Output ``k`` is ``sum_n up * h[k * down - n * up + half] * x[n]``, with
-    ``h`` the :func:`_resample_taps` filter of ``2 * half + 1`` taps, the sum
-    ``scipy.signal.resample_poly`` forms. The outputs fall into rows of
-    ``outputs`` (whole cycles of ``up``), and each row reads its inputs
-    ``inputs`` samples later than the row before, so one matrix serves every
-    row. Group ``(offset, phase, w)`` holds outputs ``phase`` to
-    ``phase + w.shape[1] - 1`` of row ``q``: they are
+
+def _polyphase_plan(taps: np.ndarray, up: int, down: int, half: int, gain: float = 1.0) -> _Plan:
+    """The filter ``gain * taps`` cut into polyphase matrices: ``(outputs, inputs, groups)``.
+
+    Output ``k`` is ``sum_n gain * taps[k * down - n * up + half] * x[n]``: ``x``
+    stuffed with ``up - 1`` zeros after each sample, filtered, advanced by
+    ``half`` samples and kept at every ``down``-th sample. ``half = 0``
+    gives the full convolution from its first output. The outputs fall into
+    rows of ``outputs`` (whole cycles of ``up``), and each row reads its
+    inputs ``inputs`` samples later than the row before, so one matrix
+    serves every row. Group ``(offset, phase, w)`` holds outputs ``phase``
+    to ``phase + w.shape[1] - 1`` of row ``q``: they are
     ``x[q * inputs + offset :][: w.shape[0]] @ w``, ``x`` zero outside the
     signal.
 
@@ -393,22 +395,76 @@ def _resample_plan(up: int, down: int) -> tuple[int, int, tuple[tuple[int, int, 
     whole cycles are folded into one row, so that each product still has
     many columns; the plan then holds the filter once per folded cycle.
     """
-    taps = _resample_taps(up, down)
-    half = (taps.shape[0] - 1) // 2
-    span = max(1, taps.shape[0] // (2 * down))
+    size = taps.shape[0]
+    span = max(1, size // (2 * down))
     cycles = max(1, span // up)
     outputs = cycles * up
     count = -(-outputs // span)
     groups = []
     for g in range(count):
         p0, p1 = g * outputs // count, (g + 1) * outputs // count
-        first = -((half - p0 * down) // up)
+        first = -((size - 1 - half - p0 * down) // up)
         last = ((p1 - 1) * down + half) // up
         j = np.arange(p0, p1) * down - np.arange(first, last + 1)[:, np.newaxis] * up + half
-        inside = (j >= 0) & (j < taps.shape[0])
-        w = np.where(inside, taps[np.where(inside, j, 0)] * up, 0.0)
+        inside = (j >= 0) & (j < size)
+        w = np.where(inside, taps[np.where(inside, j, 0)], 0.0)
+        w *= gain  # per group, so no scaled copy of a long filter is made
         groups.append((first, p0, _frozen(w)))
     return outputs, cycles * down, tuple(groups)
+
+
+@lru_cache(maxsize=32)
+def _resample_plan(up: int, down: int) -> _Plan:
+    """The :func:`_resample_taps` filter scaled by ``up`` and centred, the
+    sums ``scipy.signal.resample_poly`` forms."""
+    taps = _resample_taps(up, down)
+    return _polyphase_plan(taps, up, down, (taps.shape[0] - 1) // 2, up)
+
+
+# Above this ratio term a filter has over 160 * 2**11 taps (2.6 MB), so its plan
+# is not kept: 44101 -> 44100 Hz would pin 56.6 MB of taps and 1.5x that of plan.
+_CACHED_RATIO_TERM = 2**11
+
+
+def _polyphase_blocks(n: int, plan: _Plan, rows: int) -> list[tuple[int, int]]:
+    """Rows ``0`` to ``rows - 1`` of a product with ``plan`` on an
+    ``n``-sample signal, cut into blocks ``(r0, r1)`` that read about
+    ``_BLOCK_SAMPLES`` values each. The few rows that read before the first
+    sample or past the last are blocks of their own, so only they are taken
+    from zero-padded copies."""
+    _, inputs, groups = plan
+    reach = groups[0][0], groups[-1][0] + groups[-1][2].shape[0]  # a row's inputs, from its start
+    step = max(1, _BLOCK_SAMPLES // max(w.shape[0] for _, _, w in groups))
+    head = min(rows, -(reach[0] // inputs))
+    tail = max(head, min(rows, (n - reach[1]) // inputs + 1))
+    bounds = [0, *range(head, tail, step), tail, rows]
+    return [(r0, r1) for r0, r1 in zip(bounds, bounds[1:]) if r0 < r1]
+
+
+def _polyphase_rows(x: np.ndarray, plan: _Plan, r0: int, out: np.ndarray) -> None:
+    """Rows ``r0`` to ``r0 + out.shape[0] - 1`` of the product of the 1-D
+    signal ``x`` with ``plan`` (see :func:`_polyphase_plan`) into ``out``, as
+    BLAS products of strided views of ``x``. Raises ``ValueError`` when the
+    rows read a NaN or inf sample."""
+    _, inputs, groups = plan
+    n = x.shape[0]
+    r1 = r0 + out.shape[0]
+    for offset, phase, w in groups:
+        lo = r0 * inputs + offset
+        hi = (r1 - 1) * inputs + offset + w.shape[0]
+        a = max(lo, 0)
+        b = max(min(hi, n), a)
+        seg = x[a:b]
+        if not np.isfinite(seg).all():  # a NaN would spread over whole rows
+            raise _non_finite("buffer")
+        if lo < 0 or hi > n:
+            seg = np.concatenate((np.zeros(a - lo), seg, np.zeros(hi - b)))
+        rows_in = np.lib.stride_tricks.as_strided(
+            seg, (r1 - r0, w.shape[0]), (inputs * seg.strides[0], seg.strides[0])
+        )
+        # finite samples near the float64 limit may overflow, silently, as a direct sum would
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.matmul(rows_in.copy(), w, out=out[:, phase : phase + w.shape[1]])
 
 
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
@@ -416,9 +472,9 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
 
     Output length is ``num_samples * target_rate / sample_rate`` rounded to
     nearest (ties to even). Returns the input unchanged when the rates match.
-    The sums are dense matrix products (see :func:`_resample_plan`) over
+    The sums are dense matrix products (see :func:`_polyphase_rows`) over
     blocks of about ``_BLOCK_SAMPLES`` values, so no temporary grows with
-    the signal.
+    the signal. Every sample is read by some output row, so each is checked.
 
     Raises:
         ValueError: on a target rate that is not a positive integer, or a
@@ -433,40 +489,14 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     up, down = target_rate // g, buf.sample_rate // g
     q, r = divmod(buf.num_samples * target_rate, buf.sample_rate)
     n_out = q + (1 if (2 * r > buf.sample_rate or (2 * r == buf.sample_rate and q % 2 == 1)) else 0)
-    outputs, inputs, groups = _resample_plan(up, down)
-    n = buf.num_samples
-    rows = -(-n_out // outputs)
-    reach = groups[0][0], groups[-1][0] + groups[-1][2].shape[0]  # a row's inputs, from its start
-    step = max(1, _BLOCK_SAMPLES // max(w.shape[0] for _, _, w in groups))
-    # rows before head read before the first sample, rows from tail on past the
-    # last: only those few rows are taken from zero-padded copies
-    head = min(rows, -(reach[0] // inputs))
-    tail = max(head, min(rows, (n - reach[1]) // inputs + 1))
-    bounds = [0, *range(head, tail, step), tail, rows]
-    out = np.empty((buf.channels, rows * outputs))
-    # finite samples near the float64 limit may overflow, silently, as a direct sum would
-    with np.errstate(over="ignore", invalid="ignore"):
-        for x, y in zip(buf.samples, out.reshape(buf.channels, rows, outputs)):
-            for r0, r1 in zip(bounds, bounds[1:]):
-                if r0 == r1:
-                    continue
-                # the last block also checks any tail that no row reads
-                read = x[max(r0 * inputs + reach[0], 0) : n if r1 == rows else (r1 - 1) * inputs + reach[1]]
-                if not np.isfinite(read).all():  # a NaN would spread over whole rows
-                    raise _non_finite("buffer")
-                for offset, phase, w in groups:
-                    lo = r0 * inputs + offset
-                    hi = (r1 - 1) * inputs + offset + w.shape[0]
-                    a = max(lo, 0)
-                    b = max(min(hi, n), a)
-                    seg = x[a:b]
-                    if lo < 0 or hi > n:
-                        seg = np.concatenate((np.zeros(a - lo), seg, np.zeros(hi - b)))
-                    rows_in = np.lib.stride_tricks.as_strided(
-                        seg, (r1 - r0, w.shape[0]), (inputs * seg.strides[0], seg.strides[0])
-                    )
-                    np.matmul(rows_in.copy(), w, out=y[r0:r1, phase : phase + w.shape[1]])
-    return AudioBuffer(_frozen(out[:, :n_out]), target_rate)
+    plan = (_resample_plan if max(up, down) <= _CACHED_RATIO_TERM else _resample_plan.__wrapped__)(up, down)
+    rows = -(-n_out // plan[0])
+    blocks = _polyphase_blocks(buf.num_samples, plan, rows)
+    out = np.empty((buf.channels, rows, plan[0]))
+    for x, y in zip(buf.samples, out):
+        for r0, r1 in blocks:
+            _polyphase_rows(x, plan, r0, y[r0:r1])
+    return AudioBuffer(_frozen(out.reshape(buf.channels, -1)[:, :n_out]), target_rate)
 
 
 @lru_cache(maxsize=16)

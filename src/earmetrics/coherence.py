@@ -304,10 +304,10 @@ def align_pair(ref: AudioBuffer, rec: AudioBuffer) -> tuple[AudioBuffer, AudioBu
         flags.append("mono_reference_duplicated")
     if rec.channels == 1:
         flags.append("mono_reconstruction_duplicated")
-    ref, rec = _as_stereo(ref), _as_stereo(rec)
     if rec.sample_rate != ref.sample_rate:
         rec = resample(rec, ref.sample_rate)
         flags.append("reconstruction_resampled")
+    ref, rec = _as_stereo(ref), _as_stereo(rec)
     if ref.num_samples != rec.num_samples:
         n = min(ref.num_samples, rec.num_samples)
         if n == 0:

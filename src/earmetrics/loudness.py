@@ -3,8 +3,10 @@
 Loudness follows the BS.1770/R128 gating recipe: K-weight each channel,
 form 400 ms blocks at 75% overlap, drop blocks at or below -70 LUFS, then
 drop blocks at or below 10 LU under the ungated mean. True peak upsamples
-4x through a 193-tap Kaiser-windowed sinc, run as four polyphase branches of
-49/48/48/48 taps, and reports the oversampled absolute maximum in dB.
+4x through a 193-tap Kaiser-windowed sinc, run as one polyphase matrix
+product per block (the resampler's kernel, ``audio._polyphase_rows``), and
+reports the oversampled absolute maximum in dB. A mono signal promoted to
+stereo is one row seen twice, and both measures take it once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from math import isfinite, log10
 
 import numpy as np
 
-from .audio import _BLOCK_SAMPLES, AudioBuffer, _frozen, _non_finite
+from .audio import AudioBuffer, _frozen, _non_finite, _Plan
+from .audio import _polyphase_blocks, _polyphase_plan, _polyphase_rows
 from .weighting import apply_cascade, design_k_weighting
 
 __all__ = [
@@ -67,6 +70,14 @@ class TruePeakResult:
             raise ValueError("dbtp must equal the per-channel maximum")
 
 
+def _distinct_rows(samples: np.ndarray) -> list[tuple[np.ndarray, int]]:
+    """Each distinct row of ``samples`` with the number of channels it stands
+    for: a mono signal promoted to stereo (a stride-0 view) is one row, twice."""
+    if samples.shape[0] > 1 and samples.strides[0] == 0:
+        return [(samples[0], samples.shape[0])]
+    return [(row, 1) for row in samples]
+
+
 def _block_mean_squares(channel: np.ndarray, block: int, step: int, count: int) -> np.ndarray:
     csum = np.concatenate([[0.0], np.cumsum(channel * channel)])
     starts = step * np.arange(count)
@@ -90,15 +101,18 @@ def integrated_lufs(buf: AudioBuffer) -> LoudnessResult:
             f"audio too short for loudness measurement: {buf.num_samples} samples "
             f"< one {block}-sample gating block"
         )
-    weighted = apply_cascade(design_k_weighting(rate), buf)
-    # feedback carries a NaN or inf sample, or an overflow of finite input, to the last output
-    if not np.isfinite(weighted.samples[:, -1]).all() and not np.isfinite(buf.samples).all():
-        raise _non_finite("buffer")
+    cascade = design_k_weighting(rate)
     count = 1 + (buf.num_samples - block) // step
     power = np.zeros(count)
     with np.errstate(over="ignore", invalid="ignore"):
-        for ch in weighted.samples:
-            power += _block_mean_squares(ch, block, step, count)
+        for row, copies in _distinct_rows(buf.samples):
+            weighted = apply_cascade(cascade, AudioBuffer(row, rate)).samples[0]
+            # feedback carries a NaN or inf sample, or an overflow of finite input, to the last output
+            if not isfinite(weighted[-1]) and not np.isfinite(row).all():
+                raise _non_finite("buffer")
+            msq = _block_mean_squares(weighted, block, step, count)
+            for _ in range(copies):
+                power += msq
         total = power.sum()
     if not isfinite(total):  # finite samples whose power overflows float64: louder than any gate
         return LoudnessResult(float("inf"), count, count)
@@ -126,41 +140,42 @@ def _true_peak_taps() -> np.ndarray:
     return _frozen(taps / taps.sum() * _TP_FACTOR)
 
 
+@lru_cache(maxsize=1)
+def _true_peak_plan() -> _Plan:
+    """The full convolution as one matrix: a row sums 72 inputs into 96 outputs."""
+    return _polyphase_plan(_true_peak_taps(), _TP_FACTOR, 1, 0)
+
+
 def true_peak_dbtp(buf: AudioBuffer) -> TruePeakResult:
     """True peak via 4x polyphase oversampling.
 
-    Oversampled sample ``4*i + j`` is ``sum_l taps[4*l + j] * x[i - l]``, so
-    branch ``j`` is the full convolution of the channel with ``taps[j::4]``.
-    The full convolution runs over the filter's whole support, so peaks near
-    the boundaries are seen without padding. Each branch is convolved over
-    blocks of ``_BLOCK_SAMPLES`` input samples, each led by the 48 samples
-    before it, so only one block of output is alive at a time; every output
-    is the same sum as in the whole convolution. Digital silence reports the
-    floor value ``SILENCE_FLOOR_DBTP``.
+    Oversampled sample ``k`` is ``sum_n taps[k - 4 * n] * x[n]``, the full
+    convolution of the zero-stuffed channel with the filter, so peaks near
+    the boundaries are seen. It runs as blocked matrix products (see
+    ``audio._polyphase_rows``) into one reused block array, keeping only
+    each block's absolute maximum. Digital silence reports the floor value
+    ``SILENCE_FLOOR_DBTP``.
 
     Raises:
         ValueError: on an empty buffer or one holding NaN or inf samples.
     """
     if buf.num_samples == 0:
         raise ValueError("cannot measure true peak of an empty buffer")
-    taps = _true_peak_taps()
-    branches = [taps[j::_TP_FACTOR] for j in range(_TP_FACTOR)]
-    overlap = len(branches[0]) - 1
-    n = buf.num_samples
+    plan = _true_peak_plan()
+    rows = -(-(_TP_FACTOR * (buf.num_samples - 1) + _TP_TAPS_TOTAL) // plan[0])
+    blocks = _polyphase_blocks(buf.num_samples, plan, rows)
+    y = np.empty((max(r1 - r0 for r0, r1 in blocks), plan[0]))
     per_channel = []
-    for ch in buf.samples:
+    for row, copies in _distinct_rows(buf.samples):
         peak = 0.0
-        for lo in range(0, n, _BLOCK_SAMPLES):
-            hi = min(lo + _BLOCK_SAMPLES, n)
-            start = max(0, lo - overlap)
-            for h in branches:
-                # outputs lo..hi-1 of the whole convolution; the last block also its tail
-                out = np.convolve(ch[start:hi], h)[lo - start : hi - start if hi < n else None]
-                block_peak = float(np.abs(out, out=out).max())
-                if not isfinite(block_peak):  # max() would drop a NaN
-                    raise _non_finite("buffer")
-                peak = max(peak, block_peak)
-        per_channel.append(20.0 * log10(peak) if peak > 0.0 else SILENCE_FLOOR_DBTP)
+        for r0, r1 in blocks:
+            block = y[: r1 - r0]
+            _polyphase_rows(row, plan, r0, block)
+            block_peak = float(np.abs(block, out=block).max())
+            if not isfinite(block_peak):  # max() would drop a NaN; finite samples may overflow
+                raise _non_finite("buffer")
+            peak = max(peak, block_peak)
+        per_channel += [20.0 * log10(peak) if peak > 0.0 else SILENCE_FLOOR_DBTP] * copies
     return TruePeakResult(dbtp=max(per_channel), per_channel=tuple(per_channel))
 
 

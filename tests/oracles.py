@@ -334,12 +334,16 @@ def load_wav_direct(path) -> tuple[int, np.ndarray]:
     return rate, (x[np.newaxis, :] if x.ndim == 1 else x.T)
 
 
-def resample_poly_direct(x: np.ndarray, up: int, down: int, n_out: int) -> np.ndarray:
+def resample_poly_direct(
+    x: np.ndarray, up: int, down: int, n_out: int, taps: np.ndarray | None = None
+) -> np.ndarray:
     """``x`` resampled by ``up / down`` along its last axis with the package's
-    ``_resample_taps`` filter, summed by ``scipy.signal.resample_poly``, and
-    trimmed to ``n_out`` samples."""
+    ``_resample_taps`` filter (or ``taps``, when that filter is already at
+    hand), summed by ``scipy.signal.resample_poly``, and trimmed to ``n_out``
+    samples."""
     from scipy import signal
 
     from earmetrics.audio import _resample_taps
 
-    return signal.resample_poly(x, up, down, axis=-1, window=_resample_taps(up, down))[..., :n_out]
+    window = _resample_taps(up, down) if taps is None else taps
+    return signal.resample_poly(x, up, down, axis=-1, window=window)[..., :n_out]

@@ -24,6 +24,7 @@ from earmetrics import (
     save_wav,
     stft,
 )
+from earmetrics import audio
 from earmetrics.audio import (
     _BLOCK_SAMPLES,
     _as_stereo,
@@ -32,7 +33,7 @@ from earmetrics.audio import (
     _resample_taps,
     _wav_header,
 )
-from earmetrics.loudness import _true_peak_taps
+from earmetrics.loudness import _true_peak_plan, _true_peak_taps
 from earmetrics.spectral import mel_filterbank
 from helpers import noise_stereo
 from oracles import load_wav_direct, resample_poly_direct
@@ -49,8 +50,17 @@ WAV_FORMATS = ["pcm16", "pcm24", "pcm32", "float32"]
         _true_peak_taps,
         lambda: mel_filterbank(16, 512, 44100),
         lambda: _resample_plan(160, 147)[2][0][2],
+        lambda: _true_peak_plan()[2][0][2],
     ],
-    ids=["resample_taps", "hann_window", "stft_bins", "true_peak_taps", "mel_filterbank", "resample_plan"],
+    ids=[
+        "resample_taps",
+        "hann_window",
+        "stft_bins",
+        "true_peak_taps",
+        "mel_filterbank",
+        "resample_plan",
+        "true_peak_plan",
+    ],
 )
 def test_cached_and_returned_arrays_are_read_only(make):
     arr = make()
@@ -567,24 +577,36 @@ class TestResample:
                 peak = np.max(np.abs(want), initial=0.0)
                 np.testing.assert_allclose(out.samples, want, rtol=0, atol=1e-12 * peak)
 
-    def test_plan_for_nearly_equal_rates_stays_small(self):
+    def test_plan_for_nearly_equal_rates_stays_small(self, monkeypatch):
         # one (window, up) matrix for 44101 -> 44100 Hz would hold up * down + taps values, about 15 GB
         taps = _resample_taps(44100, 44101)
+        monkeypatch.setattr(audio, "_resample_taps", lambda up, down: taps)  # the filter is not cached
         buf = AudioBuffer(np.random.default_rng(7).standard_normal(3000), 44101)
-        _resample_plan.cache_clear()
         tracemalloc.start()
         try:
             out = resample(buf, 44100)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert peak < 2 * taps.nbytes
+        want = resample_poly_direct(buf.samples, 44100, 44101, 3000, taps)
+        np.testing.assert_allclose(out.samples, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+    def test_large_plans_are_not_kept(self):
+        # nearly equal co-prime rates need a filter of about 160 * rate taps;
+        # kept in the caches, each plan and its taps stayed for the process's life
+        buf = AudioBuffer(np.random.default_rng(8).standard_normal(2000), 8000)
+        plan_bytes = sum(w.nbytes for _, _, w in _resample_plan.__wrapped__(8000, 8001)[2])
+        assert plan_bytes > 100 * buf.samples.nbytes
+        tracemalloc.start()
         try:
-            assert peak < 2 * taps.nbytes
-            want = resample_poly_direct(buf.samples, 44100, 44101, 3000)
-            np.testing.assert_allclose(out.samples, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
-        finally:  # the filter and its plan take about 140 MB
-            _resample_plan.cache_clear()
-            _resample_taps.cache_clear()
+            before = tracemalloc.get_traced_memory()[0]
+            for rate in (8001, 8003):
+                resample(AudioBuffer(buf.samples, rate), 8000)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held < plan_bytes
 
     @pytest.mark.parametrize("value", [np.nan, -np.inf])
     @pytest.mark.parametrize("where", [0, 100_000, -1], ids=["first", "middle", "last"])

@@ -10,6 +10,7 @@ import pytest
 
 from earmetrics import (
     AudioBuffer,
+    coherence,
     CoherenceConfig,
     MetricReport,
     MultiScaleConfig,
@@ -21,6 +22,7 @@ from earmetrics import (
     icpc,
     icpc_from_spectra,
     si_sdr,
+    resample,
     stft,
 )
 from earmetrics.audio import _BLOCK_SAMPLES
@@ -246,6 +248,23 @@ class TestAlignPair:
         assert "reconstruction_resampled" in flags
         # the reference is never altered
         np.testing.assert_array_equal(a.samples, ref.samples)
+
+    def test_mono_reconstruction_resampled_before_promotion(self, monkeypatch):
+        # resampling the promoted view filtered both identical rows into a stereo copy
+        seen = []
+
+        def recording(buf, rate):
+            seen.append(buf.samples.shape)
+            return resample(buf, rate)
+
+        monkeypatch.setattr(coherence, "resample", recording)
+        ref = noise_stereo(rate=44100, seconds=1.0, seed=65)
+        rec = AudioBuffer(noise_stereo(rate=48000, seconds=1.0, seed=66).samples[0], 48000)
+        _, b, flags = align_pair(ref, rec)
+        assert seen == [(1, 48000)]
+        assert flags == ["mono_reconstruction_duplicated", "reconstruction_resampled"]
+        assert b.samples.strides[0] == 0
+        np.testing.assert_array_equal(b.samples, np.repeat(resample(rec, 44100).samples, 2, axis=0))
 
     def test_length_mismatch_truncates(self):
         ref = noise_stereo(seconds=1.0, seed=63)

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+import tracemalloc
 from math import log10
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from earmetrics import (
     SILENCE_FLOOR_DBTP,
@@ -14,12 +17,35 @@ from earmetrics import (
     integrated_lufs,
     true_peak_dbtp,
 )
-from earmetrics.audio import _BLOCK_SAMPLES
-from earmetrics.loudness import _true_peak_taps
+from earmetrics import loudness
+from earmetrics.audio import _BLOCK_SAMPLES, _as_stereo
+from earmetrics.loudness import _true_peak_plan, _true_peak_taps
 from helpers import faded, noise_stereo, quarter_rate_sine_45
 from oracles import integrated_lufs_direct, true_peak_direct, true_peak_whole
 
 BLOCK = _BLOCK_SAMPLES
+# The product sums each output in another order than np.convolve: over the
+# benchmark's seed-3 corpus the per-channel dBTP of the two differed by at
+# most 7.1e-15 dB, a few ulps of the dB value, and this leaves 14x that.
+DB_TOL = 1e-13
+
+
+def _oversampled(x: np.ndarray) -> np.ndarray:
+    """Every output of the 4x interpolator: the zero-stuffed channel convolved
+    with the taps, ``4 * (n - 1) + 193`` outputs."""
+    stuffed = np.zeros(4 * x.size)
+    stuffed[::4] = x
+    return np.convolve(stuffed, _true_peak_taps())[: 4 * (x.size - 1) + 193]
+
+
+def _matched(n: int, k: int) -> np.ndarray:
+    """A signal of ``n`` samples of +/-1 or 0 that drives output ``k`` of the
+    interpolator to the sum of the magnitudes of the taps it reads."""
+    taps = _true_peak_taps()
+    x = np.zeros(n)
+    i = np.arange(max(0, -(-(k - 192) // 4)), min(n - 1, k // 4) + 1)
+    x[i] = np.sign(taps[k - 4 * i])
+    return x
 
 
 def _sine_buf(freq: float, rate: int, seconds: float, amp: float, channel: str = "left"):
@@ -108,6 +134,34 @@ class TestIntegratedLufs:
             integrated_lufs(AudioBuffer(x, 44100))
 
 
+class TestPromotedMono:
+    """A mono signal promoted to stereo is one row seen twice, measured once."""
+
+    def test_view_measured_once_equals_its_copy(self, monkeypatch):
+        view = _as_stereo(AudioBuffer(noise_stereo(seconds=3.0, seed=12).samples[0], 44100))
+        copy = AudioBuffer(np.array(view.samples), 44100)
+        assert view.samples.strides[0] == 0 and copy.samples.strides[0] != 0
+        calls = {"apply_cascade": 0, "_polyphase_rows": 0}
+        for name in calls:
+
+            def counted(*args, _name=name, _f=getattr(loudness, name)):
+                calls[_name] += 1
+                return _f(*args)
+
+            monkeypatch.setattr(loudness, name, counted)
+        results, counts = [], []
+        for buf in (view, copy):
+            results.append((integrated_lufs(buf), true_peak_dbtp(buf)))
+            counts.append(dict(calls))
+            calls.update(dict.fromkeys(calls, 0))
+        blocks = counts[0]["_polyphase_rows"]  # product calls for one row
+        assert blocks > 0
+        assert counts[1] == {"apply_cascade": 2, "_polyphase_rows": 2 * blocks}
+        assert counts[0]["apply_cascade"] == 1
+        assert results[0] == results[1]
+        assert results[0][1].per_channel[0] == results[0][1].per_channel[1]
+
+
 class TestTruePeak:
     def test_intersample_peak_of_quarter_rate_sine(self):
         rate = 48000
@@ -151,12 +205,13 @@ class TestTruePeak:
 
     @pytest.mark.parametrize("n", [1, 48, 49, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK])
     def test_blocks_equal_whole_branch_convolutions(self, n):
-        # lengths shorter than a branch, one sample past a block (a last block
-        # of one sample and its 48-sample lead), and several whole blocks
+        # lengths shorter than a branch, one sample past a block, and several
+        # whole blocks; the product's sums round differently, by ulps
         x = 0.5 * np.random.default_rng(n).standard_normal((2, n))
         taps = _true_peak_taps()
-        expected = tuple(20.0 * log10(true_peak_whole(ch, taps)) for ch in x)
-        assert true_peak_dbtp(AudioBuffer(x, 44100)).per_channel == expected
+        expected = [20.0 * log10(true_peak_whole(ch, taps)) for ch in x]
+        got = true_peak_dbtp(AudioBuffer(x, 44100)).per_channel
+        np.testing.assert_allclose(got, expected, rtol=0, atol=DB_TOL)
 
     def test_peak_across_a_block_edge(self):
         # the largest output any input within +/-1 can give, sum |h|, is the
@@ -166,7 +221,90 @@ class TestTruePeak:
         x = np.zeros(2 * BLOCK)
         x[BLOCK - np.arange(h.size)] = np.sign(h)
         assert true_peak_whole(x, taps) == pytest.approx(np.abs(h).sum(), rel=1e-12)
-        assert true_peak_dbtp(AudioBuffer(x, 44100)).dbtp == 20.0 * log10(true_peak_whole(x, taps))
+        want = 20.0 * log10(true_peak_whole(x, taps))
+        assert true_peak_dbtp(AudioBuffer(x, 44100)).dbtp == pytest.approx(want, rel=0, abs=DB_TOL)
+
+    # rows of the product hold 96 outputs; the first block of rows read wholly
+    # inside the signal starts at row 2 and holds _BLOCK_SAMPLES // 72 rows
+    ROW = 96
+    BLOCK_EDGE = 96 * (2 + BLOCK // 72)
+
+    @pytest.mark.parametrize(
+        "n,k",
+        [
+            (1000, 98),  # sums reach before the first sample
+            (1000, 4090),  # sums reach past the last sample
+            (1000, 10 * ROW - 2),  # last output of a row
+            (1000, 10 * ROW + 2),  # first branch-2 output of the next row
+            (50_000, BLOCK_EDGE - 2),  # last output of a block
+            (50_000, BLOCK_EDGE + 2),  # in the first row of the next block
+        ],
+        ids=["head", "tail", "row_end", "row_start", "block_end", "block_start"],
+    )
+    def test_peak_where_the_rows_are_cut(self, n, k):
+        x = _matched(n, k)
+        y = np.abs(_oversampled(x))
+        assert y.argmax() == k and y[k] > np.delete(y, k).max()
+        nz = np.flatnonzero(x)
+        # the oracle sums every term; zeros outside the span add nothing to any sum
+        want = true_peak_direct(x[nz[0] : nz[-1] + 1])
+        got = true_peak_dbtp(AudioBuffer(x, 44100)).dbtp
+        assert 10 ** (got / 20) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("k", [ROW, 10 * ROW, BLOCK_EDGE - ROW, BLOCK_EDGE])
+    def test_impulse_peak_at_the_first_output_of_a_row(self, k):
+        # an impulse peaks under the centre tap, 96 outputs after its own
+        x = np.zeros(k // 4 + 100)
+        x[(k - 96) // 4] = -0.7
+        assert np.abs(_oversampled(x)).argmax() == k
+        got = true_peak_dbtp(AudioBuffer(x, 44100)).dbtp
+        assert got == pytest.approx(20.0 * log10(0.7 * _true_peak_taps()[96]), rel=0, abs=DB_TOL)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("n", [30, 3 * BLOCK])
+    @pytest.mark.parametrize("at", [0, 23, -24, -1])
+    def test_non_finite_in_padded_end_rows_rejected(self, value, n, at):
+        # samples 0-23 and the last 24 are read by the rows cut from zero-padded copies
+        x = np.full((2, n), 0.25)
+        x[1, at] = value
+        with pytest.raises(ValueError, match="buffer holds non-finite samples"):
+            true_peak_dbtp(AudioBuffer(x, 44100))
+
+    @given(
+        n=st.integers(min_value=1, max_value=2 * BLOCK + 200),
+        where=st.floats(min_value=0.0, max_value=1.0),
+        width=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_lengths_past_two_blocks_match_direct_oracle(self, n, where, width, seed):
+        # a burst of random samples anywhere in a silent signal of any length
+        width = min(width, n)
+        start = int(where * (n - width))
+        x = np.zeros(n)
+        x[start : start + width] = np.random.default_rng(seed).uniform(-1.0, 1.0, width)
+        want = true_peak_direct(x[start : start + width])
+        got = true_peak_dbtp(AudioBuffer(x, 44100)).dbtp
+        assert 10 ** (got / 20) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_memory_is_one_block_not_the_signal(self):
+        # a 30 s stereo buffer holds 21.2 MB; a block cuts _BLOCK_SAMPLES
+        # values of rows and sums 4/3 as many outputs, about 2.4 MB
+        buf = noise_stereo(seconds=30.0, seed=3)
+        true_peak_dbtp(buf)  # plan made and cached
+        tracemalloc.start()
+        try:
+            true_peak_dbtp(buf)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = _BLOCK_SAMPLES * 8 * (1 + 4 / 3)
+        assert peak < 1.5 * block < buf.samples.nbytes / 5
+
+    def test_plan_folds_24_inputs_per_row(self):
+        outputs, inputs, groups = _true_peak_plan()
+        assert (outputs, inputs) == (96, 24)
+        assert [(offset, phase, w.shape) for offset, phase, w in groups] == [(-48, 0, (72, 96))]
 
     def test_nan_in_last_block_rejected(self):
         x = np.full((2, 2 * BLOCK + 10), 0.5)
