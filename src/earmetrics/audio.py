@@ -89,6 +89,11 @@ def _non_finite(name: str) -> ValueError:
     return ValueError(f"{name} holds non-finite samples (NaN or inf)")
 
 
+def _too_large() -> ValueError:
+    """Finite samples whose filtered values or metrics overflow float64."""
+    return ValueError("samples are too large for the metrics to stay finite in float64")
+
+
 def _as_stereo(buf: AudioBuffer) -> AudioBuffer:
     """A mono buffer as a read-only two-channel view of its one channel, with
     no copy; a stereo buffer as it is."""
@@ -136,7 +141,6 @@ class ComplexSpectrogram:
 
     bins: np.ndarray
     config: StftConfig
-    source_rate: int
     num_samples: int
 
     def __post_init__(self) -> None:
@@ -154,10 +158,6 @@ class ComplexSpectrogram:
     @property
     def num_frames(self) -> int:
         return self.bins.shape[0]
-
-    @property
-    def num_bins(self) -> int:
-        return self.bins.shape[1]
 
 
 _PCM, _FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
@@ -565,7 +565,7 @@ def _stft_blocks(channels: Sequence[np.ndarray], config: StftConfig) -> Iterator
         yield [_frame_bins(x, config, start, stop) for x in channels]
 
 
-def stft(channel: np.ndarray, config: StftConfig, rate: int) -> ComplexSpectrogram:
+def stft(channel: np.ndarray, config: StftConfig) -> ComplexSpectrogram:
     """Hann-windowed one-sided STFT of a single channel.
 
     Frame ``t`` covers samples ``[t * hop, t * hop + fft_size)`` of the
@@ -579,7 +579,7 @@ def stft(channel: np.ndarray, config: StftConfig, rate: int) -> ComplexSpectrogr
     if x.ndim != 1:
         raise ValueError(f"channel must be 1-D, got {x.ndim}-D")
     bins = _frozen(_frame_bins(x, config, 0, _num_frames(x.shape[0], config)))
-    return ComplexSpectrogram(bins, config, int(rate), x.shape[0])
+    return ComplexSpectrogram(bins, config, x.shape[0])
 
 
 def istft(spec: ComplexSpectrogram) -> np.ndarray:

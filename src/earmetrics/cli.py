@@ -78,7 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker threads (default 1; the EARMETRICS_THREADS env var overrides)",
+        help=(
+            "worker threads (default 1; the EARMETRICS_THREADS env var overrides). Each worker's BLAS "
+            "may start threads of its own: set OPENBLAS_NUM_THREADS=1 when --jobs fills the cores"
+        ),
     )
     return parser
 
@@ -99,6 +102,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             reconstruction_id=args.reconstruction,
             chunk_seconds=args.chunk_seconds,
         )
+        breakdown = composite_objective(ref, rec, cfg=ms_cfg) if args.objective else None
     except Exception as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -110,9 +114,8 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     else:
         print(MetricReport.csv_header())
         print(report.to_csv_row())
-    if args.objective:
-        breakdown = replace(composite_objective(ref, rec, cfg=ms_cfg), prefilter=args.prefilter)
-        print(json.dumps(breakdown.as_dict()))
+    if breakdown is not None:
+        print(json.dumps(replace(breakdown, prefilter=args.prefilter).as_dict()))
     return 0
 
 

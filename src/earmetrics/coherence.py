@@ -25,10 +25,10 @@ import numpy as np
 from .audio import (
     _BLOCK_SAMPLES,
     AudioBuffer,
-    ComplexSpectrogram,
     StftConfig,
     _as_stereo,
     _stft_blocks,
+    _too_large,
     resample,
 )
 from .loudness import dbtp_distance
@@ -138,36 +138,27 @@ class _Ccpc(_Resultants):
         self._add(prod, weights)
 
 
-def icpc_from_spectra(
-    ref: ComplexSpectrogram | np.ndarray,
-    rec: ComplexSpectrogram | np.ndarray,
-    cfg: CoherenceConfig | None = None,
-) -> float:
-    """ICPC in percent from two precomputed single-channel spectrograms."""
+def icpc_from_spectra(ref: np.ndarray, rec: np.ndarray, cfg: CoherenceConfig | None = None) -> float:
+    """ICPC in percent from two precomputed ``(frames, bins)`` single-channel spectrograms."""
     acc = _Icpc(cfg or CoherenceConfig())
     acc.add(*_bins_of(ref, rec))
     return acc.percent()[0]
 
 
 def ccpc_from_spectra(
-    ref_left: ComplexSpectrogram | np.ndarray,
-    ref_right: ComplexSpectrogram | np.ndarray,
-    rec_left: ComplexSpectrogram | np.ndarray,
-    rec_right: ComplexSpectrogram | np.ndarray,
+    ref_left: np.ndarray,
+    ref_right: np.ndarray,
+    rec_left: np.ndarray,
+    rec_right: np.ndarray,
     cfg: CoherenceConfig | None = None,
 ) -> float:
-    """CCPC in percent from the four precomputed channel spectrograms."""
+    """CCPC in percent from the four precomputed ``(frames, bins)`` channel spectrograms."""
     acc = _Ccpc(cfg or CoherenceConfig())
     acc.add(*_bins_of(ref_left, ref_right, rec_left, rec_right))
     return acc.percent()[0]
 
 
-def icpc(
-    ref_ch: np.ndarray,
-    rec_ch: np.ndarray,
-    rate: int,
-    cfg: CoherenceConfig | None = None,
-) -> float:
+def icpc(ref_ch: np.ndarray, rec_ch: np.ndarray, *, cfg: CoherenceConfig | None = None) -> float:
     """Individual channel phase coherence of one channel pair, in percent.
 
     Raises:
@@ -367,7 +358,7 @@ def _evaluate_aligned(
             "dbtp_dist": dbtp_distance(ref, rec),
         }
     if not np.isfinite([v for v in metrics.values() if v is not None]).all():
-        raise ValueError("samples are too large for the metrics to stay finite in float64")
+        raise _too_large()
     flags = ["degenerate_coherence_input"] if deg_l or deg_r or deg_c else []
     return metrics, flags + (["silent_reference_channel"] if len(heard) < len(sdr) else [])
 

@@ -5,15 +5,15 @@ form 400 ms blocks at 75% overlap, drop blocks at or below -70 LUFS, then
 drop blocks at or below 10 LU under the ungated mean. True peak upsamples
 4x through a 193-tap Kaiser-windowed sinc, run as one polyphase matrix
 product per block (the resampler's kernel, ``audio._polyphase_rows``), and
-reports the oversampled absolute maximum in dB. A mono signal promoted to
-stereo is one row seen twice, and both measures take it once.
+reports the oversampled absolute maximum in dB. Two equal channels, such as
+a mono signal promoted to stereo, are one row, and both measures take it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isfinite, log10
+from math import inf, isfinite, log10
 
 import numpy as np
 
@@ -72,8 +72,9 @@ class TruePeakResult:
 
 def _distinct_rows(samples: np.ndarray) -> list[tuple[np.ndarray, int]]:
     """Each distinct row of ``samples`` with the number of channels it stands
-    for: a mono signal promoted to stereo (a stride-0 view) is one row, twice."""
-    if samples.shape[0] > 1 and samples.strides[0] == 0:
+    for: two equal rows (a mono signal promoted to stereo, as a stride-0 view
+    or a copy of one) are one row, twice."""
+    if samples.shape[0] > 1 and (samples.strides[0] == 0 or np.array_equal(samples[0], samples[1])):
         return [(samples[0], samples.shape[0])]
     return [(row, 1) for row in samples]
 
@@ -82,6 +83,11 @@ def _block_mean_squares(channel: np.ndarray, block: int, step: int, count: int) 
     csum = np.concatenate([[0.0], np.cumsum(channel * channel)])
     starts = step * np.arange(count)
     return (csum[starts + block] - csum[starts]) / block
+
+
+def _gating_block(rate: int) -> int:
+    """Samples in one 400 ms gating block; a shorter signal has no loudness."""
+    return int(round(_BLOCK_SECONDS * rate))
 
 
 def integrated_lufs(buf: AudioBuffer) -> LoudnessResult:
@@ -94,7 +100,7 @@ def integrated_lufs(buf: AudioBuffer) -> LoudnessResult:
             below ``MIN_DESIGN_RATE``, or a NaN or inf sample.
     """
     rate = buf.sample_rate
-    block = int(round(_BLOCK_SECONDS * rate))
+    block = _gating_block(rate)
     step = block // 4
     if buf.num_samples < block:
         raise ValueError(
@@ -154,7 +160,8 @@ def true_peak_dbtp(buf: AudioBuffer) -> TruePeakResult:
     the boundaries are seen. It runs as blocked matrix products (see
     ``audio._polyphase_rows``) into one reused block array, keeping only
     each block's absolute maximum. Digital silence reports the floor value
-    ``SILENCE_FLOOR_DBTP``.
+    ``SILENCE_FLOOR_DBTP``, and finite samples whose oversampled values
+    overflow float64 report ``+inf``.
 
     Raises:
         ValueError: on an empty buffer or one holding NaN or inf samples.
@@ -172,9 +179,8 @@ def true_peak_dbtp(buf: AudioBuffer) -> TruePeakResult:
             block = y[: r1 - r0]
             _polyphase_rows(row, plan, r0, block)
             block_peak = float(np.abs(block, out=block).max())
-            if not isfinite(block_peak):  # max() would drop a NaN; finite samples may overflow
-                raise _non_finite("buffer")
-            peak = max(peak, block_peak)
+            # the rows read finite samples only, so a NaN or inf is an overflow of their sums
+            peak = max(peak, block_peak if isfinite(block_peak) else inf)
         per_channel += [20.0 * log10(peak) if peak > 0.0 else SILENCE_FLOOR_DBTP] * copies
     return TruePeakResult(dbtp=max(per_channel), per_channel=tuple(per_channel))
 

@@ -4,11 +4,7 @@ Phases live in the half-open interval (-pi, pi]. Instantaneous frequency is
 the wrapped first difference of phase along time; group delay is the negated
 wrapped first difference along frequency. The correlation loss penalizes the
 cosine of per-bin phase error, the phase loss the L1 error of both phase
-derivatives.
-
-Functions taking spectrograms accept either a
-:class:`~earmetrics.audio.ComplexSpectrogram` or a plain complex matrix of
-shape ``(frames, bins)``.
+derivatives. Spectrograms are complex matrices of shape ``(frames, bins)``.
 """
 
 from __future__ import annotations
@@ -16,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .audio import ComplexSpectrogram
 
 __all__ = [
     "PhaseLossConfig",
@@ -62,15 +56,16 @@ def wrap_phase(x: np.ndarray | float) -> np.ndarray | float:
     return wrapped
 
 
-def _bins_of(*specs: ComplexSpectrogram | np.ndarray) -> list[np.ndarray]:
-    """Bin matrices of the given spectrograms, which must share one 2-D shape."""
-    bins = [s.bins if isinstance(s, ComplexSpectrogram) else np.asarray(s) for s in specs]
+def _bins_of(*specs: np.ndarray) -> list[np.ndarray]:
+    """The given spectrograms as arrays, checked to share one 2-D shape."""
+    bins = [np.asarray(s) for s in specs]
     if any(b.ndim != 2 for b in bins) or len({b.shape for b in bins}) != 1:
-        raise ValueError(f"spectrograms must be 2-D and of one shape, got {[b.shape for b in bins]}")
+        got = [b.shape if b.ndim else type(s).__name__ for b, s in zip(bins, specs)]
+        raise ValueError(f"spectrograms must be 2-D arrays of one shape, got {got}")
     return bins
 
 
-def phase_matrix(spec: ComplexSpectrogram | np.ndarray) -> np.ndarray:
+def phase_matrix(spec: np.ndarray) -> np.ndarray:
     """Per-bin phase in (-pi, pi]; zero-magnitude bins read as phase 0."""
     return wrap_phase(np.angle(_bins_of(spec)[0]))
 
@@ -119,11 +114,7 @@ class _CorrelationSums:
         return 1.0 - self.total / self.count
 
 
-def correlation_loss(
-    ref: ComplexSpectrogram | np.ndarray,
-    rec: ComplexSpectrogram | np.ndarray,
-    cfg: PhaseLossConfig | None = None,
-) -> float:
+def correlation_loss(ref: np.ndarray, rec: np.ndarray, cfg: PhaseLossConfig | None = None) -> float:
     """Mean of ``1 - cos(phase error)`` over all bins, in [0, 2].
 
     Computed as ``1 - mean(Re(rec * conj(ref) / (|rec| |ref| + epsilon)))``
@@ -177,11 +168,7 @@ class _PhaseSums:
         return float(if_err / (if_weight + eps) + gd_err / (gd_weight + eps))
 
 
-def phase_loss(
-    ref: ComplexSpectrogram | np.ndarray,
-    rec: ComplexSpectrogram | np.ndarray,
-    cfg: PhaseLossConfig | None = None,
-) -> float:
+def phase_loss(ref: np.ndarray, rec: np.ndarray, cfg: PhaseLossConfig | None = None) -> float:
     """L1 error of instantaneous frequency plus L1 error of group delay.
 
     Both errors are wrapped first differences of the per-bin phase error

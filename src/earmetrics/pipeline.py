@@ -31,7 +31,7 @@ from typing import Callable, Iterable, Iterator
 import numpy as np
 
 from .audio import AudioBuffer, _as_stereo, load_wav, resample, save_wav
-from .loudness import integrated_lufs, true_peak_dbtp
+from .loudness import _gating_block, integrated_lufs, true_peak_dbtp
 
 __all__ = [
     "CurateDecision",
@@ -210,14 +210,16 @@ def _stage1(
     if native > TARGET_RATE:
         buf = resample(buf, TARGET_RATE)
     buf = _as_stereo(buf)
-    try:
-        loud = integrated_lufs(buf)
-    except ValueError:  # shorter than one gating block
+    if buf.num_samples < _gating_block(TARGET_RATE):
         return _reject(path, "too_short", {"native_rate": native}), None
-    measured = {"native_rate": native, "lufs_i": loud.lufs_i, "dbtp": None}
-    if loud.lufs_i < lufs_min:
+    # _load checked the samples, so a NaN or inf here is the resampler's overflow:
+    # louder than any gate, as finite samples whose K-weighted power overflows measure
+    overflow = native > TARGET_RATE and not np.isfinite(buf.samples).all()
+    lufs = float("inf") if overflow else integrated_lufs(buf).lufs_i
+    measured = {"native_rate": native, "lufs_i": lufs, "dbtp": None}
+    if lufs < lufs_min:
         return _reject(path, "lufs_low", measured), None
-    if loud.lufs_i > lufs_max:
+    if lufs > lufs_max:
         return _reject(path, "lufs_high", measured), None
     out_path = _output_path(path, out_dir, "stage1")
     stored = AudioBuffer(buf.samples.astype(np.float32), TARGET_RATE)

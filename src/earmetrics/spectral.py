@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioBuffer, StftConfig, _frozen, _stft_blocks
+from .audio import AudioBuffer, StftConfig, _frozen, _stft_blocks, _too_large
 from .phase import PhaseLossConfig, _CorrelationSums, _PhaseSums
 from .stereo import _channel_pair, _check_stereo_pair
 from .weighting import _prefilter_pair
@@ -160,14 +160,17 @@ class _LogL1:
 
 
 def _multiscale_distance(
-    ref_ch: np.ndarray, rec_ch: np.ndarray, rate: int, cfg: MultiScaleConfig | None, mel: bool
+    ref_ch: np.ndarray, rec_ch: np.ndarray, cfg: MultiScaleConfig | None, mel_rate: int | None
 ) -> float:
+    """Mean over scales of the log-magnitude L1 distance, through mel bands
+    designed at ``mel_rate`` unless it is None."""
     cfg = cfg or MultiScaleConfig()
     pair = _channel_pair(ref_ch, rec_ch)
     _check_length(pair[0].shape[0], cfg)
     per_scale = []
     for i, n in enumerate(cfg.fft_sizes):
-        dist = _LogL1(cfg.log_epsilon, mel_filterbank(cfg.mel_bins_for(i), n, int(rate)) if mel else None)
+        mel_fb = None if mel_rate is None else mel_filterbank(cfg.mel_bins_for(i), n, mel_rate)
+        dist = _LogL1(cfg.log_epsilon, mel_fb)
         for a, b in _stft_blocks(pair, cfg.stft_config(n)):
             dist.add(np.abs(a), np.abs(b))
         per_scale.append(dist.mean())
@@ -175,17 +178,14 @@ def _multiscale_distance(
 
 
 def log_magnitude_distance(
-    ref_ch: np.ndarray,
-    rec_ch: np.ndarray,
-    rate: int,
-    cfg: MultiScaleConfig | None = None,
+    ref_ch: np.ndarray, rec_ch: np.ndarray, *, cfg: MultiScaleConfig | None = None
 ) -> float:
     """Mean over scales of the mean L1 distance between log magnitudes.
 
     Per scale the error is ``mean |log(|S_ref| + eps) - log(|S_rec| + eps)|``
     over all frames and bins.
     """
-    return _multiscale_distance(ref_ch, rec_ch, rate, cfg, mel=False)
+    return _multiscale_distance(ref_ch, rec_ch, cfg, None)
 
 
 def mel_distance(
@@ -195,9 +195,11 @@ def mel_distance(
     cfg: MultiScaleConfig | None = None,
 ) -> float:
     """Multi-scale log distance with magnitudes projected through mel bands."""
-    return _multiscale_distance(ref_ch, rec_ch, rate, cfg, mel=True)
+    return _multiscale_distance(ref_ch, rec_ch, cfg, int(rate))
 
 
+# finite samples far beyond full scale overflow the spectra; named on return, not warned
+@np.errstate(over="ignore", invalid="ignore")
 def composite_objective(
     ref: AudioBuffer,
     rec: AudioBuffer,
@@ -216,8 +218,9 @@ def composite_objective(
     their sum and difference, and every term is summed block by block.
 
     Raises:
-        ValueError: on mono, mismatched or non-finite input, signals shorter
-            than the largest analysis window, or an invalid prefilter name.
+        ValueError: on mono, mismatched or non-finite input, finite samples
+            so large that a term overflows float64, signals shorter than the
+            largest analysis window, or an invalid prefilter name.
     """
     cfg = cfg or MultiScaleConfig()
     phase_cfg = phase_cfg or PhaseLossConfig()
@@ -246,6 +249,8 @@ def composite_objective(
     # per component over scales, then over components; all left scales before all right
     stft_mag = float(np.mean([np.mean(v) for v in mag_terms]))
     corr, phase = (float(np.mean(lr_terms[k] + lr_terms[k + 1])) for k in (0, 2))
+    if not np.isfinite([stft_mag, corr, phase]).all():
+        raise _too_large()
     lam_mag, lam_corr, lam_phase = (float(v) for v in lambdas)
     total = lam_mag * stft_mag + lam_corr * corr + lam_phase * phase
     return ObjectiveBreakdown(

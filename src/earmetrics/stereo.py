@@ -7,33 +7,14 @@ energy identity ``||L||^2 + ||R||^2 == 2 * (||M||^2 + ||S||^2)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .audio import AudioBuffer, _frozen, _non_finite
 
 __all__ = [
-    "MslrSignals",
     "split_mslr",
     "merge_mslr",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class MslrSignals:
-    """The four time-domain components of one stereo signal."""
-
-    left: np.ndarray
-    right: np.ndarray
-    mid: np.ndarray
-    side: np.ndarray
-    rate: int
-
-    def component(self, name: str) -> np.ndarray:
-        if name not in ("left", "right", "mid", "side"):
-            raise ValueError(f"unknown component {name!r}")
-        return getattr(self, name)
 
 
 def _check_finite(ref: np.ndarray, rec: np.ndarray) -> None:
@@ -62,19 +43,16 @@ def _check_stereo_pair(ref: AudioBuffer, rec: AudioBuffer, what: str) -> None:
     _check_finite(ref.samples, rec.samples)
 
 
-def split_mslr(buf: AudioBuffer) -> MslrSignals:
-    """Decompose a stereo buffer into left, right, mid, side.
+def split_mslr(buf: AudioBuffer) -> tuple[np.ndarray, np.ndarray]:
+    """Mid and side of a stereo buffer, whose left and right are ``buf.samples``.
 
     Raises:
         ValueError: on mono input.
     """
     if buf.channels != 2:
         raise ValueError(f"stereo input required, got {buf.channels} channel(s)")
-    left = buf.samples[0]
-    right = buf.samples[1]
-    mid = (left + right) / 2.0
-    side = (left - right) / 2.0
-    return MslrSignals(left=left, right=right, mid=mid, side=side, rate=buf.sample_rate)
+    left, right = buf.samples
+    return (left + right) / 2.0, (left - right) / 2.0
 
 
 def merge_mslr(mid: np.ndarray, side: np.ndarray, rate: int) -> AudioBuffer:

@@ -14,7 +14,7 @@ from math import pi, tan
 
 import numpy as np
 
-from .audio import AudioBuffer, _frozen
+from .audio import AudioBuffer, _frozen, _too_large
 
 __all__ = [
     "BiquadCascade",
@@ -171,4 +171,8 @@ def _prefilter_pair(name: str, ref: AudioBuffer, rec: AudioBuffer) -> tuple[Audi
     if name == "none":
         return ref, rec
     cascade = (design_k_weighting if name == "k" else design_a_weighting)(ref.sample_rate)
-    return apply_cascade(cascade, ref), apply_cascade(cascade, rec)
+    pair = apply_cascade(cascade, ref), apply_cascade(cascade, rec)
+    # callers pass finite samples, so a non-finite output is an overflow of the filter
+    if not all(np.isfinite(buf.samples).all() for buf in pair):
+        raise _too_large()
+    return pair

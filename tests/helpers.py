@@ -42,6 +42,13 @@ def huge_noise_pair(ref_amp: float, rec_amp: float) -> tuple[AudioBuffer, AudioB
     return noise_stereo(seconds=1.0, amp=ref_amp, seed=80), noise_stereo(seconds=1.0, amp=rec_amp, seed=81)
 
 
+def overflowing_pair() -> tuple[AudioBuffer, AudioBuffer]:
+    """One second of noise clipped to +-4 and scaled by 4e307, and 0.9 times it:
+    finite samples whose K- or A-weighted values and spectra overflow float64."""
+    r = np.clip(np.random.default_rng(0).standard_normal((2, 44100)), -4, 4) * 4e307
+    return AudioBuffer(r, 44100), AudioBuffer(0.9 * r, 44100)
+
+
 def sine_stereo(
     freq_l: float,
     freq_r: float,

@@ -1,0 +1,101 @@
+"""The public spectral edge: plain arrays in and out, no unread arguments."""
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import earmetrics
+from earmetrics import (
+    AudioBuffer,
+    MultiScaleConfig,
+    StftConfig,
+    ccpc_from_spectra,
+    correlation_loss,
+    icpc,
+    icpc_from_spectra,
+    log_magnitude_distance,
+    merge_mslr,
+    phase_loss,
+    phase_matrix,
+    split_mslr,
+    stft,
+)
+
+
+def _spec_and_bins():
+    x = np.random.default_rng(7).standard_normal(4096)
+    spec = stft(x, StftConfig(512))
+    return spec, spec.bins
+
+
+class TestSpectrumFunctionsTakeArrays:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda s, b: phase_matrix(s),
+            lambda s, b: correlation_loss(s, b),
+            lambda s, b: phase_loss(b, s),
+            lambda s, b: icpc_from_spectra(s, s),
+            lambda s, b: ccpc_from_spectra(b, b, s, b),
+        ],
+        ids=["phase_matrix", "correlation_loss", "phase_loss", "icpc_from_spectra", "ccpc_from_spectra"],
+    )
+    def test_spectrogram_object_rejected_by_name(self, call):
+        spec, bins = _spec_and_bins()
+        with pytest.raises(ValueError, match=r"2-D arrays of one shape, got .*ComplexSpectrogram"):
+            call(spec, bins)
+
+    def test_bins_of_the_object_accepted(self):
+        spec, bins = _spec_and_bins()
+        assert phase_loss(bins, spec.bins) == 0.0
+        assert icpc_from_spectra(bins, bins) == pytest.approx(100.0, abs=1e-6)
+
+    def test_phase_module_imports_nothing_from_audio(self):
+        tree = ast.parse(Path(earmetrics.phase.__file__).read_text())
+        modules = [n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)]
+        assert not [m for m in modules if m and m.endswith("audio")], modules
+
+
+class TestSplitMerge:
+    def test_split_returns_mid_and_side(self):
+        x = np.random.default_rng(8).standard_normal((2, 512))
+        mid, side = split_mslr(AudioBuffer(x, 44100))
+        np.testing.assert_array_equal(mid, (x[0] + x[1]) / 2)
+        np.testing.assert_array_equal(side, (x[0] - x[1]) / 2)
+
+    def test_pcm16_samples_round_trip_exactly(self):
+        # sums and halves of 16-bit PCM values are exact in float64, so
+        # merge(split(buf)) gives every sample back bit for bit
+        codes = np.random.default_rng(9).integers(-(2**15), 2**15, (2, 4096))
+        buf = AudioBuffer(codes / 2.0**15, 48000)
+        back = merge_mslr(*split_mslr(buf), buf.sample_rate)
+        np.testing.assert_array_equal(back.samples, buf.samples)
+        assert back.sample_rate == 48000
+
+
+class TestNoRateArguments:
+    def test_stft_takes_no_rate(self):
+        with pytest.raises(TypeError):
+            stft(np.zeros(2048), StftConfig(512), 44100)
+
+    def test_spectrogram_has_no_source_rate(self):
+        spec, _ = _spec_and_bins()
+        assert not hasattr(spec, "source_rate")
+        assert spec.num_samples == 4096
+
+    def test_old_positional_rate_calls_fail(self):
+        x = np.random.default_rng(10).standard_normal(8192)
+        cfg = MultiScaleConfig(fft_sizes=(1024,))
+        with pytest.raises(TypeError):
+            icpc(x, x, 44100)
+        with pytest.raises(TypeError):
+            log_magnitude_distance(x, x, 44100)
+        with pytest.raises(TypeError):
+            log_magnitude_distance(x, x, 44100, cfg)
+        with pytest.raises(TypeError):
+            log_magnitude_distance(x, x, cfg)
+        assert log_magnitude_distance(x, x, cfg=cfg) == 0.0
+        assert icpc(x, x) == pytest.approx(100.0, abs=1e-6)

@@ -16,7 +16,7 @@ import earmetrics.weighting
 from earmetrics import AudioBuffer, align_pair, composite_objective, evaluate_pair, load_wav, save_wav
 from earmetrics.cli import main
 from earmetrics.audio import _FLOAT, _wav_header
-from helpers import HUGE_AMPLITUDES, huge_noise_pair, noise_stereo
+from helpers import HUGE_AMPLITUDES, huge_noise_pair, noise_stereo, overflowing_pair
 
 
 def _traced_eval_peak(paths: list[Path], warm_pair: tuple[str, str], capsys) -> int:
@@ -168,6 +168,35 @@ class TestEvalCommand:
             assert code == 1
             assert err == "error: samples are too large for the metrics to stay finite in float64\n"
 
+    @pytest.mark.parametrize("prefilter", ["none", "k", "a"])
+    def test_overflow_fails_by_name_with_any_prefilter(self, tmp_path, capsys, prefilter):
+        paths = [str(tmp_path / "ref.wav"), str(tmp_path / "rec.wav")]
+        for path, buf in zip(paths, overflowing_pair()):
+            with open(path, "wb") as fh:  # float64 WAV: float32 cannot hold these amplitudes
+                fh.write(_wav_header(_FLOAT, 2, 44100, 8, buf.num_samples))
+                fh.write(buf.samples.T.astype("<f8").tobytes())
+        code = main(["eval", *paths, "--fft-sizes", "512", "--prefilter", prefilter, "--objective"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (1, "")
+        assert err == "error: samples are too large for the metrics to stay finite in float64\n"
+
+    def test_objective_overflow_past_the_last_chunk_fails_by_name(self, tmp_path, capsys):
+        # the chunks leave out the tail, which only the whole-pair objective reads
+        ref, rec = noise_stereo(seconds=2.5, amp=0.4, seed=91), noise_stereo(seconds=2.5, amp=0.4, seed=92)
+        paths = [str(tmp_path / "ref.wav"), str(tmp_path / "rec.wav")]
+        for path, buf, huge in zip(paths, (ref, rec), overflowing_pair()):
+            x = np.array(buf.samples)
+            x[:, 2 * 44100 :] = huge.samples[:, : x.shape[1] - 2 * 44100]
+            with open(path, "wb") as fh:
+                fh.write(_wav_header(_FLOAT, 2, 44100, 8, x.shape[1]))
+                fh.write(x.T.astype("<f8").tobytes())
+        argv = ["eval", *paths, "--fft-sizes", "512", "--chunk-seconds", "1"]
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert main([*argv, "--objective"]) == 1
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: samples are too large for the metrics to stay finite in float64\n")
+
     def test_missing_file_fails(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.wav")
         assert main(["eval", missing, missing]) == 1
@@ -269,6 +298,11 @@ class TestCurateCommand:
         # (about +4 dBTP for noise at -3 LUFS) still exceeds 2.0
         assert doc["kept"] == 4
         assert doc["rejected_by_reason"] == {"below_rate": 1, "true_peak_exceeded": 1}
+
+    def test_help_names_the_blas_thread_variable(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["curate", "--help"])
+        assert "OPENBLAS_NUM_THREADS=1" in " ".join(capsys.readouterr().out.split())
 
     def test_missing_input_fails(self, tmp_path, capsys):
         assert main(["curate", "all", str(tmp_path / "absent"), str(tmp_path / "o")]) == 1

@@ -26,7 +26,14 @@ from earmetrics import (
     stft,
 )
 from earmetrics.audio import _BLOCK_SAMPLES
-from helpers import HUGE_AMPLITUDES, huge_noise_pair, noise_stereo, toy_pair, toy_with_silent_bins
+from helpers import (
+    HUGE_AMPLITUDES,
+    huge_noise_pair,
+    noise_stereo,
+    overflowing_pair,
+    toy_pair,
+    toy_with_silent_bins,
+)
 from oracles import ccpc_direct, icpc_direct, si_sdr_direct
 
 
@@ -43,10 +50,10 @@ class TestIcpc:
 
     def test_identical_signals_score_100(self, rng):
         x = 0.4 * rng.standard_normal(44100)
-        assert icpc(x, x, 44100) == pytest.approx(100.0, abs=1e-6)
+        assert icpc(x, x) == pytest.approx(100.0, abs=1e-6)
 
     def test_random_phases_score_low(self, rng):
-        ref = stft(0.5 * rng.standard_normal(3 * 44100), StftConfig(2048, hop=512), 44100).bins
+        ref = stft(0.5 * rng.standard_normal(3 * 44100), StftConfig(2048, hop=512)).bins
         rec = np.abs(ref) * np.exp(1j * rng.uniform(-np.pi, np.pi, ref.shape))
         assert ref.size >= 1e5
         assert icpc_from_spectra(ref, rec) <= 5.0
@@ -54,7 +61,7 @@ class TestIcpc:
     def test_constant_offset_scores_100(self, rng):
         # a global phase rotation leaves every per-bin error identical, and
         # the resultant length of identical angles is 1
-        a = stft(0.5 * rng.standard_normal(44100), StftConfig(1024), 44100).bins
+        a = stft(0.5 * rng.standard_normal(44100), StftConfig(1024)).bins
         assert icpc_from_spectra(a, a * np.exp(0.8j)) == pytest.approx(100.0, abs=1e-6)
 
     def test_silent_input_is_degenerate_100(self):
@@ -63,9 +70,9 @@ class TestIcpc:
 
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
-            icpc(np.zeros(100), np.zeros(101), 44100)
+            icpc(np.zeros(100), np.zeros(101))
         with pytest.raises(ValueError, match="non-finite"):
-            icpc(np.zeros(4096), np.where(np.arange(4096) == 100, np.nan, 0.0), 44100)
+            icpc(np.zeros(4096), np.where(np.arange(4096) == 100, np.nan, 0.0))
 
     def test_weight_mode_validated(self):
         with pytest.raises(ValueError):
@@ -93,7 +100,7 @@ class TestCcpc:
         )
         cfg = CoherenceConfig()
         specs = [
-            stft(b.samples[c], cfg.stft, 44100).bins for b in (buf, rec) for c in (0, 1)
+            stft(b.samples[c], cfg.stft).bins for b in (buf, rec) for c in (0, 1)
         ]
         al, ar, bl, br = specs
         base = ccpc_from_spectra(al, ar, bl, br, cfg)
@@ -425,3 +432,12 @@ class TestEvaluatePair:
         pair = (bad, buf) if which == "reference" else (buf, bad)
         with pytest.raises(ValueError, match=f"{which} holds non-finite samples"):
             evaluate_pair(*pair)
+        for prefilter in ("k", "a"):
+            with pytest.raises(ValueError, match=f"{which} holds non-finite samples"):
+                evaluate_pair(*pair, prefilter=prefilter)
+
+    @pytest.mark.parametrize("prefilter", ["none", "k", "a"])
+    def test_overflow_named_with_any_prefilter(self, prefilter):
+        # a prefilter's overflow used to read "reference holds non-finite samples"
+        with pytest.raises(ValueError, match="samples are too large for the metrics to stay finite in float64"):
+            evaluate_pair(*overflowing_pair(), ms_cfg=MultiScaleConfig((512,)), prefilter=prefilter)

@@ -18,7 +18,7 @@ from earmetrics import (
     true_peak_dbtp,
 )
 from earmetrics import loudness
-from earmetrics.audio import _BLOCK_SAMPLES, _as_stereo
+from earmetrics.audio import _BLOCK_SAMPLES, _as_stereo, load_wav, save_wav
 from earmetrics.loudness import _true_peak_plan, _true_peak_taps
 from helpers import faded, noise_stereo, quarter_rate_sine_45
 from oracles import integrated_lufs_direct, true_peak_direct, true_peak_whole
@@ -135,12 +135,10 @@ class TestIntegratedLufs:
 
 
 class TestPromotedMono:
-    """A mono signal promoted to stereo is one row seen twice, measured once."""
+    """Two equal channels, such as a mono signal promoted to stereo, are one
+    row measured once."""
 
-    def test_view_measured_once_equals_its_copy(self, monkeypatch):
-        view = _as_stereo(AudioBuffer(noise_stereo(seconds=3.0, seed=12).samples[0], 44100))
-        copy = AudioBuffer(np.array(view.samples), 44100)
-        assert view.samples.strides[0] == 0 and copy.samples.strides[0] != 0
+    def _count_calls(self, monkeypatch) -> dict:
         calls = {"apply_cascade": 0, "_polyphase_rows": 0}
         for name in calls:
 
@@ -149,17 +147,37 @@ class TestPromotedMono:
                 return _f(*args)
 
             monkeypatch.setattr(loudness, name, counted)
+        return calls
+
+    def test_view_measured_once_equals_its_copy(self, monkeypatch, tmp_path):
+        view = _as_stereo(AudioBuffer(noise_stereo(seconds=3.0, seed=12).samples[0], 44100))
+        copy = AudioBuffer(np.array(view.samples), 44100)
+        assert view.samples.strides[0] == 0 and copy.samples.strides[0] != 0
+        save_wav(tmp_path / "mono.wav", copy)  # what curation stores and stage 2 reads back
+        read_back = load_wav(tmp_path / "mono.wav")
+        calls = self._count_calls(monkeypatch)
         results, counts = [], []
-        for buf in (view, copy):
+        for buf in (view, copy, read_back):
             results.append((integrated_lufs(buf), true_peak_dbtp(buf)))
             counts.append(dict(calls))
             calls.update(dict.fromkeys(calls, 0))
-        blocks = counts[0]["_polyphase_rows"]  # product calls for one row
-        assert blocks > 0
-        assert counts[1] == {"apply_cascade": 2, "_polyphase_rows": 2 * blocks}
+        assert counts[0]["_polyphase_rows"] > 0
         assert counts[0]["apply_cascade"] == 1
+        assert counts[0] == counts[1] == counts[2]
         assert results[0] == results[1]
         assert results[0][1].per_channel[0] == results[0][1].per_channel[1]
+        assert results[2][1].per_channel[0] == results[2][1].per_channel[1]
+
+    def test_rows_differing_in_one_sample_measured_apart(self, monkeypatch):
+        x = np.array(_as_stereo(AudioBuffer(noise_stereo(seconds=1.0, seed=13).samples[0], 44100)).samples)
+        x[1, -1] += 5.0
+        buf = AudioBuffer(x, 44100)
+        calls = self._count_calls(monkeypatch)
+        integrated_lufs(buf)
+        peak = true_peak_dbtp(buf)
+        assert calls["apply_cascade"] == 2
+        assert peak.per_channel == tuple(true_peak_dbtp(AudioBuffer(row, 44100)).dbtp for row in x)
+        assert peak.per_channel[0] != peak.per_channel[1]
 
 
 class TestTruePeak:
@@ -267,6 +285,19 @@ class TestTruePeak:
         # samples 0-23 and the last 24 are read by the rows cut from zero-padded copies
         x = np.full((2, n), 0.25)
         x[1, at] = value
+        with pytest.raises(ValueError, match="buffer holds non-finite samples"):
+            true_peak_dbtp(AudioBuffer(x, 44100))
+
+    @pytest.mark.parametrize("n", [2000, 3 * BLOCK])
+    def test_overflow_of_finite_samples_is_plus_infinity(self, n):
+        # used to raise "buffer holds non-finite samples", which is false of the buffer
+        x = np.zeros((2, n))
+        x[0, n // 2 : n // 2 + 49] = 1.7e308
+        out = true_peak_dbtp(AudioBuffer(x, 44100))
+        assert (out.dbtp, out.per_channel) == (np.inf, (np.inf, SILENCE_FLOOR_DBTP))
+        x[0, n // 2 : n // 2 + 49] = 1e308  # the control: its oversampled peak stays finite
+        assert np.isfinite(true_peak_dbtp(AudioBuffer(x, 44100)).dbtp)
+        x[1, -1] = np.nan  # a NaN beside an overflow is still named
         with pytest.raises(ValueError, match="buffer holds non-finite samples"):
             true_peak_dbtp(AudioBuffer(x, 44100))
 

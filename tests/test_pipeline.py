@@ -425,6 +425,43 @@ class TestHugeAmplitude:
         assert list(out.iterdir()) == []
 
 
+class TestOverflowOutcomes:
+    """Finite samples whose resampled or oversampled values overflow float64
+    get the gate's outcome, as samples whose K-weighted power overflows do."""
+
+    @staticmethod
+    def _huge_wav(path: Path, rate: int, seconds: float = 2.0) -> None:
+        x = np.clip(np.random.default_rng(0).standard_normal((2, int(seconds * rate))), -1, 1) * 1.7e308
+        with open(path, "wb") as fh:
+            fh.write(_wav_header(_FLOAT, 2, rate, 8, x.shape[1]))
+            fh.write(x.T.astype("<f8").tobytes())
+
+    def test_stage2_rejects_as_true_peak_exceeded(self, tmp_path):
+        # true peak used to raise "buffer holds non-finite samples", logged as decode_error
+        (tmp_path / "in").mkdir()
+        self._huge_wav(tmp_path / "in" / "huge.wav", 44100)
+        (decision,), _ = curate_batch(tmp_path / "in", tmp_path / "out", stage="stage2")
+        assert (decision.reason, decision.measured["dbtp"]) == ("true_peak_exceeded", np.inf)
+        assert json.loads(decision.to_json())["measured"] == {"native_rate": 44100, "lufs_i": None, "dbtp": None}
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["decisions.jsonl"]
+
+    @pytest.mark.parametrize("rate", [44100, 96000])
+    @pytest.mark.parametrize("stage", ["stage1", "all"])
+    def test_stage1_rejects_as_lufs_high_at_any_rate(self, tmp_path, rate, stage):
+        # at 96 kHz the resampled samples overflow, and this used to read too_short
+        (tmp_path / "in").mkdir()
+        self._huge_wav(tmp_path / "in" / "huge.wav", rate)
+        (decision,), _ = curate_batch(tmp_path / "in", tmp_path / "out", stage=stage)
+        assert (decision.reason, decision.measured["lufs_i"]) == ("lufs_high", np.inf)
+        assert json.loads(decision.to_json())["measured"] == {"native_rate": rate, "lufs_i": None, "dbtp": None}
+
+    def test_short_file_is_too_short_before_its_overflow(self, tmp_path):
+        src = tmp_path / "short.wav"
+        self._huge_wav(src, 96000, seconds=0.3)
+        decision = curate_all(src, tmp_path)
+        assert (decision.reason, decision.measured["native_rate"]) == ("too_short", 96000)
+
+
 class TestTooShort:
     @pytest.mark.parametrize(
         "seconds,curate",

@@ -17,7 +17,7 @@ from earmetrics import (
     split_mslr,
     stft,
 )
-from helpers import noise_stereo
+from helpers import huge_noise_pair, noise_stereo, overflowing_pair
 
 COMPACT = MultiScaleConfig.compact()
 
@@ -84,7 +84,7 @@ class TestMelFilterbank:
 class TestDistances:
     def test_identity_is_exact_zero(self, rng):
         x = rng.standard_normal(44100)
-        assert log_magnitude_distance(x, x, 44100, COMPACT) == 0.0
+        assert log_magnitude_distance(x, x, cfg=COMPACT) == 0.0
         assert mel_distance(x, x, 44100, COMPACT) == 0.0
 
     def test_doubling_with_tiny_epsilon_is_log_two(self, rng):
@@ -92,11 +92,11 @@ class TestDistances:
         # negligible epsilon every bin differs by exactly log(2)
         cfg = MultiScaleConfig(fft_sizes=(1024, 256), log_epsilon=1e-300)
         x = 0.4 * rng.standard_normal(22050)
-        assert log_magnitude_distance(x, 2 * x, 44100, cfg) == pytest.approx(np.log(2), abs=1e-12)
+        assert log_magnitude_distance(x, 2 * x, cfg=cfg) == pytest.approx(np.log(2), abs=1e-12)
 
     def test_doubling_broadband_at_default_epsilon(self, rng):
         x = 0.5 * rng.standard_normal(44100)
-        got = log_magnitude_distance(x, 2 * x, 44100, COMPACT)
+        got = log_magnitude_distance(x, 2 * x, cfg=COMPACT)
         assert got == pytest.approx(np.log(2), abs=0.01)
 
     def test_scale_average_matches_singletons(self, rng):
@@ -111,16 +111,17 @@ class TestDistances:
 
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
-            log_magnitude_distance(np.zeros(5000), np.zeros(5001), 44100, COMPACT)
+            log_magnitude_distance(np.zeros(5000), np.zeros(5001), cfg=COMPACT)
         nan_ch = np.zeros(5000)
         nan_ch[100] = np.nan
-        for distance in (log_magnitude_distance, mel_distance):
-            with pytest.raises(ValueError, match="non-finite"):
-                distance(np.zeros(5000), nan_ch, 44100, COMPACT)
+        with pytest.raises(ValueError, match="non-finite"):
+            log_magnitude_distance(np.zeros(5000), nan_ch, cfg=COMPACT)
+        with pytest.raises(ValueError, match="non-finite"):
+            mel_distance(np.zeros(5000), nan_ch, 44100, COMPACT)
 
     def test_too_short_signal_rejected(self):
         with pytest.raises(ValueError, match="analysis window"):
-            log_magnitude_distance(np.zeros(1000), np.zeros(1000), 44100, COMPACT)
+            log_magnitude_distance(np.zeros(1000), np.zeros(1000), cfg=COMPACT)
 
     def test_mel_distance_smaller_than_linear_for_hf_noise(self, rng):
         # a small high-frequency-only perturbation lands in few mel bands
@@ -128,7 +129,7 @@ class TestDistances:
         x = rng.standard_normal(rate)
         t = np.arange(rate) / rate
         y = x + 0.05 * np.sin(2 * np.pi * 18000 * t)
-        assert mel_distance(x, y, rate, COMPACT) < log_magnitude_distance(x, y, rate, COMPACT)
+        assert mel_distance(x, y, rate, COMPACT) < log_magnitude_distance(x, y, cfg=COMPACT)
 
 
 class TestCompositeObjective:
@@ -162,17 +163,15 @@ class TestCompositeObjective:
         )
         out = composite_objective(ref, rec, COMPACT)
 
-        sig_ref, sig_rec = split_mslr(ref), split_mslr(rec)
-        mags = [
-            log_magnitude_distance(sig_ref.component(c), sig_rec.component(c), rate, COMPACT)
-            for c in ("mid", "side", "left", "right")
-        ]
+        # mid, side, left, right of each signal
+        comps_ref, comps_rec = ((*split_mslr(buf), *buf.samples) for buf in (ref, rec))
+        mags = [log_magnitude_distance(a, b, cfg=COMPACT) for a, b in zip(comps_ref, comps_rec)]
         corrs, phases = [], []
-        for c in ("left", "right"):
+        for ref_ch, rec_ch in zip(ref.samples, rec.samples):
             for n in COMPACT.fft_sizes:
                 sc = COMPACT.stft_config(n)
-                a = stft(sig_ref.component(c), sc, rate)
-                b = stft(sig_rec.component(c), sc, rate)
+                a = stft(ref_ch, sc).bins
+                b = stft(rec_ch, sc).bins
                 corrs.append(correlation_loss(a, b))
                 phases.append(phase_loss(a, b))
         assert out.stft_mag == pytest.approx(np.mean(mags), rel=1e-12)
@@ -186,7 +185,7 @@ class TestCompositeObjective:
         ref = noise_stereo(rate=rate, seconds=0.6, amp=0.5, seed=25)
         rec = AudioBuffer(ref.samples[::-1], rate)
         out = composite_objective(ref, rec, COMPACT)
-        d_lr = log_magnitude_distance(ref.samples[0], ref.samples[1], rate, COMPACT)
+        d_lr = log_magnitude_distance(ref.samples[0], ref.samples[1], cfg=COMPACT)
         assert out.stft_mag == pytest.approx(d_lr / 2, rel=1e-9)
 
     def test_prefilter_matches_manual_filtering(self):
@@ -234,3 +233,15 @@ class TestCompositeObjective:
         samples[1, 5] = np.inf
         with pytest.raises(ValueError, match="reconstruction holds non-finite"):
             composite_objective(stereo, AudioBuffer(samples, 44100), COMPACT)
+        with pytest.raises(ValueError, match="reconstruction holds non-finite"):
+            composite_objective(stereo, AudioBuffer(samples, 44100), COMPACT, prefilter="k")
+
+    @pytest.mark.parametrize("prefilter", ["none", "k", "a"])
+    def test_overflow_named_with_any_prefilter(self, prefilter):
+        # used to return an all-NaN breakdown, and to warn of overflow without a prefilter
+        with pytest.raises(ValueError, match="samples are too large for the metrics to stay finite in float64"):
+            composite_objective(*overflowing_pair(), MultiScaleConfig((512,)), prefilter=prefilter)
+
+    def test_large_finite_samples_stay_finite(self):
+        out = composite_objective(*huge_noise_pair(1e70, 1e70), MultiScaleConfig((512,)), prefilter="k")
+        assert np.isfinite([out.stft_mag, out.corr, out.phase, out.weighted_total]).all()
