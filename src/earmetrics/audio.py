@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from math import gcd
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
@@ -94,6 +94,25 @@ def _too_large() -> ValueError:
     return ValueError("samples are too large for the metrics to stay finite in float64")
 
 
+def _overflow_named(values=lambda result: (result,)):
+    """Decorator: run a function of checked-finite samples with numpy's overflow
+    warnings off, and raise :func:`_too_large` if any of ``values(result)``
+    other than None is NaN or inf, which only an overflow of its sums can give."""
+
+    def decorate(fn):
+        @wraps(fn)
+        def checked(*args, **kwargs):
+            with np.errstate(over="ignore", invalid="ignore"):
+                result = fn(*args, **kwargs)
+            if not np.isfinite([v for v in values(result) if v is not None]).all():
+                raise _too_large()
+            return result
+
+        return checked
+
+    return decorate
+
+
 def _as_stereo(buf: AudioBuffer) -> AudioBuffer:
     """A mono buffer as a read-only two-channel view of its one channel, with
     no copy; a stereo buffer as it is."""
@@ -102,27 +121,31 @@ def _as_stereo(buf: AudioBuffer) -> AudioBuffer:
     return AudioBuffer(np.broadcast_to(buf.samples, (2, buf.num_samples)), buf.sample_rate)
 
 
+def _fft_size(n: int) -> int:
+    """``n`` as an int, checked to be a power of two >= 2 (a numpy integer passes)."""
+    if not isinstance(n, (int, np.integer)) or n < 2 or n & (n - 1):
+        raise ValueError(f"fft sizes must be powers of two >= 2, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class StftConfig:
     """Analysis configuration for :func:`stft` and :func:`istft`.
 
-    ``hop`` defaults to one quarter of the window. ``center_pad`` reflects
-    ``fft_size // 2`` samples at both ends so the first frame is centered on
-    sample zero and the frame count is deterministic from the input length.
+    ``hop`` defaults to one quarter of the window. Frames are centred: frame
+    ``t`` is centred on sample ``t * hop`` of the signal reflected by
+    ``fft_size // 2`` samples at both ends, so ``n`` samples give ``1 + n // hop``.
     """
 
     fft_size: int
     hop: int | None = None
-    center_pad: bool = True
 
     def __post_init__(self) -> None:
-        n = self.fft_size
-        if not isinstance(n, (int, np.integer)) or n < 2 or n & (n - 1):
-            raise ValueError(f"fft_size must be a power of two >= 2, got {n!r}")
+        n = _fft_size(self.fft_size)
         hop = self.hop if self.hop is not None else n // 4
         if not isinstance(hop, (int, np.integer)) or not 0 < hop <= n:
             raise ValueError(f"hop must satisfy 0 < hop <= fft_size, got {hop!r}")
-        object.__setattr__(self, "fft_size", int(n))
+        object.__setattr__(self, "fft_size", n)
         object.__setattr__(self, "hop", int(hop))
 
     @property
@@ -467,6 +490,12 @@ def _polyphase_rows(x: np.ndarray, plan: _Plan, r0: int, out: np.ndarray) -> Non
             np.matmul(rows_in.copy(), w, out=out[:, phase : phase + w.shape[1]])
 
 
+def _resampled_length(num_samples: int, rate: int, target_rate: int) -> int:
+    """``num_samples * target_rate / rate`` rounded to nearest, ties to even."""
+    q, r = divmod(num_samples * target_rate, rate)
+    return q + (1 if (2 * r > rate or (2 * r == rate and q % 2 == 1)) else 0)
+
+
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Band-limited sample-rate conversion via polyphase filtering.
 
@@ -477,8 +506,9 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     the signal. Every sample is read by some output row, so each is checked.
 
     Raises:
-        ValueError: on a target rate that is not a positive integer, or a
-            buffer holding NaN or inf samples.
+        ValueError: on a target rate that is not a positive integer, a
+            buffer holding NaN or inf samples, or finite samples so large
+            that the filtered values overflow float64.
     """
     if not isinstance(target_rate, (int, np.integer)) or target_rate <= 0:
         raise ValueError(f"target_rate must be a positive integer, got {target_rate!r}")
@@ -487,8 +517,7 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
         return buf
     g = gcd(buf.sample_rate, target_rate)
     up, down = target_rate // g, buf.sample_rate // g
-    q, r = divmod(buf.num_samples * target_rate, buf.sample_rate)
-    n_out = q + (1 if (2 * r > buf.sample_rate or (2 * r == buf.sample_rate and q % 2 == 1)) else 0)
+    n_out = _resampled_length(buf.num_samples, buf.sample_rate, target_rate)
     plan = (_resample_plan if max(up, down) <= _CACHED_RATIO_TERM else _resample_plan.__wrapped__)(up, down)
     rows = -(-n_out // plan[0])
     blocks = _polyphase_blocks(buf.num_samples, plan, rows)
@@ -496,6 +525,8 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     for x, y in zip(buf.samples, out):
         for r0, r1 in blocks:
             _polyphase_rows(x, plan, r0, y[r0:r1])
+            if not np.isfinite(y[r0:r1]).all():  # the rows read finite samples: an overflow
+                raise _too_large()
     return AudioBuffer(_frozen(out.reshape(buf.channels, -1)[:, :n_out]), target_rate)
 
 
@@ -516,27 +547,20 @@ _BLOCK_SAMPLES = 2**17
 
 def _num_frames(num_samples: int, config: StftConfig) -> int:
     """Frame count of a ``num_samples`` signal; raises when it is too short to analyze."""
-    n = config.fft_size
-    if config.center_pad:
-        if num_samples < n // 2 + 1:
-            raise ValueError(
-                f"signal too short: {num_samples} samples cannot be reflect-padded by {n // 2}"
-            )
-        return 1 + num_samples // config.hop
-    if num_samples < n:
-        raise ValueError(f"signal too short: {num_samples} samples < fft_size {n}")
-    return 1 + (num_samples - n) // config.hop
+    pad = config.fft_size // 2
+    if num_samples < pad + 1:
+        raise ValueError(f"signal too short: {num_samples} samples cannot be reflect-padded by {pad}")
+    return 1 + num_samples // config.hop
 
 
 def _frame_bins(x: np.ndarray, config: StftConfig, start: int, stop: int) -> np.ndarray:
     """Hann-windowed one-sided spectra of frames ``start`` to ``stop - 1`` of ``x``.
 
-    Frames are cut from ``x`` itself. With center padding, a frame that
-    reaches past either end gathers the reflected samples, so no padded copy
-    of the channel is made.
+    Frames are cut from ``x`` itself. A frame that reaches past either end
+    gathers the reflected samples, so no padded copy of the channel is made.
     """
     n, hop = config.fft_size, config.hop
-    lo = start * hop - (n // 2 if config.center_pad else 0)
+    lo = start * hop - n // 2
     hi = lo + (stop - start - 1) * hop + n
     if lo < 0 or hi > x.shape[0]:
         idx = np.abs(np.arange(lo, hi))
@@ -569,11 +593,11 @@ def stft(channel: np.ndarray, config: StftConfig) -> ComplexSpectrogram:
     """Hann-windowed one-sided STFT of a single channel.
 
     Frame ``t`` covers samples ``[t * hop, t * hop + fft_size)`` of the
-    (optionally center-padded) signal.
+    signal reflect-padded by ``fft_size // 2`` at both ends.
 
     Raises:
-        ValueError: signal shorter than one frame (``center_pad=False``) or
-            shorter than the reflective pad requires (``center_pad=True``).
+        ValueError: on a signal of ``fft_size // 2`` samples or fewer, too
+            short to reflect-pad.
     """
     x = np.asarray(channel, dtype=np.float64)
     if x.ndim != 1:
@@ -586,17 +610,18 @@ def istft(spec: ComplexSpectrogram) -> np.ndarray:
     """Inverse STFT by overlap-add with window-square normalization.
 
     Requires a constant-overlap-add configuration for the Hann window:
-    ``hop <= fft_size / 2`` and ``fft_size % hop == 0``. Returns exactly
-    ``spec.num_samples`` samples; positions never covered by a frame (only
-    possible without center padding) come back as zeros.
+    ``hop <= fft_size / 2`` and ``fft_size % hop == 0``, under which the
+    centred frames cover every sample, and the frame count :func:`stft` gives
+    ``spec.num_samples`` samples. Returns exactly that many samples.
     """
-    cfg = spec.config
-    n, hop = cfg.fft_size, cfg.hop
+    n, hop = spec.config.fft_size, spec.config.hop
     if hop > n // 2 or n % hop != 0:
         raise ValueError(
             f"hop {hop} violates constant overlap-add for fft_size {n} "
             f"(need hop <= fft_size / 2 and fft_size % hop == 0)"
         )
+    if spec.num_frames != _num_frames(spec.num_samples, spec.config):
+        raise ValueError(f"{spec.num_frames} frames do not cover {spec.num_samples} samples at hop {hop}")
     w = _hann_window(n)
     frames = np.fft.irfft(spec.bins, n=n, axis=1) * w
     total = hop * (spec.num_frames - 1) + n
@@ -608,8 +633,4 @@ def istft(spec: ComplexSpectrogram) -> np.ndarray:
         y[start : start + n] += frames[i]
         norm[start : start + n] += wsq
     np.divide(y, norm, out=y, where=norm > 1e-12)
-    start = n // 2 if cfg.center_pad else 0
-    out = np.zeros(spec.num_samples)
-    seg = y[start : start + spec.num_samples]
-    out[: seg.shape[0]] = seg
-    return out
+    return y[n // 2 : n // 2 + spec.num_samples]

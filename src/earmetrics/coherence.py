@@ -27,8 +27,8 @@ from .audio import (
     AudioBuffer,
     StftConfig,
     _as_stereo,
+    _overflow_named,
     _stft_blocks,
-    _too_large,
     resample,
 )
 from .loudness import dbtp_distance
@@ -52,27 +52,21 @@ __all__ = [
 
 SI_SDR_CAP_DB = 100.0
 
-_WEIGHT_MODES = ("product", "reference_energy")
-
 
 @dataclass(frozen=True)
 class CoherenceConfig:
-    """STFT resolution, regularizer, and weighting mode for ICPC/CCPC.
+    """STFT resolution and regularizer for ICPC/CCPC.
 
-    ``product`` weights bins by ``|S_ref| * |S_rec|`` (penalizing both
-    hallucinated and missing energy); ``reference_energy`` uses
-    ``|S_ref|**2``.
+    ICPC weights each bin by ``|S_ref| * |S_rec|``, so hallucinated and
+    missing energy both count.
     """
 
     stft: StftConfig = StftConfig(fft_size=2048, hop=512)
     epsilon: float = 1e-8
-    weight_mode: str = "product"
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
-        if self.weight_mode not in _WEIGHT_MODES:
-            raise ValueError(f"weight_mode must be one of {_WEIGHT_MODES}, got {self.weight_mode!r}")
 
 
 class _Resultants:
@@ -111,15 +105,9 @@ class _Resultants:
 
 class _Icpc(_Resultants):
     def add(self, a: np.ndarray, b: np.ndarray) -> None:
-        if self.cfg.weight_mode == "product":
-            # |rec * conj(ref)| is the weight and its phase the phase error
-            weighted = b * np.conj(a)
-            self._add(weighted, np.abs(weighted))
-            return
-        # |ref| * conj(ref) * unit(rec); a silent rec bin reads as phase 0
-        mag_a = np.abs(a)
-        unit_b = np.divide(b, np.abs(b), out=np.ones_like(b), where=b != 0)
-        self._add(mag_a * np.conj(a) * unit_b, mag_a**2)
+        # |rec * conj(ref)| is the weight and its phase the phase error
+        weighted = b * np.conj(a)
+        self._add(weighted, np.abs(weighted))
 
 
 class _Ccpc(_Resultants):
@@ -158,11 +146,13 @@ def ccpc_from_spectra(
     return acc.percent()[0]
 
 
+@_overflow_named()
 def icpc(ref_ch: np.ndarray, rec_ch: np.ndarray, *, cfg: CoherenceConfig | None = None) -> float:
     """Individual channel phase coherence of one channel pair, in percent.
 
     Raises:
-        ValueError: on length mismatch or non-finite samples.
+        ValueError: on length mismatch, non-finite samples, or finite samples
+            so large that the statistic overflows float64.
     """
     acc = _Icpc(cfg or CoherenceConfig())
     for a, b in _stft_blocks(_channel_pair(ref_ch, rec_ch), acc.cfg.stft):
@@ -170,11 +160,13 @@ def icpc(ref_ch: np.ndarray, rec_ch: np.ndarray, *, cfg: CoherenceConfig | None 
     return acc.percent()[0]
 
 
+@_overflow_named()
 def ccpc(ref: AudioBuffer, rec: AudioBuffer, cfg: CoherenceConfig | None = None) -> float:
     """Cross channel phase coherence of a stereo pair, in percent.
 
     Raises:
-        ValueError: on mono, mismatched or non-finite input.
+        ValueError: on mono, mismatched or non-finite input, or finite
+            samples so large that the statistic overflows float64.
     """
     _check_stereo_pair(ref, rec, "ccpc")
     acc = _Ccpc(cfg or CoherenceConfig())
@@ -183,6 +175,7 @@ def ccpc(ref: AudioBuffer, rec: AudioBuffer, cfg: CoherenceConfig | None = None)
     return acc.percent()[0]
 
 
+@_overflow_named()
 def si_sdr(ref: np.ndarray, rec: np.ndarray) -> float:
     """Scale-invariant signal-to-distortion ratio in dB, clamped to +/-100.
 
@@ -191,8 +184,9 @@ def si_sdr(ref: np.ndarray, rec: np.ndarray) -> float:
     ``(channels, n)`` return the mean over channels.
 
     Raises:
-        ValueError: on shape mismatch, no channels, non-finite samples or an
-            all-zero reference.
+        ValueError: on shape mismatch, no channels, non-finite samples, an
+            all-zero reference, or finite samples so large that a power
+            overflows float64.
     """
     if np.ndim(ref) == 2 and np.shape(ref) == np.shape(rec):
         if not len(ref):
@@ -217,6 +211,8 @@ def _si_sdr_channel(a: np.ndarray, b: np.ndarray) -> float | None:
         residual = b[lo : lo + _BLOCK_SAMPLES] - target
         target_power += float(np.dot(target, target))
         residual_power += float(np.dot(residual, residual))
+    if not np.isfinite((ref_power, target_power, residual_power)).all():
+        return float("nan")  # a power overflowed float64; the callers name the NaN
     if target_power == 0.0:
         return -SI_SDR_CAP_DB
     if residual_power == 0.0:
@@ -309,6 +305,7 @@ def align_pair(ref: AudioBuffer, rec: AudioBuffer) -> tuple[AudioBuffer, AudioBu
     return ref, rec, flags
 
 
+@_overflow_named(lambda out: out[0].values())
 def _evaluate_aligned(
     ref: AudioBuffer,
     rec: AudioBuffer,
@@ -319,7 +316,8 @@ def _evaluate_aligned(
     channels inside. Each block's magnitudes feed the log and mel distances,
     and at the config equal to the coherence STFT the block feeds ICPC/CCPC;
     a coherence STFT that matches no scale takes one more pass. One block of
-    frames is alive at a time."""
+    frames is alive at a time. Returns the metrics, SI-SDR None when every
+    reference channel is silent, and the flags."""
     rate = ref.sample_rate
     _check_length(ref.num_samples, ms_cfg)
     eps = ms_cfg.log_epsilon
@@ -332,33 +330,29 @@ def _evaluate_aligned(
         configs.append(coh_cfg.stft)
     coh = (_Icpc(coh_cfg), _Icpc(coh_cfg), _Ccpc(coh_cfg))
     channels = (ref.samples[0], rec.samples[0], ref.samples[1], rec.samples[1])
-    # finite samples far beyond full scale overflow the products; named below, not warned
-    with np.errstate(over="ignore", invalid="ignore"):
-        for sc, scale_dists in zip_longest(configs, dists, fillvalue=()):
-            for a_l, b_l, a_r, b_r in _stft_blocks(channels, sc):
-                for (stft_d, mel_d), a, b in zip(scale_dists, (a_l, a_r), (b_l, b_r)):
-                    mag_a, mag_b = np.abs(a), np.abs(b)
-                    stft_d.add(mag_a, mag_b)
-                    mel_d.add(mag_a, mag_b)
-                mag_a = mag_b = None  # released before ICPC/CCPC form their products
-                if sc == coh_cfg.stft:
-                    coh[0].add(a_l, b_l)
-                    coh[1].add(a_r, b_r)
-                    coh[2].add(a_l, a_r, b_l, b_r)
-        (icpc_l, deg_l), (icpc_r, deg_r), (ccpc_value, deg_c) = (c.percent() for c in coh)
-        sdr = [_si_sdr_channel(*_channel_pair(a, b)) for a, b in zip(ref.samples, rec.samples)]
-        heard = [v for v in sdr if v is not None]
-        # per channel over scales, then over channels; SI-SDR over channels with a reference
-        metrics = {
-            "mel_dist": float(np.mean([np.mean([d[ch][1].mean() for d in dists]) for ch in (0, 1)])),
-            "stft_dist": float(np.mean([np.mean([d[ch][0].mean() for d in dists]) for ch in (0, 1)])),
-            "icpc_percent": float(np.mean([icpc_l, icpc_r])),
-            "ccpc_percent": ccpc_value,
-            "si_sdr_db": float(np.mean(heard)) if heard else None,
-            "dbtp_dist": dbtp_distance(ref, rec),
-        }
-    if not np.isfinite([v for v in metrics.values() if v is not None]).all():
-        raise _too_large()
+    for sc, scale_dists in zip_longest(configs, dists, fillvalue=()):
+        for a_l, b_l, a_r, b_r in _stft_blocks(channels, sc):
+            for (stft_d, mel_d), a, b in zip(scale_dists, (a_l, a_r), (b_l, b_r)):
+                mag_a, mag_b = np.abs(a), np.abs(b)
+                stft_d.add(mag_a, mag_b)
+                mel_d.add(mag_a, mag_b)
+            mag_a = mag_b = None  # released before ICPC/CCPC form their products
+            if sc == coh_cfg.stft:
+                coh[0].add(a_l, b_l)
+                coh[1].add(a_r, b_r)
+                coh[2].add(a_l, a_r, b_l, b_r)
+    (icpc_l, deg_l), (icpc_r, deg_r), (ccpc_value, deg_c) = (c.percent() for c in coh)
+    sdr = [_si_sdr_channel(*_channel_pair(a, b)) for a, b in zip(ref.samples, rec.samples)]
+    heard = [v for v in sdr if v is not None]
+    # per channel over scales, then over channels; SI-SDR over channels with a reference
+    metrics = {
+        "mel_dist": float(np.mean([np.mean([d[ch][1].mean() for d in dists]) for ch in (0, 1)])),
+        "stft_dist": float(np.mean([np.mean([d[ch][0].mean() for d in dists]) for ch in (0, 1)])),
+        "icpc_percent": float(np.mean([icpc_l, icpc_r])),
+        "ccpc_percent": ccpc_value,
+        "si_sdr_db": float(np.mean(heard)) if heard else None,
+        "dbtp_dist": dbtp_distance(ref, rec),
+    }
     flags = ["degenerate_coherence_input"] if deg_l or deg_r or deg_c else []
     return metrics, flags + (["silent_reference_channel"] if len(heard) < len(sdr) else [])
 
@@ -405,7 +399,7 @@ def evaluate_pair(
         "coherence_fft_size": coh_cfg.stft.fft_size,
         "coherence_hop": coh_cfg.stft.hop,
         "coherence_epsilon": coh_cfg.epsilon,
-        "weight_mode": coh_cfg.weight_mode,
+        "weight_mode": "product",
         "si_sdr_cap_db": SI_SDR_CAP_DB,
         "prefilter": prefilter,
         "chunk_seconds": chunk_seconds,

@@ -30,14 +30,11 @@ _TWO_PI = 2.0 * np.pi
 class PhaseLossConfig:
     """Options shared by the phase-domain losses.
 
-    ``epsilon`` regularizes magnitude normalizations. With
-    ``magnitude_weighting`` the phase loss weights each derivative error by
-    the mean reference magnitude of the two bins it spans, normalized to sum
-    to one per term.
+    ``epsilon`` regularizes magnitude normalizations: the correlation loss's
+    per-bin denominator and the phase loss's sums of weights.
     """
 
     epsilon: float = 1e-8
-    magnitude_weighting: bool = True
 
     def __post_init__(self) -> None:
         if not self.epsilon > 0:
@@ -136,13 +133,14 @@ def _abs_sums(d: np.ndarray, mag: np.ndarray, axis: int) -> tuple[float, float]:
 class _PhaseSums:
     """Sums behind :func:`phase_loss` over consecutive blocks of frames.
 
-    Each block comes with its reference magnitudes. The IF error of a block's
-    first frame is taken against the last frame of the block before it, whose
-    phase error and weight are carried over as a one-frame halo.
+    Each block comes with its reference magnitudes, which weight the errors.
+    The IF error of a block's first frame is taken against the last frame of
+    the block before it, whose phase error and magnitude are carried over as
+    a one-frame halo.
     """
 
     def __init__(self, cfg: PhaseLossConfig) -> None:
-        self.cfg = cfg
+        self.eps = cfg.epsilon
         self.sums = np.zeros(4)  # IF error, IF weight, GD error, GD weight
         self.halo: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -150,22 +148,18 @@ class _PhaseSums:
         # wrap(wrap(x) - wrap(y)) == wrap(x - y) and |wrap(-d)| == |wrap(d)|
         err = np.angle(b)
         err -= np.angle(a)
-        # unweighted, unit weights: 1.0 * |d| is |d| and a sum of ones the exact count
-        mag = mag_a if self.cfg.magnitude_weighting else np.ones_like(mag_a)
-        err_if, mag_if = err, mag
+        err_if, mag_if = err, mag_a
         if self.halo is not None:
-            err_if, mag_if = (np.concatenate(pair) for pair in zip(self.halo, (err, mag)))
-        self.halo = (err[-1:].copy(), mag[-1:].copy())
+            err_if, mag_if = (np.concatenate(pair) for pair in zip(self.halo, (err, mag_a)))
+        self.halo = (err[-1:].copy(), mag_a[-1:].copy())
         self.sums += (
             *_abs_sums(_wrapped_diff(err_if, axis=0), mag_if, 0),
-            *_abs_sums(_wrapped_diff(err, axis=1), mag, 1),
+            *_abs_sums(_wrapped_diff(err, axis=1), mag_a, 1),
         )
 
     def loss(self) -> float:
-        # unweighted, the weights are counts and each term a plain mean
-        eps = self.cfg.epsilon if self.cfg.magnitude_weighting else 0.0
         if_err, if_weight, gd_err, gd_weight = self.sums
-        return float(if_err / (if_weight + eps) + gd_err / (gd_weight + eps))
+        return float(if_err / (if_weight + self.eps) + gd_err / (gd_weight + self.eps))
 
 
 def phase_loss(ref: np.ndarray, rec: np.ndarray, cfg: PhaseLossConfig | None = None) -> float:
@@ -176,8 +170,9 @@ def phase_loss(ref: np.ndarray, rec: np.ndarray, cfg: PhaseLossConfig | None = N
     exactly zero for identical inputs; a zero-magnitude bin reads as phase 0.
     It is invariant to a global phase rotation of either spectrogram in exact
     arithmetic, and within a few ulp of pi for float64 inputs rotated in
-    float64. Magnitude weighting (default) weights each derivative location
-    by the mean reference magnitude of its two parent bins.
+    float64. Each derivative error is weighted by the mean reference
+    magnitude of the two bins it spans, and each term is normalized by the
+    sum of its weights.
     """
     sums = _PhaseSums(cfg or PhaseLossConfig())
     a, b = _bins_of(ref, rec)

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .audio import AudioBuffer, _as_stereo, load_wav, resample, save_wav
+from .audio import AudioBuffer, _as_stereo, _resampled_length, load_wav, resample, save_wav
 from .loudness import _gating_block, integrated_lufs, true_peak_dbtp
 
 __all__ = [
@@ -207,15 +207,16 @@ def _stage1(
     native = buf.sample_rate
     if native < TARGET_RATE:
         return _reject(path, "below_rate", {"native_rate": native}), None
-    if native > TARGET_RATE:
-        buf = resample(buf, TARGET_RATE)
-    buf = _as_stereo(buf)
-    if buf.num_samples < _gating_block(TARGET_RATE):
+    if _resampled_length(buf.num_samples, native, TARGET_RATE) < _gating_block(TARGET_RATE):
         return _reject(path, "too_short", {"native_rate": native}), None
-    # _load checked the samples, so a NaN or inf here is the resampler's overflow:
-    # louder than any gate, as finite samples whose K-weighted power overflows measure
-    overflow = native > TARGET_RATE and not np.isfinite(buf.samples).all()
-    lufs = float("inf") if overflow else integrated_lufs(buf).lufs_i
+    try:
+        buf = _as_stereo(resample(buf, TARGET_RATE))
+    except ValueError:
+        # _load checked the samples, so this is the resampler's overflow: louder
+        # than any gate, as finite samples whose K-weighted power overflows measure
+        lufs = float("inf")
+    else:
+        lufs = integrated_lufs(buf).lufs_i
     measured = {"native_rate": native, "lufs_i": lufs, "dbtp": None}
     if lufs < lufs_min:
         return _reject(path, "lufs_low", measured), None

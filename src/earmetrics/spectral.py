@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioBuffer, StftConfig, _frozen, _stft_blocks, _too_large
+from .audio import AudioBuffer, StftConfig, _fft_size, _frozen, _overflow_named, _stft_blocks
 from .phase import PhaseLossConfig, _CorrelationSums, _PhaseSums
 from .stereo import _channel_pair, _check_stereo_pair
 from .weighting import _prefilter_pair
@@ -36,44 +36,28 @@ DEFAULT_LAMBDAS = (50.0, 10.0, 10.0)
 class MultiScaleConfig:
     """Resolution bank for the multi-scale distances.
 
-    ``mel_bins`` optionally fixes the mel band count per scale; by default
-    each scale uses ``min(128, fft_size // 8)`` bands, which keeps the
+    Each scale uses ``min(128, fft_size // 8)`` mel bands, which keeps the
     filterbank well conditioned at the smallest windows.
     """
 
     fft_sizes: tuple[int, ...] = (4096, 2048, 1024, 512, 256, 128)
     hop_ratio: float = 0.25
     log_epsilon: float = 1e-5
-    mel_bins: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        sizes = tuple(int(n) for n in self.fft_sizes)
+        sizes = tuple(_fft_size(n) for n in self.fft_sizes)
         if not sizes:
             raise ValueError("fft_sizes must be non-empty")
-        for n in sizes:
-            if n < 2 or n & (n - 1):
-                raise ValueError(f"fft sizes must be powers of two >= 2, got {n}")
         if not 0.0 < self.hop_ratio <= 1.0:
             raise ValueError(f"hop_ratio must be in (0, 1], got {self.hop_ratio!r}")
         if not self.log_epsilon > 0:
             raise ValueError(f"log_epsilon must be positive, got {self.log_epsilon!r}")
-        if self.mel_bins is not None:
-            bins = tuple(int(m) for m in self.mel_bins)
-            if len(bins) != len(sizes):
-                raise ValueError(
-                    f"mel_bins length {len(bins)} does not match {len(sizes)} fft sizes"
-                )
-            if any(m < 1 for m in bins):
-                raise ValueError("mel_bins entries must be >= 1")
-            object.__setattr__(self, "mel_bins", bins)
         object.__setattr__(self, "fft_sizes", sizes)
 
     def hop_for(self, fft_size: int) -> int:
         return max(1, int(fft_size * self.hop_ratio))
 
     def mel_bins_for(self, scale_index: int) -> int:
-        if self.mel_bins is not None:
-            return self.mel_bins[scale_index]
         return min(128, self.fft_sizes[scale_index] // 8)
 
     def stft_config(self, fft_size: int) -> StftConfig:
@@ -159,6 +143,7 @@ class _LogL1:
         return self.total / self.count
 
 
+@_overflow_named()
 def _multiscale_distance(
     ref_ch: np.ndarray, rec_ch: np.ndarray, cfg: MultiScaleConfig | None, mel_rate: int | None
 ) -> float:
@@ -198,8 +183,7 @@ def mel_distance(
     return _multiscale_distance(ref_ch, rec_ch, cfg, int(rate))
 
 
-# finite samples far beyond full scale overflow the spectra; named on return, not warned
-@np.errstate(over="ignore", invalid="ignore")
+@_overflow_named(lambda b: (b.stft_mag, b.corr, b.phase))
 def composite_objective(
     ref: AudioBuffer,
     rec: AudioBuffer,
@@ -249,8 +233,6 @@ def composite_objective(
     # per component over scales, then over components; all left scales before all right
     stft_mag = float(np.mean([np.mean(v) for v in mag_terms]))
     corr, phase = (float(np.mean(lr_terms[k] + lr_terms[k + 1])) for k in (0, 2))
-    if not np.isfinite([stft_mag, corr, phase]).all():
-        raise _too_large()
     lam_mag, lam_corr, lam_phase = (float(v) for v in lambdas)
     total = lam_mag * stft_mag + lam_corr * corr + lam_phase * phase
     return ObjectiveBreakdown(

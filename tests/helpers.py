@@ -49,6 +49,13 @@ def overflowing_pair() -> tuple[AudioBuffer, AudioBuffer]:
     return AudioBuffer(r, 44100), AudioBuffer(0.9 * r, 44100)
 
 
+def overflowing_96k() -> AudioBuffer:
+    """Two seconds of 96 kHz stereo noise clipped to +-1 and scaled by 1.7e308:
+    finite samples whose values resampled to 44.1 kHz overflow float64."""
+    x = np.clip(np.random.default_rng(0).standard_normal((2, 192_000)), -1, 1) * 1.7e308
+    return AudioBuffer(x, 96000)
+
+
 def sine_stereo(
     freq_l: float,
     freq_r: float,

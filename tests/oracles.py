@@ -73,13 +73,9 @@ def phase_loss_direct(ref: np.ndarray, rec: np.ndarray, eps: float = 1e-8) -> fl
     return if_num / (if_den + eps) + gd_num / (gd_den + eps)
 
 
-def icpc_direct(
-    ref: np.ndarray,
-    rec: np.ndarray,
-    eps: float = 1e-8,
-    weight_mode: str = "product",
-) -> float:
-    """Energy-weighted mean resultant length of per-bin phase errors."""
+def icpc_direct(ref: np.ndarray, rec: np.ndarray, eps: float = 1e-8) -> float:
+    """Mean resultant length of per-bin phase errors, each weighted by
+    ``|ref| * |rec|``."""
     frames, bins = ref.shape
     per_frame = []
     energies = []
@@ -89,7 +85,7 @@ def icpc_direct(
             a = complex(ref[t, f])
             b = complex(rec[t, f])
             d = wrap_direct(math.atan2(b.imag, b.real) - math.atan2(a.imag, a.real))
-            w = abs(a) * abs(b) if weight_mode == "product" else abs(a) ** 2
+            w = abs(a) * abs(b)
             re_sum += w * math.cos(d)
             im_sum += w * math.sin(d)
             w_sum += w
@@ -265,10 +261,7 @@ def evaluate_whole(ref: np.ndarray, rec: np.ndarray, rate: int, ms_cfg, coh_cfg)
     (al, ar), (bl, br) = ([_stft_whole(x[ch], n, hop) for ch in range(2)] for x in (ref, rec))
     icpcs = []
     for a, b in ((al, bl), (ar, br)):
-        if coh_cfg.weight_mode == "product":
-            w = np.abs(a) * np.abs(b)
-        else:
-            w = np.abs(a) ** 2
+        w = np.abs(a) * np.abs(b)
         icpcs.append(_resultant_whole(w * _unit(b, 1.0) * np.conj(_unit(a, 1.0)), w, c_eps))
     p = (bl * np.conj(br)) * np.conj(al * np.conj(ar))
     w = np.sqrt(np.abs(p))

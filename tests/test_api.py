@@ -1,4 +1,5 @@
-"""The public spectral edge: plain arrays in and out, no unread arguments."""
+"""The public spectral edge: plain arrays in and out, no unread arguments,
+no option that gives a quantity a second definition."""
 from __future__ import annotations
 
 import ast
@@ -10,7 +11,9 @@ import pytest
 import earmetrics
 from earmetrics import (
     AudioBuffer,
+    CoherenceConfig,
     MultiScaleConfig,
+    PhaseLossConfig,
     StftConfig,
     ccpc_from_spectra,
     correlation_loss,
@@ -99,3 +102,21 @@ class TestNoRateArguments:
             log_magnitude_distance(x, x, cfg)
         assert log_magnitude_distance(x, x, cfg=cfg) == 0.0
         assert icpc(x, x) == pytest.approx(100.0, abs=1e-6)
+
+
+class TestFixedChoices:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: StftConfig(1024, center_pad=False),
+            lambda: CoherenceConfig(weight_mode="reference_energy"),
+            lambda: PhaseLossConfig(magnitude_weighting=False),
+            lambda: MultiScaleConfig(fft_sizes=(512, 256), mel_bins=(64, 32)),
+        ],
+        ids=["center_pad", "weight_mode", "magnitude_weighting", "mel_bins"],
+    )
+    def test_removed_keyword_raises_type_error(self, make):
+        # frames are always centred, ICPC always weights by |S_ref| * |S_rec|, the
+        # phase loss is always magnitude-weighted, mel bands always min(128, n // 8)
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            make()

@@ -107,10 +107,6 @@ def test_lengths_over_one_to_three_blocks(num_samples):
     _check_objective(*pair, cfg=bank)
 
 
-def test_reference_energy_weighting():
-    _check_eval(*_pair(100_000, seed=3), coh_cfg=CoherenceConfig(weight_mode="reference_energy"))
-
-
 def test_separate_coherence_config():
     _check_eval(*_pair(100_000, seed=4), coh_cfg=CoherenceConfig(StftConfig(1024, hop=512)))
 
@@ -137,14 +133,13 @@ def test_prefilter_and_chunks():
 
 
 @pytest.mark.parametrize("block", range(1, 7))
-@pytest.mark.parametrize("weighting", [True, False])
-def test_accumulators_in_blocks_match_one_block_on_silent_bins(block, weighting):
+def test_accumulators_in_blocks_match_one_block_on_silent_bins(block):
     # the zero-bin toy fed as its first two frames, then blocks of ``block``
     # frames, equals the whole toy through the public functions (one block)
     a, b = toy_with_silent_bins()
     al, ar, bl, br = a, 0.8 * b * np.exp(0.31j), 1.1 * b, 0.9 * a * np.exp(-0.22j)
-    phase_cfg = PhaseLossConfig(magnitude_weighting=weighting)
-    coh_cfg = CoherenceConfig(weight_mode="product" if weighting else "reference_energy")
+    phase_cfg = PhaseLossConfig()
+    coh_cfg = CoherenceConfig()
     phase, corr = _PhaseSums(phase_cfg), _CorrelationSums(phase_cfg)
     icpc, ccpc = _Icpc(coh_cfg), _Ccpc(coh_cfg)
     starts = [0, *range(2, a.shape[0], block)]

@@ -1,7 +1,9 @@
-"""The package namespace is the union of the layer modules' public names."""
+"""The package namespace is the union of the layer modules' public names,
+and the configs hold the options they hold now."""
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import types
 
@@ -22,3 +24,18 @@ def test_namespace_is_the_union_of_the_layer_modules_all():
     assert public == set(owner)
     for name, module in owner.items():
         assert getattr(earmetrics, name) is getattr(module, name), name
+
+
+# Each metric has one definition; an option that selects a second one is a
+# code path only its tests run. Adding a field means editing this on purpose.
+CONFIG_FIELDS = {
+    "StftConfig": ("fft_size", "hop"),
+    "MultiScaleConfig": ("fft_sizes", "hop_ratio", "log_epsilon"),
+    "CoherenceConfig": ("stft", "epsilon"),
+    "PhaseLossConfig": ("epsilon",),
+}
+
+
+def test_config_fields_are_pinned():
+    got = {name: tuple(f.name for f in dataclasses.fields(getattr(earmetrics, name))) for name in CONFIG_FIELDS}
+    assert got == CONFIG_FIELDS

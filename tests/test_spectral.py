@@ -6,6 +6,7 @@ import pytest
 from earmetrics import (
     AudioBuffer,
     MultiScaleConfig,
+    StftConfig,
     apply_cascade,
     composite_objective,
     correlation_loss,
@@ -36,13 +37,22 @@ class TestMultiScaleConfig:
         assert MultiScaleConfig().hop_for(1024) == 256
         assert MultiScaleConfig(hop_ratio=1.0).hop_for(128) == 128
 
+    @pytest.mark.parametrize("sizes", [(4096.7, 512), ("1024",)])
+    def test_sizes_checked_as_stft_sizes(self, sizes):
+        # int() used to turn 4096.7 into 4096 and "1024" into 1024, which StftConfig rejects
+        with pytest.raises(ValueError, match="fft sizes must be powers of two >= 2"):
+            MultiScaleConfig(fft_sizes=sizes)
+        with pytest.raises(ValueError, match="fft sizes must be powers of two >= 2"):
+            StftConfig(sizes[0])
+
+    def test_numpy_integer_sizes_accepted(self):
+        cfg = MultiScaleConfig(fft_sizes=np.array([1024, 256]))
+        assert cfg.fft_sizes == (1024, 256)
+        assert all(type(n) is int for n in cfg.fft_sizes)
+
     def test_default_mel_bins_cap(self):
         cfg = MultiScaleConfig()
         assert [cfg.mel_bins_for(i) for i in range(6)] == [128, 128, 128, 64, 32, 16]
-
-    def test_explicit_mel_bins_length_checked(self):
-        with pytest.raises(ValueError):
-            MultiScaleConfig(fft_sizes=(512, 256), mel_bins=(32,))
 
     @pytest.mark.parametrize("ratio", [0.0, 1.5, -0.1])
     def test_hop_ratio_bounds(self, ratio):
@@ -102,12 +112,23 @@ class TestDistances:
     def test_scale_average_matches_singletons(self, rng):
         x = rng.standard_normal(22050)
         y = x + 0.01 * rng.standard_normal(22050)
-        cfg = MultiScaleConfig(fft_sizes=(1024, 256), mel_bins=(64, 32))
-        singles = [
-            mel_distance(x, y, 44100, MultiScaleConfig(fft_sizes=(n,), mel_bins=(m,)))
-            for n, m in ((1024, 64), (256, 32))
-        ]
+        cfg = MultiScaleConfig(fft_sizes=(1024, 256))
+        singles = [mel_distance(x, y, 44100, MultiScaleConfig(fft_sizes=(n,))) for n in (1024, 256)]
         assert mel_distance(x, y, 44100, cfg) == pytest.approx(np.mean(singles), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "distance",
+        [
+            lambda a, b, cfg: log_magnitude_distance(a, b, cfg=cfg),
+            lambda a, b, cfg: mel_distance(a, b, 44100, cfg),
+        ],
+        ids=["log_magnitude_distance", "mel_distance"],
+    )
+    def test_overflow_named(self, distance):
+        # used to return NaN with 10 (log) and 12 (mel) overflow warnings
+        ref, rec = overflowing_pair()
+        with pytest.raises(ValueError, match="samples are too large for the metrics to stay finite in float64"):
+            distance(ref.samples[0], rec.samples[0], MultiScaleConfig((512,)))
 
     def test_length_mismatch_rejected(self, rng):
         with pytest.raises(ValueError):
