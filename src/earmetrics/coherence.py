@@ -3,9 +3,10 @@
 ICPC (individual channel phase coherence) scores the stability of per-bin
 phase error within a channel as an energy-weighted mean resultant length,
 in percent. CCPC (cross channel phase coherence) applies the same statistic
-to the preservation of the inter-channel phase difference. Both score a
-constant phase offset as 100% by construction; the correlation loss is the
-quantity that penalizes constant offsets.
+to the preservation of the inter-channel phase difference. Both are taken
+from 2048-point frames at hop 512 and score a constant phase offset as 100%
+by construction; the correlation loss is the quantity that penalizes
+constant offsets.
 
 :func:`evaluate_pair` assembles the six-metric report (mel distance, STFT
 log distance, ICPC, CCPC, SI-SDR, true-peak distance) for one
@@ -32,13 +33,12 @@ from .audio import (
     resample,
 )
 from .loudness import dbtp_distance
-from .phase import _bins_of
-from .spectral import MultiScaleConfig, _check_length, _LogL1, mel_filterbank
+from .phase import _bins_of, _spectra_overflow_named
+from .spectral import _LOG_EPSILON, MultiScaleConfig, _check_length, _LogL1, mel_filterbank
 from .stereo import _channel_pair, _check_finite, _check_stereo_pair
 from .weighting import _prefilter_pair
 
 __all__ = [
-    "CoherenceConfig",
     "MetricReport",
     "SI_SDR_CAP_DB",
     "icpc",
@@ -51,22 +51,8 @@ __all__ = [
 ]
 
 SI_SDR_CAP_DB = 100.0
-
-
-@dataclass(frozen=True)
-class CoherenceConfig:
-    """STFT resolution and regularizer for ICPC/CCPC.
-
-    ICPC weights each bin by ``|S_ref| * |S_rec|``, so hallucinated and
-    missing energy both count.
-    """
-
-    stft: StftConfig = StftConfig(fft_size=2048, hop=512)
-    epsilon: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+_COHERENCE_STFT = StftConfig(fft_size=2048, hop=512)
+_COHERENCE_EPSILON = 1e-8  # regularizes the per-frame and total weight normalizations
 
 
 class _Resultants:
@@ -76,8 +62,7 @@ class _Resultants:
     times the unit phasor of its phase error, and the sum of those weights.
     """
 
-    def __init__(self, cfg: CoherenceConfig) -> None:
-        self.cfg = cfg
+    def __init__(self) -> None:
         self.resultants: list[np.ndarray] = []
         self.energies: list[np.ndarray] = []
 
@@ -89,10 +74,10 @@ class _Resultants:
         """Energy-weighted mean resultant length over frames, as a percent.
 
         Returns the score and a degeneracy flag that is set when the total
-        weight is below ``epsilon`` (silent input), in which case the score
+        weight is below 1e-8 (silent input), in which case the score
         is 100 by convention rather than NaN.
         """
-        eps = self.cfg.epsilon
+        eps = _COHERENCE_EPSILON
         resultant = np.concatenate(self.resultants)
         frame_energy = np.concatenate(self.energies)
         per_frame = resultant / (frame_energy + eps)
@@ -105,7 +90,7 @@ class _Resultants:
 
 class _Icpc(_Resultants):
     def add(self, a: np.ndarray, b: np.ndarray) -> None:
-        # |rec * conj(ref)| is the weight and its phase the phase error
+        # the weight |rec * conj(ref)| counts hallucinated and missing energy; its phase is the phase error
         weighted = b * np.conj(a)
         self._add(weighted, np.abs(weighted))
 
@@ -126,42 +111,43 @@ class _Ccpc(_Resultants):
         self._add(prod, weights)
 
 
-def icpc_from_spectra(ref: np.ndarray, rec: np.ndarray, cfg: CoherenceConfig | None = None) -> float:
+@_spectra_overflow_named
+def icpc_from_spectra(ref: np.ndarray, rec: np.ndarray) -> float:
     """ICPC in percent from two precomputed ``(frames, bins)`` single-channel spectrograms."""
-    acc = _Icpc(cfg or CoherenceConfig())
+    acc = _Icpc()
     acc.add(*_bins_of(ref, rec))
     return acc.percent()[0]
 
 
+@_spectra_overflow_named
 def ccpc_from_spectra(
     ref_left: np.ndarray,
     ref_right: np.ndarray,
     rec_left: np.ndarray,
     rec_right: np.ndarray,
-    cfg: CoherenceConfig | None = None,
 ) -> float:
     """CCPC in percent from the four precomputed ``(frames, bins)`` channel spectrograms."""
-    acc = _Ccpc(cfg or CoherenceConfig())
+    acc = _Ccpc()
     acc.add(*_bins_of(ref_left, ref_right, rec_left, rec_right))
     return acc.percent()[0]
 
 
 @_overflow_named()
-def icpc(ref_ch: np.ndarray, rec_ch: np.ndarray, *, cfg: CoherenceConfig | None = None) -> float:
+def icpc(ref_ch: np.ndarray, rec_ch: np.ndarray) -> float:
     """Individual channel phase coherence of one channel pair, in percent.
 
     Raises:
         ValueError: on length mismatch, non-finite samples, or finite samples
             so large that the statistic overflows float64.
     """
-    acc = _Icpc(cfg or CoherenceConfig())
-    for a, b in _stft_blocks(_channel_pair(ref_ch, rec_ch), acc.cfg.stft):
+    acc = _Icpc()
+    for a, b in _stft_blocks(_channel_pair(ref_ch, rec_ch), _COHERENCE_STFT):
         acc.add(a, b)
     return acc.percent()[0]
 
 
 @_overflow_named()
-def ccpc(ref: AudioBuffer, rec: AudioBuffer, cfg: CoherenceConfig | None = None) -> float:
+def ccpc(ref: AudioBuffer, rec: AudioBuffer) -> float:
     """Cross channel phase coherence of a stereo pair, in percent.
 
     Raises:
@@ -169,8 +155,8 @@ def ccpc(ref: AudioBuffer, rec: AudioBuffer, cfg: CoherenceConfig | None = None)
             samples so large that the statistic overflows float64.
     """
     _check_stereo_pair(ref, rec, "ccpc")
-    acc = _Ccpc(cfg or CoherenceConfig())
-    for blocks in _stft_blocks((*ref.samples, *rec.samples), acc.cfg.stft):
+    acc = _Ccpc()
+    for blocks in _stft_blocks((*ref.samples, *rec.samples), _COHERENCE_STFT):
         acc.add(*blocks)
     return acc.percent()[0]
 
@@ -310,25 +296,23 @@ def _evaluate_aligned(
     ref: AudioBuffer,
     rec: AudioBuffer,
     ms_cfg: MultiScaleConfig,
-    coh_cfg: CoherenceConfig,
 ) -> tuple[dict, list[str]]:
     """One pass over the scales, each a pass over blocks of frames with the
     channels inside. Each block's magnitudes feed the log and mel distances,
     and at the config equal to the coherence STFT the block feeds ICPC/CCPC;
-    a coherence STFT that matches no scale takes one more pass. One block of
+    a bank without that config takes one more pass for it. One block of
     frames is alive at a time. Returns the metrics, SI-SDR None when every
     reference channel is silent, and the flags."""
     rate = ref.sample_rate
     _check_length(ref.num_samples, ms_cfg)
-    eps = ms_cfg.log_epsilon
     dists = [
-        [(_LogL1(eps), _LogL1(eps, mel_filterbank(ms_cfg.mel_bins_for(i), n, rate))) for _ in "lr"]
+        [(_LogL1(_LOG_EPSILON), _LogL1(_LOG_EPSILON, mel_filterbank(ms_cfg.mel_bins_for(i), n, rate))) for _ in "lr"]
         for i, n in enumerate(ms_cfg.fft_sizes)
     ]
     configs = [ms_cfg.stft_config(n) for n in ms_cfg.fft_sizes]
-    if coh_cfg.stft not in configs:
-        configs.append(coh_cfg.stft)
-    coh = (_Icpc(coh_cfg), _Icpc(coh_cfg), _Ccpc(coh_cfg))
+    if _COHERENCE_STFT not in configs:
+        configs.append(_COHERENCE_STFT)
+    coh = (_Icpc(), _Icpc(), _Ccpc())
     channels = (ref.samples[0], rec.samples[0], ref.samples[1], rec.samples[1])
     for sc, scale_dists in zip_longest(configs, dists, fillvalue=()):
         for a_l, b_l, a_r, b_r in _stft_blocks(channels, sc):
@@ -337,12 +321,13 @@ def _evaluate_aligned(
                 stft_d.add(mag_a, mag_b)
                 mel_d.add(mag_a, mag_b)
             mag_a = mag_b = None  # released before ICPC/CCPC form their products
-            if sc == coh_cfg.stft:
+            if sc == _COHERENCE_STFT:
                 coh[0].add(a_l, b_l)
                 coh[1].add(a_r, b_r)
                 coh[2].add(a_l, a_r, b_l, b_r)
     (icpc_l, deg_l), (icpc_r, deg_r), (ccpc_value, deg_c) = (c.percent() for c in coh)
-    sdr = [_si_sdr_channel(*_channel_pair(a, b)) for a, b in zip(ref.samples, rec.samples)]
+    # align_pair checked the channels finite, and chunks are views of them
+    sdr = [_si_sdr_channel(a, b) for a, b in zip(ref.samples, rec.samples)]
     heard = [v for v in sdr if v is not None]
     # per channel over scales, then over channels; SI-SDR over channels with a reference
     metrics = {
@@ -361,7 +346,7 @@ def evaluate_pair(
     ref: AudioBuffer,
     rec: AudioBuffer,
     ms_cfg: MultiScaleConfig | None = None,
-    coh_cfg: CoherenceConfig | None = None,
+    *,
     reference_id: str = "reference",
     reconstruction_id: str = "reconstruction",
     prefilter: str = "none",
@@ -386,19 +371,18 @@ def evaluate_pair(
     if chunk_seconds is not None and not 0.0 < chunk_seconds < float("inf"):
         raise ValueError(f"chunk_seconds must be finite and positive, got {chunk_seconds!r}")
     ms_cfg = ms_cfg or MultiScaleConfig()
-    coh_cfg = coh_cfg or CoherenceConfig()
     ref, rec, flags = align_pair(ref, rec)
     rate = ref.sample_rate
     ref, rec = _prefilter_pair(prefilter, ref, rec)
     config = {
         "sample_rate": rate,
         "fft_sizes": list(ms_cfg.fft_sizes),
-        "hop_ratio": ms_cfg.hop_ratio,
-        "log_epsilon": ms_cfg.log_epsilon,
+        "hop_ratio": 0.25,
+        "log_epsilon": _LOG_EPSILON,
         "mel_bins": [ms_cfg.mel_bins_for(i) for i in range(len(ms_cfg.fft_sizes))],
-        "coherence_fft_size": coh_cfg.stft.fft_size,
-        "coherence_hop": coh_cfg.stft.hop,
-        "coherence_epsilon": coh_cfg.epsilon,
+        "coherence_fft_size": _COHERENCE_STFT.fft_size,
+        "coherence_hop": _COHERENCE_STFT.hop,
+        "coherence_epsilon": _COHERENCE_EPSILON,
         "weight_mode": "product",
         "si_sdr_cap_db": SI_SDR_CAP_DB,
         "prefilter": prefilter,
@@ -421,7 +405,7 @@ def evaluate_pair(
     rows = []
     extra_flags: set[str] = set()
     for chunk_ref, chunk_rec in chunks:
-        row, extra = _evaluate_aligned(chunk_ref, chunk_rec, ms_cfg, coh_cfg)
+        row, extra = _evaluate_aligned(chunk_ref, chunk_rec, ms_cfg)
         rows.append(row)
         extra_flags.update(extra)
     if all(r["si_sdr_db"] is None for r in rows):

@@ -5,16 +5,17 @@ the wrapped first difference of phase along time; group delay is the negated
 wrapped first difference along frequency. The correlation loss penalizes the
 cosine of per-bin phase error, the phase loss the L1 error of both phase
 derivatives. Spectrograms are complex matrices of shape ``(frames, bins)``.
+The losses here and ICPC/CCPC of spectra raise ValueError on non-finite
+bins, and on finite bins so large that a result overflows float64.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
 __all__ = [
-    "PhaseLossConfig",
     "wrap_phase",
     "phase_matrix",
     "instantaneous_frequency",
@@ -24,21 +25,7 @@ __all__ = [
 ]
 
 _TWO_PI = 2.0 * np.pi
-
-
-@dataclass(frozen=True)
-class PhaseLossConfig:
-    """Options shared by the phase-domain losses.
-
-    ``epsilon`` regularizes magnitude normalizations: the correlation loss's
-    per-bin denominator and the phase loss's sums of weights.
-    """
-
-    epsilon: float = 1e-8
-
-    def __post_init__(self) -> None:
-        if not self.epsilon > 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
+_EPSILON = 1e-8  # regularizes the correlation loss's denominators and the phase loss's weight sums
 
 
 def wrap_phase(x: np.ndarray | float) -> np.ndarray | float:
@@ -54,12 +41,30 @@ def wrap_phase(x: np.ndarray | float) -> np.ndarray | float:
 
 
 def _bins_of(*specs: np.ndarray) -> list[np.ndarray]:
-    """The given spectrograms as arrays, checked to share one 2-D shape."""
+    """The given spectrograms as arrays, checked finite and of one 2-D shape."""
     bins = [np.asarray(s) for s in specs]
     if any(b.ndim != 2 for b in bins) or len({b.shape for b in bins}) != 1:
         got = [b.shape if b.ndim else type(s).__name__ for b, s in zip(bins, specs)]
         raise ValueError(f"spectrograms must be 2-D arrays of one shape, got {got}")
+    bad = [i for i, b in enumerate(bins, 1) if not np.isfinite(b).all()]
+    if bad:
+        raise ValueError(f"spectrograms must hold finite bins; those at positions {bad} do not")
     return bins
+
+
+def _spectra_overflow_named(fn):
+    """Decorator: run a metric of spectra checked by :func:`_bins_of` with numpy's
+    overflow warnings off; a NaN or inf value can only be an overflow, so raise."""
+
+    @wraps(fn)
+    def checked(*args, **kwargs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            value = fn(*args, **kwargs)
+        if not np.isfinite(value):
+            raise ValueError("spectra are too large for the metrics to stay finite in float64")
+        return value
+
+    return checked
 
 
 def phase_matrix(spec: np.ndarray) -> np.ndarray:
@@ -97,13 +102,12 @@ class _CorrelationSums:
     """Running sum of ``Re(rec * conj(ref)) / (|rec| |ref| + epsilon)`` and its
     bin count over the blocks of frames and their magnitudes it is given."""
 
-    def __init__(self, cfg: PhaseLossConfig) -> None:
-        self.eps = cfg.epsilon
+    def __init__(self) -> None:
         self.total, self.count = 0.0, 0
 
     def add(self, a: np.ndarray, b: np.ndarray, mag_a: np.ndarray, mag_b: np.ndarray) -> None:
         num = np.real(b * np.conj(a))
-        den = mag_b * mag_a + self.eps
+        den = mag_b * mag_a + _EPSILON
         self.total += float(np.sum(num / den))
         self.count += num.size
 
@@ -111,13 +115,14 @@ class _CorrelationSums:
         return 1.0 - self.total / self.count
 
 
-def correlation_loss(ref: np.ndarray, rec: np.ndarray, cfg: PhaseLossConfig | None = None) -> float:
+@_spectra_overflow_named
+def correlation_loss(ref: np.ndarray, rec: np.ndarray) -> float:
     """Mean of ``1 - cos(phase error)`` over all bins, in [0, 2].
 
-    Computed as ``1 - mean(Re(rec * conj(ref) / (|rec| |ref| + epsilon)))``
+    Computed as ``1 - mean(Re(rec * conj(ref) / (|rec| |ref| + 1e-8)))``
     so zero-magnitude bins contribute zero correlation rather than NaN.
     """
-    sums = _CorrelationSums(cfg or PhaseLossConfig())
+    sums = _CorrelationSums()
     a, b = _bins_of(ref, rec)
     sums.add(a, b, np.abs(a), np.abs(b))
     return sums.loss()
@@ -139,8 +144,7 @@ class _PhaseSums:
     a one-frame halo.
     """
 
-    def __init__(self, cfg: PhaseLossConfig) -> None:
-        self.eps = cfg.epsilon
+    def __init__(self) -> None:
         self.sums = np.zeros(4)  # IF error, IF weight, GD error, GD weight
         self.halo: tuple[np.ndarray, np.ndarray] | None = None
 
@@ -159,10 +163,11 @@ class _PhaseSums:
 
     def loss(self) -> float:
         if_err, if_weight, gd_err, gd_weight = self.sums
-        return float(if_err / (if_weight + self.eps) + gd_err / (gd_weight + self.eps))
+        return float(if_err / (if_weight + _EPSILON) + gd_err / (gd_weight + _EPSILON))
 
 
-def phase_loss(ref: np.ndarray, rec: np.ndarray, cfg: PhaseLossConfig | None = None) -> float:
+@_spectra_overflow_named
+def phase_loss(ref: np.ndarray, rec: np.ndarray) -> float:
     """L1 error of instantaneous frequency plus L1 error of group delay.
 
     Both errors are wrapped first differences of the per-bin phase error
@@ -172,9 +177,9 @@ def phase_loss(ref: np.ndarray, rec: np.ndarray, cfg: PhaseLossConfig | None = N
     arithmetic, and within a few ulp of pi for float64 inputs rotated in
     float64. Each derivative error is weighted by the mean reference
     magnitude of the two bins it spans, and each term is normalized by the
-    sum of its weights.
+    sum of its weights plus 1e-8.
     """
-    sums = _PhaseSums(cfg or PhaseLossConfig())
+    sums = _PhaseSums()
     a, b = _bins_of(ref, rec)
     sums.add(a, b, np.abs(a))
     return sums.loss()

@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .audio import AudioBuffer, StftConfig, _fft_size, _frozen, _overflow_named, _stft_blocks
-from .phase import PhaseLossConfig, _CorrelationSums, _PhaseSums
+from .phase import _CorrelationSums, _PhaseSums
 from .stereo import _channel_pair, _check_stereo_pair
 from .weighting import _prefilter_pair
 
@@ -30,43 +30,36 @@ __all__ = [
 ]
 
 DEFAULT_LAMBDAS = (50.0, 10.0, 10.0)
+_LOG_EPSILON = 1e-5  # keeps the log of a silent bin finite
 
 
 @dataclass(frozen=True)
 class MultiScaleConfig:
     """Resolution bank for the multi-scale distances.
 
-    Each scale uses ``min(128, fft_size // 8)`` mel bands, which keeps the
-    filterbank well conditioned at the smallest windows.
+    Every scale hops a quarter of its window and uses
+    ``min(128, fft_size // 8)`` mel bands, which keeps the filterbank well
+    conditioned at the smallest windows.
     """
 
     fft_sizes: tuple[int, ...] = (4096, 2048, 1024, 512, 256, 128)
-    hop_ratio: float = 0.25
-    log_epsilon: float = 1e-5
 
     def __post_init__(self) -> None:
         sizes = tuple(_fft_size(n) for n in self.fft_sizes)
         if not sizes:
             raise ValueError("fft_sizes must be non-empty")
-        if not 0.0 < self.hop_ratio <= 1.0:
-            raise ValueError(f"hop_ratio must be in (0, 1], got {self.hop_ratio!r}")
-        if not self.log_epsilon > 0:
-            raise ValueError(f"log_epsilon must be positive, got {self.log_epsilon!r}")
         object.__setattr__(self, "fft_sizes", sizes)
 
-    def hop_for(self, fft_size: int) -> int:
-        return max(1, int(fft_size * self.hop_ratio))
+    @staticmethod
+    def hop_for(fft_size: int) -> int:
+        return max(1, fft_size // 4)
 
     def mel_bins_for(self, scale_index: int) -> int:
         return min(128, self.fft_sizes[scale_index] // 8)
 
-    def stft_config(self, fft_size: int) -> StftConfig:
-        return StftConfig(fft_size=fft_size, hop=self.hop_for(fft_size))
-
-    @classmethod
-    def compact(cls) -> "MultiScaleConfig":
-        """Narrower five-scale bank, 2048 down to 128, for training-time use."""
-        return cls(fft_sizes=(2048, 1024, 512, 256, 128))
+    @staticmethod
+    def stft_config(fft_size: int) -> StftConfig:
+        return StftConfig(fft_size=fft_size, hop=MultiScaleConfig.hop_for(fft_size))
 
 
 @dataclass(frozen=True)
@@ -155,7 +148,7 @@ def _multiscale_distance(
     per_scale = []
     for i, n in enumerate(cfg.fft_sizes):
         mel_fb = None if mel_rate is None else mel_filterbank(cfg.mel_bins_for(i), n, mel_rate)
-        dist = _LogL1(cfg.log_epsilon, mel_fb)
+        dist = _LogL1(_LOG_EPSILON, mel_fb)
         for a, b in _stft_blocks(pair, cfg.stft_config(n)):
             dist.add(np.abs(a), np.abs(b))
         per_scale.append(dist.mean())
@@ -168,7 +161,7 @@ def log_magnitude_distance(
     """Mean over scales of the mean L1 distance between log magnitudes.
 
     Per scale the error is ``mean |log(|S_ref| + eps) - log(|S_rec| + eps)|``
-    over all frames and bins.
+    over all frames and bins, with ``eps = 1e-5``.
     """
     return _multiscale_distance(ref_ch, rec_ch, cfg, None)
 
@@ -190,7 +183,6 @@ def composite_objective(
     cfg: MultiScaleConfig | None = None,
     prefilter: str = "none",
     lambdas: tuple[float, float, float] = DEFAULT_LAMBDAS,
-    phase_cfg: PhaseLossConfig | None = None,
 ) -> ObjectiveBreakdown:
     """Weighted reconstruction objective over a stereo pair.
 
@@ -207,15 +199,14 @@ def composite_objective(
             largest analysis window, or an invalid prefilter name.
     """
     cfg = cfg or MultiScaleConfig()
-    phase_cfg = phase_cfg or PhaseLossConfig()
     _check_stereo_pair(ref, rec, "composite objective")
     _check_length(ref.num_samples, cfg)
     ref, rec = _prefilter_pair(prefilter, ref, rec)
     mag_terms: list[list[float]] = [[], [], [], []]  # mid, side, left, right
     lr_terms: list[list[float]] = [[], [], [], []]  # corr left, corr right, phase left, phase right
     for n in cfg.fft_sizes:
-        mag_sums = [_LogL1(cfg.log_epsilon) for _ in mag_terms]
-        lr_sums = [_CorrelationSums(phase_cfg) for _ in "lr"] + [_PhaseSums(phase_cfg) for _ in "lr"]
+        mag_sums = [_LogL1(_LOG_EPSILON) for _ in mag_terms]
+        lr_sums = [_CorrelationSums() for _ in "lr"] + [_PhaseSums() for _ in "lr"]
         for a_l, a_r, b_l, b_r in _stft_blocks((*ref.samples, *rec.samples), cfg.stft_config(n)):
             # the STFT is linear, so mid and side are (a_l +/- a_r) / 2; one such pair at a time
             mag_sums[0].add(np.abs(a_l + a_r) / 2, np.abs(b_l + b_r) / 2)

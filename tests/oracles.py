@@ -243,21 +243,23 @@ def _unit(z: np.ndarray, silent: float) -> np.ndarray:
     return np.divide(z, mag, out=np.full_like(z, silent), where=mag > 0)
 
 
-def evaluate_whole(ref: np.ndarray, rec: np.ndarray, rate: int, ms_cfg, coh_cfg) -> dict:
+def evaluate_whole(ref: np.ndarray, rec: np.ndarray, rate: int, ms_cfg) -> dict:
     """``mel_dist``, ``stft_dist``, ``icpc_percent``, ``ccpc_percent`` and the
-    ``degenerate`` flag of an aligned ``(2, n)`` pair."""
+    ``degenerate`` flag of an aligned ``(2, n)`` pair: quarter-window hops and
+    log epsilon 1e-5 at every scale of ``ms_cfg``, coherence from 2048-point
+    frames at hop 512 with epsilon 1e-8."""
     from earmetrics import mel_filterbank
 
-    eps = ms_cfg.log_epsilon
+    eps = 1e-5
     stft_d: list[list[float]] = [[], []]
     mel_d: list[list[float]] = [[], []]
     for i, n in enumerate(ms_cfg.fft_sizes):
         fb = mel_filterbank(ms_cfg.mel_bins_for(i), n, rate).T
         for ch in range(2):
-            mag_a, mag_b = (np.abs(_stft_whole(x[ch], n, ms_cfg.hop_for(n))) for x in (ref, rec))
+            mag_a, mag_b = (np.abs(_stft_whole(x[ch], n, max(1, n // 4))) for x in (ref, rec))
             stft_d[ch].append(_log_l1_whole(mag_a, mag_b, eps))
             mel_d[ch].append(_log_l1_whole(mag_a @ fb, mag_b @ fb, eps))
-    n, hop, c_eps = coh_cfg.stft.fft_size, coh_cfg.stft.hop, coh_cfg.epsilon
+    n, hop, c_eps = 2048, 512, 1e-8
     (al, ar), (bl, br) = ([_stft_whole(x[ch], n, hop) for ch in range(2)] for x in (ref, rec))
     icpcs = []
     for a, b in ((al, bl), (ar, br)):
@@ -277,7 +279,8 @@ def evaluate_whole(ref: np.ndarray, rec: np.ndarray, rate: int, ms_cfg, coh_cfg)
 
 def objective_whole(ref: np.ndarray, rec: np.ndarray, cfg, eps: float = 1e-8) -> tuple[float, float, float]:
     """``(stft_mag, corr, phase)`` of the composite objective of a ``(2, n)``
-    pair, with magnitude-weighted phase loss."""
+    pair, with magnitude-weighted phase loss: quarter-window hops and log
+    epsilon 1e-5 at every scale of ``cfg``."""
     comps = {
         "mid": lambda x: (x[0] + x[1]) / 2.0,
         "side": lambda x: (x[0] - x[1]) / 2.0,
@@ -289,8 +292,8 @@ def objective_whole(ref: np.ndarray, rec: np.ndarray, cfg, eps: float = 1e-8) ->
     phase_terms: list[float] = []
     for n in cfg.fft_sizes:
         for c, part in comps.items():
-            a, b = (_stft_whole(part(x), n, cfg.hop_for(n)) for x in (ref, rec))
-            mag_terms[c].append(_log_l1_whole(np.abs(a), np.abs(b), cfg.log_epsilon))
+            a, b = (_stft_whole(part(x), n, max(1, n // 4)) for x in (ref, rec))
+            mag_terms[c].append(_log_l1_whole(np.abs(a), np.abs(b), 1e-5))
             if c in ("left", "right"):
                 corr_terms.append(1.0 - float(np.mean(np.real(b * np.conj(a)) / (np.abs(a) * np.abs(b) + eps))))
                 err = np.angle(b) - np.angle(a)

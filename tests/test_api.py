@@ -1,5 +1,5 @@
 """The public spectral edge: plain arrays in and out, no unread arguments,
-no option that gives a quantity a second definition."""
+no option that gives a quantity a second definition or sets a fixed rule."""
 from __future__ import annotations
 
 import ast
@@ -11,12 +11,13 @@ import pytest
 import earmetrics
 from earmetrics import (
     AudioBuffer,
-    CoherenceConfig,
     MultiScaleConfig,
-    PhaseLossConfig,
     StftConfig,
+    ccpc,
     ccpc_from_spectra,
+    composite_objective,
     correlation_loss,
+    evaluate_pair,
     icpc,
     icpc_from_spectra,
     log_magnitude_distance,
@@ -26,12 +27,31 @@ from earmetrics import (
     split_mslr,
     stft,
 )
+from helpers import noise_stereo
 
 
 def _spec_and_bins():
     x = np.random.default_rng(7).standard_normal(4096)
     spec = stft(x, StftConfig(512))
     return spec, spec.bins
+
+
+# each spectrum-level function of a reference and a reconstruction spectrogram
+SPECTRUM_METRICS = {
+    "phase_matrix": lambda a, b: phase_matrix(b),
+    "correlation_loss": correlation_loss,
+    "phase_loss": phase_loss,
+    "icpc_from_spectra": icpc_from_spectra,
+    "ccpc_from_spectra": lambda a, b: ccpc_from_spectra(a, b, b, a),
+}
+
+
+def _bins_of_noise(peak: float) -> np.ndarray:
+    """Finite STFT bins of noise whose samples peak at ``peak``."""
+    x = np.random.default_rng(11).standard_normal(8192)
+    bins = stft(peak * x / np.abs(x).max(), StftConfig(512)).bins
+    assert np.isfinite(bins).all()
+    return bins
 
 
 class TestSpectrumFunctionsTakeArrays:
@@ -55,6 +75,33 @@ class TestSpectrumFunctionsTakeArrays:
         spec, bins = _spec_and_bins()
         assert phase_loss(bins, spec.bins) == 0.0
         assert icpc_from_spectra(bins, bins) == pytest.approx(100.0, abs=1e-6)
+
+    @pytest.mark.parametrize("name", SPECTRUM_METRICS)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_bins_named(self, name, bad):
+        # NaN bins used to give a NaN metric with no error
+        _, a = _spec_and_bins()
+        b = 0.9 * a
+        b[3, 4] = bad
+        with pytest.raises(ValueError, match="spectrograms must hold finite bins"):
+            SPECTRUM_METRICS[name](a, b)
+
+    @pytest.mark.parametrize(
+        "name,peak",
+        [(n, 1e300) for n in ("correlation_loss", "icpc_from_spectra", "ccpc_from_spectra")]
+        + [(n, 1e307) for n in ("correlation_loss", "phase_loss", "icpc_from_spectra", "ccpc_from_spectra")],
+    )
+    def test_overflowing_bins_named(self, name, peak):
+        # finite bins whose products overflow float64: correlation_loss,
+        # icpc_from_spectra and ccpc_from_spectra returned NaN with warnings
+        # from a peak of 1e300 up, phase_loss from 1e307
+        a = _bins_of_noise(peak)
+        with pytest.raises(ValueError, match="spectra are too large for the metrics to stay finite in float64"):
+            SPECTRUM_METRICS[name](a, 0.9 * a)
+
+    def test_large_finite_result_is_kept(self):
+        a = _bins_of_noise(1e300)
+        assert phase_loss(a, 0.9 * a) < 1e-15
 
     def test_phase_module_imports_nothing_from_audio(self):
         tree = ast.parse(Path(earmetrics.phase.__file__).read_text())
@@ -104,19 +151,61 @@ class TestNoRateArguments:
         assert icpc(x, x) == pytest.approx(100.0, abs=1e-6)
 
 
+def _pair():
+    ref = noise_stereo(seconds=0.1, seed=12)
+    return ref, AudioBuffer(0.9 * ref.samples, ref.sample_rate)
+
+
+def _bins_pair():
+    _, a = _spec_and_bins()
+    return a, 0.9 * a
+
+
 class TestFixedChoices:
     @pytest.mark.parametrize(
         "make",
         [
             lambda: StftConfig(1024, center_pad=False),
-            lambda: CoherenceConfig(weight_mode="reference_energy"),
-            lambda: PhaseLossConfig(magnitude_weighting=False),
+            lambda: icpc(*(buf.samples[0] for buf in _pair()), weight_mode="reference_energy"),
+            lambda: phase_loss(*_bins_pair(), magnitude_weighting=False),
             lambda: MultiScaleConfig(fft_sizes=(512, 256), mel_bins=(64, 32)),
+            lambda: MultiScaleConfig(hop_ratio=0.25),
+            lambda: MultiScaleConfig(log_epsilon=1e-5),
+            lambda: composite_objective(*_pair(), MultiScaleConfig((512,)), phase_cfg=None),
+            lambda: evaluate_pair(*_pair(), MultiScaleConfig((512,)), coh_cfg=None),
+            lambda: correlation_loss(*_bins_pair(), cfg=None),
+            lambda: phase_loss(*_bins_pair(), cfg=None),
+            lambda: icpc(*(buf.samples[0] for buf in _pair()), cfg=None),
+            lambda: ccpc(*_pair(), cfg=None),
+            lambda: icpc_from_spectra(*_bins_pair(), cfg=None),
+            lambda: ccpc_from_spectra(*_bins_pair(), *_bins_pair(), cfg=None),
         ],
-        ids=["center_pad", "weight_mode", "magnitude_weighting", "mel_bins"],
+        ids=[
+            "center_pad",
+            "weight_mode",
+            "magnitude_weighting",
+            "mel_bins",
+            "hop_ratio",
+            "log_epsilon",
+            "phase_cfg",
+            "coh_cfg",
+            "correlation_loss_cfg",
+            "phase_loss_cfg",
+            "icpc_cfg",
+            "ccpc_cfg",
+            "icpc_from_spectra_cfg",
+            "ccpc_from_spectra_cfg",
+        ],
     )
     def test_removed_keyword_raises_type_error(self, make):
         # frames are always centred, ICPC always weights by |S_ref| * |S_rec|, the
-        # phase loss is always magnitude-weighted, mel bands always min(128, n // 8)
+        # phase loss is always magnitude-weighted, mel bands always min(128, n // 8);
+        # hops are a quarter window, and the log, phase and coherence epsilons and
+        # the 2048-point, hop-512 coherence STFT are constants
         with pytest.raises(TypeError, match="unexpected keyword argument"):
             make()
+
+    def test_fourth_positional_argument_of_evaluate_pair_raises(self):
+        # an old positional coh_cfg must not shift into reference_id
+        with pytest.raises(TypeError, match="positional argument"):
+            evaluate_pair(*_pair(), MultiScaleConfig((512,)), None)

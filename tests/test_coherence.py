@@ -11,7 +11,6 @@ import pytest
 from earmetrics import (
     AudioBuffer,
     coherence,
-    CoherenceConfig,
     MetricReport,
     MultiScaleConfig,
     StftConfig,
@@ -89,13 +88,12 @@ class TestCcpc:
         rec = AudioBuffer(
             buf.samples + 0.1 * rng.standard_normal(buf.samples.shape), 44100
         )
-        cfg = CoherenceConfig()
         specs = [
-            stft(b.samples[c], cfg.stft).bins for b in (buf, rec) for c in (0, 1)
+            stft(b.samples[c], StftConfig(2048, hop=512)).bins for b in (buf, rec) for c in (0, 1)
         ]
         al, ar, bl, br = specs
-        base = ccpc_from_spectra(al, ar, bl, br, cfg)
-        rotated = ccpc_from_spectra(al, ar, bl * np.exp(1.3j), br * np.exp(1.3j), cfg)
+        base = ccpc_from_spectra(al, ar, bl, br)
+        rotated = ccpc_from_spectra(al, ar, bl * np.exp(1.3j), br * np.exp(1.3j))
         assert abs(base - rotated) < 0.01
 
     def test_side_inversion_is_penalized(self):
@@ -291,12 +289,22 @@ class TestEvaluatePair:
         assert report.flags == ()
 
     def test_config_snapshot(self):
+        # every key and value of the default report's config, fixed rules included
         buf = noise_stereo(seconds=1.0, seed=71)
-        cfg = evaluate_pair(buf, buf).config
-        assert cfg["sample_rate"] == 44100
-        assert cfg["fft_sizes"] == [4096, 2048, 1024, 512, 256, 128]
-        assert cfg["prefilter"] == "none"
-        assert cfg["weight_mode"] == "product"
+        assert evaluate_pair(buf, buf).config == {
+            "sample_rate": 44100,
+            "fft_sizes": [4096, 2048, 1024, 512, 256, 128],
+            "hop_ratio": 0.25,
+            "log_epsilon": 1e-05,
+            "mel_bins": [128, 128, 128, 64, 32, 16],
+            "coherence_fft_size": 2048,
+            "coherence_hop": 512,
+            "coherence_epsilon": 1e-08,
+            "weight_mode": "product",
+            "si_sdr_cap_db": 100.0,
+            "prefilter": "none",
+            "chunk_seconds": None,
+        }
 
     def test_prefilter_changes_weighting(self):
         rate = 44100
@@ -344,14 +352,13 @@ class TestEvaluatePair:
         assert report.stft_dist == 0.0
 
     def test_one_chunk_obeys_the_whole_pair_length_rule(self):
-        # a coherence window longer than the pair is fine for the whole pair,
-        # so it is for a chunk of the same length
+        # the 2048-point coherence window, longer than the pair, is fine for
+        # the whole pair, so it is for a chunk of the same length
         ms_cfg = MultiScaleConfig(fft_sizes=(1024,))
-        coh_cfg = CoherenceConfig(StftConfig(4096, hop=1024))
-        x = 0.3 * np.random.default_rng(79).standard_normal((2, 3000))
+        x = 0.3 * np.random.default_rng(79).standard_normal((2, 1500))
         ref, rec = AudioBuffer(x, 44100), AudioBuffer(x + 0.05 * np.roll(x, 7, axis=1), 44100)
-        whole = evaluate_pair(ref, rec, ms_cfg, coh_cfg)
-        chunked = evaluate_pair(ref, rec, ms_cfg, coh_cfg, chunk_seconds=3000 / 44100)
+        whole = evaluate_pair(ref, rec, ms_cfg)
+        chunked = evaluate_pair(ref, rec, ms_cfg, chunk_seconds=1500 / 44100)
         assert "chunked" in chunked.flags
         for name in MetricReport.METRIC_FIELDS:
             assert getattr(chunked, name) == getattr(whole, name), name
@@ -441,8 +448,8 @@ class TestPerMetricOverflow:
     @pytest.mark.parametrize(
         "metric",
         [
-            lambda ref, rec: icpc(ref.samples[0], rec.samples[0], cfg=CoherenceConfig(StftConfig(512))),
-            lambda ref, rec: ccpc(ref, rec, CoherenceConfig(StftConfig(512))),
+            lambda ref, rec: icpc(ref.samples[0], rec.samples[0]),
+            lambda ref, rec: ccpc(ref, rec),
             lambda ref, rec: si_sdr(ref.samples, rec.samples),
         ],
         ids=["icpc", "ccpc", "si_sdr"],

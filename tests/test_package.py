@@ -30,9 +30,7 @@ def test_namespace_is_the_union_of_the_layer_modules_all():
 # code path only its tests run. Adding a field means editing this on purpose.
 CONFIG_FIELDS = {
     "StftConfig": ("fft_size", "hop"),
-    "MultiScaleConfig": ("fft_sizes", "hop_ratio", "log_epsilon"),
-    "CoherenceConfig": ("stft", "epsilon"),
-    "PhaseLossConfig": ("epsilon",),
+    "MultiScaleConfig": ("fft_sizes",),
 }
 
 

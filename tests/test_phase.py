@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from earmetrics import (
-    PhaseLossConfig,
     StftConfig,
     correlation_loss,
     group_delay,
@@ -174,7 +173,3 @@ class TestPhaseLoss:
     def test_too_small_spectrogram_rejected(self):
         with pytest.raises(ValueError):
             phase_loss(np.ones((1, 4), complex), np.ones((1, 4), complex))
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            PhaseLossConfig(epsilon=0.0)

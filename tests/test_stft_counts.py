@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import earmetrics.audio
-from earmetrics import AudioBuffer, CoherenceConfig, StftConfig, composite_objective, evaluate_pair
+from earmetrics import AudioBuffer, MultiScaleConfig, StftConfig, composite_objective, evaluate_pair
 from helpers import noise_stereo
 
 SECONDS = 3.5  # several blocks of frames at every scale
@@ -60,9 +60,10 @@ def test_evaluate_pair_shares_the_coherence_scale(analyses, pair):
 
 
 def test_separate_coherence_config_adds_four(analyses, pair):
-    evaluate_pair(*pair, coh_cfg=CoherenceConfig(StftConfig(1024, hop=512)))
-    assert len(analyses) == 28
-    assert [config for _, config in analyses].count(StftConfig(1024, hop=512)) == 4
+    # a bank without 2048 analyzes the coherence STFT on its own
+    evaluate_pair(*pair, ms_cfg=MultiScaleConfig((4096, 1024, 512, 256, 128)))
+    assert len(analyses) == 24
+    assert [config for _, config in analyses].count(StftConfig(2048, hop=512)) == 4
     _each_frame_once(analyses, pair[0].num_samples)
 
 
