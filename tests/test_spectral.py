@@ -34,6 +34,14 @@ class TestMultiScaleConfig:
         assert MultiScaleConfig().hop_for(2) == 1
         assert MultiScaleConfig().stft_config(2) == StftConfig(2, hop=1)
 
+    @pytest.mark.parametrize("ratio", [0.0, 1.5, -0.1])
+    def test_hop_ratio_bounds(self, ratio):
+        # the hop is fixed at a quarter window, so no ratio, in range or not, is taken
+        with pytest.raises(TypeError):
+            MultiScaleConfig(hop_ratio=ratio)
+        cfg = MultiScaleConfig()
+        assert all(0 < cfg.hop_for(n) <= n for n in cfg.fft_sizes + (2, 4))
+
     @pytest.mark.parametrize("sizes", [(4096.7, 512), ("1024",)])
     def test_sizes_checked_as_stft_sizes(self, sizes):
         # int() used to turn 4096.7 into 4096 and "1024" into 1024, which StftConfig rejects
