@@ -1,10 +1,16 @@
 """Audio I/O, sample-rate conversion, and STFT/ISTFT analysis.
 
 All waveform data moves through :class:`AudioBuffer`, which holds samples as
-a read-only float64 array of shape ``(channels, num_samples)`` at nominal
-full scale of +/-1.0 (values beyond are permitted so inter-sample overs stay
-representable). Spectral analysis uses a periodic Hann window and one-sided
-real FFTs; every function here is pure and safe to call from many threads.
+a read-only array of shape ``(channels, num_samples)`` at nominal full scale
+of +/-1.0 (values beyond are permitted so inter-sample overs stay
+representable). Samples keep their stored precision: a float32 array stays
+float32, and any other input becomes float64, so float32, pcm16 and pcm24
+files take half the memory of float64. Every float32 value is exact in
+float64, and every consumer widens what it reads before any arithmetic, a
+block at a time where it works in blocks, so each computation runs in
+float64 on exactly the stored values.
+Spectral analysis uses a periodic Hann window and one-sided real FFTs;
+every function here is pure and safe to call from many threads.
 """
 
 from __future__ import annotations
@@ -36,11 +42,12 @@ class AudioBuffer:
 
     Args:
         samples: array of shape ``(channels, num_samples)``; a 1-D array is
-            promoted to one channel. A read-only float64 array is kept as it
-            is, without a copy, so ``samples`` may be a read-only view (a
-            mono signal promoted to stereo is one row seen twice); any other
-            input is converted to float64, a writeable caller array is
-            copied, and the result is frozen.
+            promoted to one channel. A float32 array stays float32, at its
+            stored precision, and any other input is converted to float64.
+            A read-only float32 or float64 array is kept as it is, without a
+            copy, so ``samples`` may be a read-only view (a mono signal
+            promoted to stereo is one row seen twice); a writeable caller
+            array is copied, and the result is frozen.
         sample_rate: sampling rate in Hz, positive integer.
 
     Raises:
@@ -51,7 +58,7 @@ class AudioBuffer:
     sample_rate: int
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.samples, dtype=np.float64)
+        arr = _sample_array(self.samples)
         arr = arr.copy() if arr is self.samples and arr.flags.writeable else arr
         if arr.ndim == 1:
             arr = arr[np.newaxis, :]
@@ -77,6 +84,12 @@ class AudioBuffer:
     def duration(self) -> float:
         """Signal length in seconds."""
         return self.num_samples / self.sample_rate
+
+
+def _sample_array(x) -> np.ndarray:
+    """``x`` as an array of samples: a float32 array as it is, anything else as float64."""
+    arr = np.asarray(x)
+    return arr if arr.dtype == np.float32 else np.asarray(x, dtype=np.float64)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -121,6 +134,11 @@ def _as_stereo(buf: AudioBuffer) -> AudioBuffer:
     return AudioBuffer(np.broadcast_to(buf.samples, (2, buf.num_samples)), buf.sample_rate)
 
 
+def _quarter_hop(fft_size: int) -> int:
+    """The default hop of every STFT: a quarter of the window, at least one sample."""
+    return max(1, fft_size // 4)
+
+
 def _fft_size(n: int) -> int:
     """``n`` as an int, checked to be a power of two >= 2 (a numpy integer passes)."""
     if not isinstance(n, (int, np.integer)) or n < 2 or n & (n - 1):
@@ -132,9 +150,10 @@ def _fft_size(n: int) -> int:
 class StftConfig:
     """Analysis configuration for :func:`stft` and :func:`istft`.
 
-    ``hop`` defaults to one quarter of the window. Frames are centred: frame
-    ``t`` is centred on sample ``t * hop`` of the signal reflected by
-    ``fft_size // 2`` samples at both ends, so ``n`` samples give ``1 + n // hop``.
+    ``hop`` defaults to one quarter of the window, at least 1. Frames are
+    centred: frame ``t`` is centred on sample ``t * hop`` of the signal
+    reflected by ``fft_size // 2`` samples at both ends, so ``n`` samples
+    give ``1 + n // hop``.
     """
 
     fft_size: int
@@ -142,7 +161,7 @@ class StftConfig:
 
     def __post_init__(self) -> None:
         n = _fft_size(self.fft_size)
-        hop = self.hop if self.hop is not None else n // 4
+        hop = self.hop if self.hop is not None else _quarter_hop(n)
         if not isinstance(hop, (int, np.integer)) or not 0 < hop <= n:
             raise ValueError(f"hop must satisfy 0 < hop <= fft_size, got {hop!r}")
         object.__setattr__(self, "fft_size", n)
@@ -236,9 +255,9 @@ def _read_fmt(body: bytes, size: int, order: str) -> tuple[int, int, np.dtype]:
     return rate, channels, dtype
 
 
-def _read_wav(fh: BinaryIO) -> tuple[int, np.ndarray]:
-    """Rate and stored samples, as a ``(frames, channels)`` array, of an open
-    RIFF, RIFX or RF64 WAVE file.
+def _read_wav(fh: BinaryIO) -> tuple[int, np.ndarray, np.dtype]:
+    """Rate, samples as a ``(frames, channels)`` array, and stored sample
+    dtype (``V3`` for 24-bit PCM) of an open RIFF, RIFX or RF64 WAVE file.
 
     Walks the chunks to the first ``data`` chunk, which must follow a ``fmt ``
     chunk, and reads it as one array of the stored integer or float type;
@@ -288,7 +307,7 @@ def _read_wav(fh: BinaryIO) -> tuple[int, np.ndarray]:
                 high = slice(1, 4) if order == "<" else slice(0, 3)
                 words[:, high] = samples.view(np.uint8).reshape(-1, 3)
                 samples = words.view(order + "i4")
-            return rate, samples.reshape(-1, channels)
+            return rate, samples.reshape(-1, channels), dtype
         pos += 8 + size + (size & 1)  # chunks are padded to even length
     raise ValueError("no data chunk")
 
@@ -305,6 +324,11 @@ def load_wav(path: str | Path) -> AudioBuffer:
     exactly -1.0. Chunks other than ``fmt `` and the first ``data`` chunk
     are skipped.
 
+    float32 files and PCM in 16- or 24-bit containers decode into float32:
+    their samples have at most 24 significant bits, so float32 holds them
+    exactly, at half the memory of float64. PCM in 32-bit containers and
+    float64 files decode into float64.
+
     Raises:
         FileNotFoundError: missing file.
         ValueError: naming the path, on a file that is not RIFF/RIFX/RF64
@@ -320,9 +344,10 @@ def load_wav(path: str | Path) -> AudioBuffer:
     """
     try:
         with open(path, "rb") as fh:
-            rate, frames = _read_wav(fh)
+            rate, frames, stored = _read_wav(fh)
+        exact32 = stored.itemsize < 4 or (stored.kind == "f" and stored.itemsize == 4)
         # converted in one pass straight into the buffer's (channels, n) layout
-        samples = np.empty(frames.shape[::-1])
+        samples = np.empty(frames.shape[::-1], np.float32 if exact32 else np.float64)
         if frames.dtype.kind == "i":
             np.divide(frames.T, 2.0 ** (8 * frames.dtype.itemsize - 1), out=samples)
         else:
@@ -366,7 +391,8 @@ def save_wav(path: str | Path, buf: AudioBuffer, sample_format: str = "float32")
     elif sample_format in ("pcm16", "pcm24", "pcm32"):
         tag, width = _PCM, int(sample_format[3:]) // 8
         full = 2 ** (8 * width - 1)
-        interleaved = np.ascontiguousarray(buf.samples.T)
+        # widened first: float32 cannot hold the pcm32 clip bound 2**31 - 1
+        interleaved = np.ascontiguousarray(buf.samples.T, dtype=np.float64)
         q = np.clip(np.rint(interleaved * full), -full, full - 1).astype(f"<i{4 if width == 3 else width}")
         # 24-bit: keep the low three bytes of each little-endian 32-bit word
         payload = np.ascontiguousarray(q.view(np.uint8).reshape(-1, 4)[:, :3]) if width == 3 else q
@@ -485,9 +511,10 @@ def _polyphase_rows(x: np.ndarray, plan: _Plan, r0: int, out: np.ndarray) -> Non
         rows_in = np.lib.stride_tricks.as_strided(
             seg, (r1 - r0, w.shape[0]), (inputs * seg.strides[0], seg.strides[0])
         )
-        # finite samples near the float64 limit may overflow, silently, as a direct sum would
+        # finite samples near the float64 limit may overflow, silently, as a direct sum would;
+        # the one copy of the rows widens float32 samples
         with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(rows_in.copy(), w, out=out[:, phase : phase + w.shape[1]])
+            np.matmul(rows_in.astype(np.float64), w, out=out[:, phase : phase + w.shape[1]])
 
 
 def _resampled_length(num_samples: int, rate: int, target_rate: int) -> int:
@@ -571,6 +598,7 @@ def _frame_bins(x: np.ndarray, config: StftConfig, start: int, stop: int) -> np.
     # runs once per block, and sliding_window_view costs several times more
     step = seg.itemsize
     frames = np.ndarray((stop - start, n), seg.dtype, seg, strides=(hop * step, step))
+    # the window is float64, so its product widens float32 samples exactly
     return np.fft.rfft(frames * _hann_window(n), axis=1)
 
 
@@ -599,7 +627,7 @@ def stft(channel: np.ndarray, config: StftConfig) -> ComplexSpectrogram:
         ValueError: on a signal of ``fft_size // 2`` samples or fewer, too
             short to reflect-pad.
     """
-    x = np.asarray(channel, dtype=np.float64)
+    x = _sample_array(channel)
     if x.ndim != 1:
         raise ValueError(f"channel must be 1-D, got {x.ndim}-D")
     bins = _frozen(_frame_bins(x, config, 0, _num_frames(x.shape[0], config)))

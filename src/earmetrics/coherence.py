@@ -20,6 +20,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from itertools import zip_longest
+from typing import Iterator
 
 import numpy as np
 
@@ -184,17 +185,29 @@ def si_sdr(ref: np.ndarray, rec: np.ndarray) -> float:
     return value
 
 
+def _float64_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Consecutive ``_BLOCK_SAMPLES`` blocks of two equal-length channels, as float64."""
+    for lo in range(0, a.shape[0], _BLOCK_SAMPLES):
+        hi = lo + _BLOCK_SAMPLES
+        yield np.asarray(a[lo:hi], np.float64), np.asarray(b[lo:hi], np.float64)
+
+
 def _si_sdr_channel(a: np.ndarray, b: np.ndarray) -> float | None:
-    """SI-SDR of one checked channel pair, or None when the reference is all zeros."""
-    ref_power = float(np.dot(a, a))
+    """SI-SDR of one checked channel pair, or None when the reference is all zeros.
+
+    Every power is summed over float64 blocks, so float32 channels are
+    widened a block at a time and no full-length temporary is made."""
+    ref_power = cross = 0.0
+    for a_blk, b_blk in _float64_blocks(a, b):
+        ref_power += float(np.dot(a_blk, a_blk))
+        cross += float(np.dot(b_blk, a_blk))
     if ref_power == 0.0:
         return None
-    alpha = float(np.dot(b, a)) / ref_power
-    # the powers are summed over blocks, so no full-length temporary is made
+    alpha = cross / ref_power
     target_power = residual_power = 0.0
-    for lo in range(0, a.shape[0], _BLOCK_SAMPLES):
-        target = alpha * a[lo : lo + _BLOCK_SAMPLES]
-        residual = b[lo : lo + _BLOCK_SAMPLES] - target
+    for a_blk, b_blk in _float64_blocks(a, b):
+        target = alpha * a_blk
+        residual = b_blk - target
         target_power += float(np.dot(target, target))
         residual_power += float(np.dot(residual, residual))
     if not np.isfinite((ref_power, target_power, residual_power)).all():

@@ -41,11 +41,14 @@ def wrap_phase(x: np.ndarray | float) -> np.ndarray | float:
 
 
 def _bins_of(*specs: np.ndarray) -> list[np.ndarray]:
-    """The given spectrograms as arrays, checked finite and of one 2-D shape."""
+    """The given spectrograms as arrays, checked numeric, finite and of one 2-D shape."""
     bins = [np.asarray(s) for s in specs]
     if any(b.ndim != 2 for b in bins) or len({b.shape for b in bins}) != 1:
         got = [b.shape if b.ndim else type(s).__name__ for b, s in zip(bins, specs)]
         raise ValueError(f"spectrograms must be 2-D arrays of one shape, got {got}")
+    bad = [i for i, b in enumerate(bins, 1) if b.dtype.kind not in "biufc"]
+    if bad:
+        raise ValueError(f"spectrograms must hold numeric bins; those at positions {bad} do not")
     bad = [i for i, b in enumerate(bins, 1) if not np.isfinite(b).all()]
     if bad:
         raise ValueError(f"spectrograms must hold finite bins; those at positions {bad} do not")

@@ -30,7 +30,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .audio import AudioBuffer, _as_stereo, _resampled_length, load_wav, resample, save_wav
+from .audio import AudioBuffer, _as_stereo, _frozen, _resampled_length, load_wav, resample, save_wav
 from .loudness import _gating_block, integrated_lufs, true_peak_dbtp
 
 __all__ = [
@@ -223,7 +223,8 @@ def _stage1(
     if lufs > lufs_max:
         return _reject(path, "lufs_high", measured), None
     out_path = _output_path(path, out_dir, "stage1")
-    stored = AudioBuffer(buf.samples.astype(np.float32), TARGET_RATE)
+    # a float32 buffer (a 44.1 kHz float32, pcm16 or pcm24 file) is stored as it is
+    stored = AudioBuffer(_frozen(buf.samples.astype(np.float32, copy=False)), TARGET_RATE)
     return CurateDecision(path, "keep", "none", measured, output_path=out_path), stored
 
 

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .audio import AudioBuffer, StftConfig, _fft_size, _frozen, _overflow_named, _stft_blocks
+from .audio import AudioBuffer, StftConfig, _fft_size, _frozen, _overflow_named, _quarter_hop, _stft_blocks
 from .phase import _CorrelationSums, _PhaseSums
 from .stereo import _channel_pair, _check_stereo_pair
 from .weighting import _prefilter_pair
@@ -52,14 +52,14 @@ class MultiScaleConfig:
 
     @staticmethod
     def hop_for(fft_size: int) -> int:
-        return max(1, fft_size // 4)
+        return _quarter_hop(fft_size)
 
     def mel_bins_for(self, scale_index: int) -> int:
         return min(128, self.fft_sizes[scale_index] // 8)
 
     @staticmethod
     def stft_config(fft_size: int) -> StftConfig:
-        return StftConfig(fft_size=fft_size, hop=MultiScaleConfig.hop_for(fft_size))
+        return StftConfig(fft_size)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .audio import AudioBuffer, _frozen, _non_finite
+from .audio import AudioBuffer, _frozen, _non_finite, _sample_array
 
 __all__ = [
     "split_mslr",
@@ -24,9 +24,9 @@ def _check_finite(ref: np.ndarray, rec: np.ndarray) -> None:
 
 
 def _channel_pair(ref_ch: np.ndarray, rec_ch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Both channels as float64, checked to be equal-length, 1-D and finite."""
-    a = np.asarray(ref_ch, dtype=np.float64)
-    b = np.asarray(rec_ch, dtype=np.float64)
+    """Both channels as sample arrays (float32 kept, anything else float64),
+    checked to be equal-length, 1-D and finite."""
+    a, b = _sample_array(ref_ch), _sample_array(rec_ch)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError(f"channels must be equal-length 1-D arrays, got {a.shape} and {b.shape}")
     _check_finite(a, b)
@@ -52,7 +52,8 @@ def split_mslr(buf: AudioBuffer) -> tuple[np.ndarray, np.ndarray]:
     if buf.channels != 2:
         raise ValueError(f"stereo input required, got {buf.channels} channel(s)")
     left, right = buf.samples
-    return (left + right) / 2.0, (left - right) / 2.0
+    # summed in float64, which float32 samples are widened to first
+    return np.add(left, right, dtype=np.float64) / 2.0, np.subtract(left, right, dtype=np.float64) / 2.0
 
 
 def merge_mslr(mid: np.ndarray, side: np.ndarray, rate: int) -> AudioBuffer:

@@ -1,6 +1,9 @@
 """Deterministic signal builders shared across the test modules."""
 from __future__ import annotations
 
+import dataclasses
+from typing import Callable
+
 import numpy as np
 
 from earmetrics import AudioBuffer, true_peak_dbtp
@@ -139,3 +142,38 @@ def toy_with_silent_bins() -> tuple[np.ndarray, np.ndarray]:
     a[3, 0] = 0.0
     b[5, 1] = b[6, 3] = 0.0
     return a, b
+
+
+def float32_pair(seed: int, channels: int, length: int, amp: float, rate: int = 44100) -> tuple[AudioBuffer, AudioBuffer]:
+    """A float32 reference of noise at ``amp`` and a float32 reconstruction of
+    0.9 times it plus noise 20 dB down, as a float32, pcm16 or pcm24 file decodes."""
+    rng = np.random.default_rng(seed)
+    ref = amp * rng.standard_normal((channels, length))
+    rec = 0.9 * ref + 0.1 * amp * rng.standard_normal((channels, length))
+    return AudioBuffer(ref.astype(np.float32), rate), AudioBuffer(rec.astype(np.float32), rate)
+
+
+def exact_bits(value):
+    """``value`` as nested tuples whose equality is bit-for-bit equality: floats
+    by their hex form, arrays by dtype, shape and bytes, dataclasses (buffers,
+    reports, decisions) field by field."""
+    if dataclasses.is_dataclass(value):
+        return (type(value).__name__, *(exact_bits(getattr(value, f.name)) for f in dataclasses.fields(value)))
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, dict):
+        return tuple((k, exact_bits(v)) for k, v in sorted(value.items()))
+    if isinstance(value, (list, tuple)):
+        return tuple(exact_bits(v) for v in value)
+    if isinstance(value, float):
+        return float(value).hex()
+    return value
+
+
+def assert_float32_equals_widened(consume: Callable, *bufs: AudioBuffer) -> None:
+    """``consume`` gives bit for bit the same result on float32 buffers as on
+    their samples widened to float64, as every buffer held them before
+    float32 was kept at rest."""
+    assert all(buf.samples.dtype == np.float32 for buf in bufs)
+    wide = [AudioBuffer(buf.samples.astype(np.float64), buf.sample_rate) for buf in bufs]
+    assert exact_bits(consume(*bufs)) == exact_bits(consume(*wide))

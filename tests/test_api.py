@@ -3,6 +3,7 @@ no option that gives a quantity a second definition or sets a fixed rule."""
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -84,6 +85,17 @@ class TestSpectrumFunctionsTakeArrays:
         b = 0.9 * a
         b[3, 4] = bad
         with pytest.raises(ValueError, match="spectrograms must hold finite bins"):
+            SPECTRUM_METRICS[name](a, b)
+
+    @pytest.mark.parametrize("name", SPECTRUM_METRICS)
+    @pytest.mark.parametrize("kind", ["object", "string"])
+    def test_non_numeric_bins_named(self, name, kind):
+        # object and string arrays used to fail with numpy's TypeError from isfinite
+        _, a = _spec_and_bins()
+        b = a.astype(object) if kind == "object" else np.full(a.shape, "a")
+        positions = {"phase_matrix": [1], "ccpc_from_spectra": [2, 3]}.get(name, [2])
+        message = f"spectrograms must hold numeric bins; those at positions {positions} do not"
+        with pytest.raises(ValueError, match=re.escape(message)):
             SPECTRUM_METRICS[name](a, b)
 
     @pytest.mark.parametrize(

@@ -39,6 +39,8 @@ from helpers import noise_stereo, overflowing_96k
 from oracles import load_wav_direct, resample_poly_direct
 
 WAV_FORMATS = ["pcm16", "pcm24", "pcm32", "float32"]
+# the dtype each format decodes into: float32 holds up to 24 significant bits exactly
+STORED_PRECISION = {"pcm16": np.float32, "pcm24": np.float32, "pcm32": np.float64, "float32": np.float32}
 
 
 @pytest.mark.parametrize(
@@ -126,11 +128,20 @@ class TestAudioBuffer:
         np.testing.assert_array_equal(stereo.samples, np.vstack([mono.samples[0]] * 2), strict=True)
 
     def test_samples_are_float64_copies(self):
-        src = np.zeros((2, 10), dtype=np.float32)
+        # every dtype but float32 is widened to float64
+        for dtype in (np.float16, np.int16, np.float64):
+            src = np.zeros((2, 10), dtype=dtype)
+            buf = AudioBuffer(src, 44100)
+            assert buf.samples.dtype == np.float64
+            src[0, 0] = 1
+            assert buf.samples[0, 0] == 0.0
+
+    def test_writeable_float32_array_is_a_float32_copy(self):
+        src = np.linspace(-1.0, 1.0, 20, dtype=np.float32).reshape(2, 10)
         buf = AudioBuffer(src, 44100)
-        assert buf.samples.dtype == np.float64
-        src[0, 0] = 1.0
-        assert buf.samples[0, 0] == 0.0
+        assert buf.samples.dtype == np.float32
+        assert not np.shares_memory(buf.samples, src)
+        np.testing.assert_array_equal(buf.samples, src, strict=True)
 
     def test_samples_are_read_only(self):
         buf = AudioBuffer(np.zeros((2, 10)), 44100)
@@ -154,13 +165,13 @@ class TestAudioBuffer:
         mono.flags.writeable = False
         assert np.shares_memory(AudioBuffer(mono, 44100).samples, mono)
 
-    def test_read_only_float32_array_is_converted(self):
+    def test_read_only_float32_array_is_kept(self):
         src = np.linspace(-1.0, 1.0, 20, dtype=np.float32).reshape(2, 10)
         src.flags.writeable = False
         buf = AudioBuffer(src, 44100)
-        assert buf.samples.dtype == np.float64
-        assert not np.shares_memory(buf.samples, src)
-        np.testing.assert_array_equal(buf.samples, src.astype(np.float64))
+        assert buf.samples is src
+        mono = AudioBuffer(src[0], 44100)
+        assert mono.samples.dtype == np.float32 and np.shares_memory(mono.samples, src)
 
     def test_rejects_more_than_two_channels(self):
         with pytest.raises(ValueError, match="channel count"):
@@ -230,20 +241,21 @@ class TestWavIo:
     @pytest.mark.parametrize("channels", [1, 2])
     @pytest.mark.parametrize("length", [0, 1, 4000])
     def test_load_equals_whole_decode(self, tmp_path, fmt, channels, length):
-        # one decode straight into the buffer gives the bits of astype(float64) / scale
+        # one decode straight into the buffer gives the bits of astype(float64) / scale,
+        # in float32 where that holds them exactly
         x = 0.9 * np.random.default_rng(length).uniform(-1.0, 1.0, (channels, length))
         path = tmp_path / f"{fmt}.wav"
         save_wav(path, AudioBuffer(x, 48000), sample_format=fmt)
         buf = load_wav(path)
         rate, expected = load_wav_direct(path)
         assert (buf.sample_rate, buf.samples.shape) == (rate, (channels, length))
-        assert buf.samples.dtype == np.float64
+        assert buf.samples.dtype == STORED_PRECISION[fmt]
         assert buf.samples.flags.c_contiguous and not buf.samples.flags.writeable
-        np.testing.assert_array_equal(buf.samples, expected, strict=True)
+        np.testing.assert_array_equal(buf.samples.astype(np.float64), expected, strict=True)
 
     def test_load_peak_memory_is_one_buffer_and_the_decoded_file(self, tmp_path):
-        # scipy's float32 frames (half the buffer) and the float64 buffer: 1.5x;
-        # one more float64 copy of the file would make it 2.5x
+        # the float32 samples read from the file and the float32 buffer: 2x;
+        # a float64 buffer would make it 3x, and one more float32 copy 3x too
         path = tmp_path / "ten.wav"
         x = 0.5 * np.random.default_rng(3).standard_normal((2, 10 * 44100))
         save_wav(path, AudioBuffer(x, 44100), sample_format="float32")
@@ -253,7 +265,8 @@ class TestWavIo:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.6 * buf.samples.nbytes, f"peak {peak / buf.samples.nbytes:.2f}x the buffer"
+        assert buf.samples.dtype == np.float32
+        assert peak < 2.1 * buf.samples.nbytes, f"peak {peak / buf.samples.nbytes:.2f}x the buffer"
 
     def test_float32_save_peak_memory_is_one_float32_copy(self, tmp_path):
         # one interleaved float32 copy is half the buffer; a float64 copy before it makes 1.5x
@@ -292,8 +305,9 @@ class TestWavIo:
             buf = load_wav(path)
             expected = load_wav_direct(path)
         assert buf.sample_rate == expected[0]
+        assert buf.samples.dtype == STORED_PRECISION[fmt]
         assert buf.samples.flags.c_contiguous and not buf.samples.flags.writeable
-        np.testing.assert_array_equal(buf.samples, expected[1], strict=True)
+        np.testing.assert_array_equal(buf.samples.astype(np.float64), expected[1], strict=True)
 
     @pytest.mark.parametrize("fmt", WAV_FORMATS)
     @pytest.mark.parametrize("channels", [1, 2])
@@ -374,7 +388,10 @@ class TestWavIo:
         buf = load_wav(path)
         rate, expected = load_wav_direct(path)
         assert (buf.sample_rate, buf.samples.shape) == (rate, (channels, 1001))
-        np.testing.assert_array_equal(buf.samples, expected, strict=True)
+        # at most 24 significant bits (pcm16, pcm24 and float32) decode into float32
+        is_float = 3 in (tag, kwargs.get("subformat"))
+        assert buf.samples.dtype == (np.float32 if width < 4 or (is_float and width == 4) else np.float64)
+        np.testing.assert_array_equal(buf.samples.astype(np.float64), expected, strict=True)
 
     def test_rf64_truncation_uses_the_64_bit_data_size(self, tmp_path):
         path = tmp_path / "x.wav"

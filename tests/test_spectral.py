@@ -34,6 +34,13 @@ class TestMultiScaleConfig:
         assert MultiScaleConfig().hop_for(2) == 1
         assert MultiScaleConfig().stft_config(2) == StftConfig(2, hop=1)
 
+    def test_one_quarter_window_rule(self):
+        # StftConfig(2) used to raise for a hop of 0, while MultiScaleConfig((2,)) analyzed it at hop 1
+        for n in (2**k for k in range(1, 14)):
+            assert StftConfig(n).hop == MultiScaleConfig.hop_for(n) == max(1, n // 4)
+            assert MultiScaleConfig.stft_config(n) == StftConfig(n)
+        assert StftConfig(2).hop == 1
+
     @pytest.mark.parametrize("ratio", [0.0, 1.5, -0.1])
     def test_hop_ratio_bounds(self, ratio):
         # the hop is fixed at a quarter window, so no ratio, in range or not, is taken
