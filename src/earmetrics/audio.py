@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache, wraps
 from math import gcd
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -255,61 +255,99 @@ def _read_fmt(body: bytes, size: int, order: str) -> tuple[int, int, np.dtype]:
     return rate, channels, dtype
 
 
-def _read_wav(fh: BinaryIO) -> tuple[int, np.ndarray, np.dtype]:
-    """Rate, samples as a ``(frames, channels)`` array, and stored sample
-    dtype (``V3`` for 24-bit PCM) of an open RIFF, RIFX or RF64 WAVE file.
+class _WavReader:
+    """The samples of an open RIFF, RIFX or RF64 WAVE file, read a slice at a time.
 
-    Walks the chunks to the first ``data`` chunk, which must follow a ``fmt ``
-    chunk, and reads it as one array of the stored integer or float type;
-    24-bit PCM arrives left-justified in 32 bits. Raises ValueError on a
-    malformed header, a format :func:`load_wav` does not read, or a data
-    chunk that declares more bytes than the file holds.
+    The constructor walks the chunks to the first ``data`` chunk, which must
+    follow a ``fmt `` chunk, and sets ``rate``, ``channels``, ``frames`` and
+    ``dtype``, the precision samples decode into: float32 for float32 files
+    and PCM in 16- or 24-bit containers (at most 24 significant bits, so
+    exact), float64 otherwise. It raises ValueError on a malformed header, a
+    format :func:`load_wav` does not read, or a data chunk that declares more
+    bytes than the file holds.
     """
-    file_size = fh.seek(0, 2)
-    fh.seek(0)
-    head = fh.read(12)
-    if head[:4] not in (b"RIFF", b"RIFX", b"RF64"):
-        raise ValueError(f"file format {head[:4]!r} not understood; only RIFF, RIFX and RF64 are read")
-    if head[8:] != b"WAVE":
-        raise ValueError(f"not a WAV file, the RIFF form type is {head[8:]!r}")
-    order = ">" if head[:4] == b"RIFX" else "<"
-    if head[:4] == b"RF64":
-        # the RIFF and data chunk sizes are 64-bit, in a ds64 chunk that comes first
-        ds64 = fh.read(24)
-        if len(ds64) < 24 or ds64[:4] != b"ds64":
-            raise ValueError("RF64 file without a ds64 chunk")
-        ds64_size, riff_size, data_size = struct.unpack("<IQQ", ds64[4:])
-        pos = 20 + ds64_size
-    else:
-        riff_size, data_size, pos = struct.unpack(order + "I", head[4:8])[0], None, 12
-    fmt = None
-    while pos < riff_size + 8:
-        fh.seek(pos)
-        chunk = fh.read(8)
-        if len(chunk) < 8:
-            break
-        name, size = struct.unpack(order + "4sI", chunk)
-        if name == b"fmt ":
-            fmt = _read_fmt(fh.read(min(size, 40)), size, order)
-        elif name == b"data":
-            if fmt is None:
-                raise ValueError("no fmt chunk before the data chunk")
-            size = size if data_size is None else data_size
-            if pos + 8 + size > file_size:
-                raise ValueError(f"data chunk declares {size} bytes, the file holds {file_size - pos - 8}")
-            rate, channels, dtype = fmt
-            count = size // dtype.itemsize
-            if count % channels:
-                raise ValueError(f"data chunk holds {count} samples, not whole frames of {channels} channels")
-            samples = np.fromfile(fh, dtype, count)
-            if dtype.kind == "V":  # 24-bit PCM, into the high three bytes of int32 words
-                words = np.zeros((count, 4), np.uint8)
-                high = slice(1, 4) if order == "<" else slice(0, 3)
-                words[:, high] = samples.view(np.uint8).reshape(-1, 3)
-                samples = words.view(order + "i4")
-            return rate, samples.reshape(-1, channels), dtype
-        pos += 8 + size + (size & 1)  # chunks are padded to even length
-    raise ValueError("no data chunk")
+
+    def __init__(self, fh: BinaryIO) -> None:
+        self._fh = fh
+        file_size = fh.seek(0, 2)
+        fh.seek(0)
+        head = fh.read(12)
+        if head[:4] not in (b"RIFF", b"RIFX", b"RF64"):
+            raise ValueError(f"file format {head[:4]!r} not understood; only RIFF, RIFX and RF64 are read")
+        if head[8:] != b"WAVE":
+            raise ValueError(f"not a WAV file, the RIFF form type is {head[8:]!r}")
+        order = ">" if head[:4] == b"RIFX" else "<"
+        if head[:4] == b"RF64":
+            # the RIFF and data chunk sizes are 64-bit, in a ds64 chunk that comes first
+            ds64 = fh.read(24)
+            if len(ds64) < 24 or ds64[:4] != b"ds64":
+                raise ValueError("RF64 file without a ds64 chunk")
+            ds64_size, riff_size, data_size = struct.unpack("<IQQ", ds64[4:])
+            pos = 20 + ds64_size
+        else:
+            riff_size, data_size, pos = struct.unpack(order + "I", head[4:8])[0], None, 12
+        fmt = None
+        while pos < riff_size + 8:
+            fh.seek(pos)
+            chunk = fh.read(8)
+            if len(chunk) < 8:
+                break
+            name, size = struct.unpack(order + "4sI", chunk)
+            if name == b"fmt ":
+                fmt = _read_fmt(fh.read(min(size, 40)), size, order)
+            elif name == b"data":
+                if fmt is None:
+                    raise ValueError("no fmt chunk before the data chunk")
+                size = size if data_size is None else data_size
+                if pos + 8 + size > file_size:
+                    raise ValueError(f"data chunk declares {size} bytes, the file holds {file_size - pos - 8}")
+                self.rate, self.channels, self._stored = fmt
+                count = size // self._stored.itemsize
+                if count % self.channels:
+                    raise ValueError(f"data chunk holds {count} samples, not whole frames of {self.channels} channels")
+                self.frames = count // self.channels
+                exact32 = self._stored.itemsize < 4 or (self._stored.kind == "f" and self._stored.itemsize == 4)
+                self.dtype = np.dtype(np.float32 if exact32 else np.float64)
+                self._order, self._offset = order, pos + 8
+                return
+            pos += 8 + size + (size & 1)  # chunks are padded to even length
+        raise ValueError("no data chunk")
+
+    def slices(self, into: np.ndarray | None = None) -> Iterator[np.ndarray]:
+        """Consecutive ``(channels, k)`` arrays of decoded samples, ``k`` at
+        most ``_BLOCK_SAMPLES`` frames: each a new array the caller owns, or
+        the next columns of ``into``, a ``(channels, frames)`` array.
+
+        Integer samples are scaled by ``1 / 2**(container_bits - 1)``; 24-bit
+        PCM is scaled as the high three bytes of 32-bit words.
+        """
+        self._fh.seek(self._offset)
+        for start in range(0, self.frames, _BLOCK_SAMPLES):
+            k = min(_BLOCK_SAMPLES, self.frames - start)
+            # no local holds the slice while it is out, so it is freed when its consumer lets go
+            yield self._decode(k, None if into is None else into[:, start : start + k])
+
+    def _decode(self, k: int, out: np.ndarray | None) -> np.ndarray:
+        """The next ``k`` frames, in ``out`` or in a new array, made after
+        the 3-byte words of 24-bit PCM are let go."""
+        raw = np.fromfile(self._fh, self._stored, k * self.channels)
+        if raw.size < k * self.channels:
+            raise ValueError(f"data chunk ends {k - raw.size // self.channels} frames early")
+        if self._stored.kind == "V":
+            # 24-bit PCM as the high three bytes of int32 words: each word is read at a 3-byte
+            # stride from the bytes with one byte more before (RIFF) or after (RIFX), and the
+            # neighbour's byte it takes in is masked off
+            padded = np.zeros(raw.nbytes + 1, np.uint8)
+            lead = self._order == "<"
+            padded[lead : lead + raw.nbytes] = raw.view(np.uint8)
+            raw = np.ndarray((raw.size,), self._order + "i4", padded, strides=(3,)) & np.int32(-256)
+        frames = raw.reshape(k, self.channels)
+        out = np.empty((self.channels, k), self.dtype) if out is None else out
+        if frames.dtype.kind == "i":
+            np.divide(frames.T, 2.0 ** (8 * frames.dtype.itemsize - 1), out=out)
+        else:
+            out[...] = frames.T
+        return out
 
 
 def load_wav(path: str | Path) -> AudioBuffer:
@@ -327,7 +365,9 @@ def load_wav(path: str | Path) -> AudioBuffer:
     float32 files and PCM in 16- or 24-bit containers decode into float32:
     their samples have at most 24 significant bits, so float32 holds them
     exactly, at half the memory of float64. PCM in 32-bit containers and
-    float64 files decode into float64.
+    float64 files decode into float64. The data chunk is read and decoded
+    in slices of ``_BLOCK_SAMPLES`` frames, the slices curation streams, so
+    the file's bytes are never held whole beside the buffer.
 
     Raises:
         FileNotFoundError: missing file.
@@ -344,15 +384,11 @@ def load_wav(path: str | Path) -> AudioBuffer:
     """
     try:
         with open(path, "rb") as fh:
-            rate, frames, stored = _read_wav(fh)
-        exact32 = stored.itemsize < 4 or (stored.kind == "f" and stored.itemsize == 4)
-        # converted in one pass straight into the buffer's (channels, n) layout
-        samples = np.empty(frames.shape[::-1], np.float32 if exact32 else np.float64)
-        if frames.dtype.kind == "i":
-            np.divide(frames.T, 2.0 ** (8 * frames.dtype.itemsize - 1), out=samples)
-        else:
-            samples[...] = frames.T
-        return AudioBuffer(_frozen(samples), rate)
+            wav = _WavReader(fh)
+            samples = np.empty((wav.channels, wav.frames), wav.dtype)
+            for _ in wav.slices(into=samples):
+                pass
+        return AudioBuffer(_frozen(samples), wav.rate)
     except FileNotFoundError:
         raise
     except (OSError, ValueError) as exc:
@@ -378,29 +414,60 @@ def _wav_header(tag: int, channels: int, rate: int, width: int, frames: int) -> 
     return b"RF64" + b"\xff" * 4 + b"WAVE" + ds64 + chunks + b"data" + b"\xff" * 4
 
 
+def _sample_format(name: str) -> tuple[int, int]:
+    """Format tag and bytes per sample of a ``save_wav`` sample format."""
+    if name == "float32":
+        return _FLOAT, 4
+    if name in ("pcm16", "pcm24", "pcm32"):
+        return _PCM, int(name[3:]) // 8
+    raise ValueError(f"unsupported sample format {name!r}")
+
+
+class _WavWriter:
+    """Writes a WAV file of ``frames`` frames a block at a time: the header
+    when made, then each ``(channels, k)`` block of samples interleaved.
+
+    ``sample_format`` is a :func:`save_wav` format; PCM is rounded and
+    clipped to the integer range.
+    """
+
+    def __init__(self, fh: BinaryIO, channels: int, rate: int, frames: int, sample_format: str) -> None:
+        self._fh, self._channels = fh, channels
+        self._tag, self._width = _sample_format(sample_format)
+        fh.write(_wav_header(self._tag, channels, rate, self._width, frames))
+
+    def write(self, block: np.ndarray) -> None:
+        """Writes a ``(channels, k)`` block; one row stands for every channel."""
+        frames = np.empty((block.shape[1], self._channels), "<f4" if self._tag == _FLOAT else np.float64)
+        for c in range(self._channels):  # a column at a time: a transposed copy is several times slower
+            frames[:, c] = block[c % block.shape[0]]
+        if self._tag == _FLOAT:
+            self._fh.write(frames)
+            return
+        # rounded in float64: float32 cannot hold the pcm32 clip bound 2**31 - 1
+        full = 2 ** (8 * self._width - 1)
+        frames *= full
+        np.clip(np.rint(frames, out=frames), -full, full - 1, out=frames)
+        ints = frames.astype(f"<i{4 if self._width == 3 else self._width}")
+        del frames
+        # 24-bit: keep the low three bytes of each little-endian 32-bit word
+        self._fh.write(ints.view(np.uint8).reshape(-1, 4)[:, :3].copy() if self._width == 3 else ints)
+
+
 def save_wav(path: str | Path, buf: AudioBuffer, sample_format: str = "float32") -> None:
     """Write an :class:`AudioBuffer` as a WAV file.
 
     ``sample_format`` is one of ``float32`` (default, lossless for curated
     output), ``pcm16``, ``pcm24``, ``pcm32``. PCM output is rounded and
-    clipped to the integer range.
+    clipped to the integer range. The samples go out ``_BLOCK_SAMPLES``
+    frames at a time through the writer curation uses, so no interleaved
+    copy of the whole buffer is made.
     """
-    if sample_format == "float32":
-        tag, width = _FLOAT, 4
-        payload = buf.samples.T.astype("<f4", order="C")
-    elif sample_format in ("pcm16", "pcm24", "pcm32"):
-        tag, width = _PCM, int(sample_format[3:]) // 8
-        full = 2 ** (8 * width - 1)
-        # widened first: float32 cannot hold the pcm32 clip bound 2**31 - 1
-        interleaved = np.ascontiguousarray(buf.samples.T, dtype=np.float64)
-        q = np.clip(np.rint(interleaved * full), -full, full - 1).astype(f"<i{4 if width == 3 else width}")
-        # 24-bit: keep the low three bytes of each little-endian 32-bit word
-        payload = np.ascontiguousarray(q.view(np.uint8).reshape(-1, 4)[:, :3]) if width == 3 else q
-    else:
-        raise ValueError(f"unsupported sample format {sample_format!r}")
+    _sample_format(sample_format)  # a bad format fails before the file is made
     with open(path, "wb") as fh:
-        fh.write(_wav_header(tag, buf.channels, buf.sample_rate, width, buf.num_samples))
-        fh.write(payload)
+        writer = _WavWriter(fh, buf.channels, buf.sample_rate, buf.num_samples, sample_format)
+        for start in range(0, buf.num_samples, _BLOCK_SAMPLES):
+            writer.write(buf.samples[:, start : start + _BLOCK_SAMPLES])
 
 
 def _resample_taps(up: int, down: int) -> np.ndarray:
@@ -475,46 +542,122 @@ def _resample_plan(up: int, down: int) -> _Plan:
 _CACHED_RATIO_TERM = 2**11
 
 
+# Fewest rows in one matrix product of rows that read only signal samples.
+# BLAS picks its kernel by the size of a product, and its kernels sum in other
+# orders: with OpenBLAS a row of a (33, 253) @ (253, 73) product rounded apart
+# from the same row of a (63, 253) one. From this many rows up, every product
+# of the plans here runs in the one kernel whose rows do not depend on each
+# other, so no value depends on where the blocks are cut.
+_MIN_ROWS = 256
+
+
+def _reach(plan: _Plan) -> tuple[int, int]:
+    """The inputs a row of ``plan`` reads, from its start: ``[lo, hi)``."""
+    groups = plan[2]
+    return groups[0][0], groups[-1][0] + groups[-1][2].shape[0]
+
+
 def _polyphase_blocks(n: int, plan: _Plan, rows: int) -> list[tuple[int, int]]:
     """Rows ``0`` to ``rows - 1`` of a product with ``plan`` on an
     ``n``-sample signal, cut into blocks ``(r0, r1)`` that read about
     ``_BLOCK_SAMPLES`` values each. The few rows that read before the first
     sample or past the last are blocks of their own, so only they are taken
-    from zero-padded copies."""
+    from zero-padded copies. The rows between are cut into blocks of at least
+    ``_MIN_ROWS`` rows: a shorter last block starts earlier instead, taking
+    again rows of the block before it, so every row sums the same whatever
+    ``_BLOCK_SAMPLES`` is."""
     _, inputs, groups = plan
-    reach = groups[0][0], groups[-1][0] + groups[-1][2].shape[0]  # a row's inputs, from its start
-    step = max(1, _BLOCK_SAMPLES // max(w.shape[0] for _, _, w in groups))
+    reach = _reach(plan)
+    step = max(_MIN_ROWS, _BLOCK_SAMPLES // max(w.shape[0] for _, _, w in groups))
     head = min(rows, -(reach[0] // inputs))
     tail = max(head, min(rows, (n - reach[1]) // inputs + 1))
-    bounds = [0, *range(head, tail, step), tail, rows]
-    return [(r0, r1) for r0, r1 in zip(bounds, bounds[1:]) if r0 < r1]
+    inner = [(max(head, min(r0, tail - _MIN_ROWS)), min(r0 + step, tail)) for r0 in range(head, tail, step)]
+    return [(r0, r1) for r0, r1 in [(0, head), *inner, (tail, rows)] if r0 < r1]
 
 
-def _polyphase_rows(x: np.ndarray, plan: _Plan, r0: int, out: np.ndarray) -> None:
-    """Rows ``r0`` to ``r0 + out.shape[0] - 1`` of the product of the 1-D
-    signal ``x`` with ``plan`` (see :func:`_polyphase_plan`) into ``out``, as
-    BLAS products of strided views of ``x``. Raises ``ValueError`` when the
-    rows read a NaN or inf sample."""
+def _polyphase_rows(x: np.ndarray, plan: _Plan, r0: int, out: np.ndarray, start: int, scratch: np.ndarray) -> None:
+    """Rows ``r0`` to ``r0 + out.shape[0] - 1`` of the product of a 1-D
+    signal with ``plan`` (see :func:`_polyphase_plan`) into ``out``, as BLAS
+    products of strided views of ``x``. ``x`` holds the signal from sample
+    ``start`` on, and reads outside it are zeros, so it must hold every
+    sample of the signal that the rows read. The rows are widened to float64
+    in ``scratch``, a flat float64 array with room for every group's rows.
+    Finite samples near the float64 limit may overflow, silently, as a
+    direct sum would."""
     _, inputs, groups = plan
     n = x.shape[0]
     r1 = r0 + out.shape[0]
-    for offset, phase, w in groups:
-        lo = r0 * inputs + offset
-        hi = (r1 - 1) * inputs + offset + w.shape[0]
-        a = max(lo, 0)
-        b = max(min(hi, n), a)
-        seg = x[a:b]
-        if not np.isfinite(seg).all():  # a NaN would spread over whole rows
-            raise _non_finite("buffer")
-        if lo < 0 or hi > n:
-            seg = np.concatenate((np.zeros(a - lo), seg, np.zeros(hi - b)))
-        rows_in = np.lib.stride_tricks.as_strided(
-            seg, (r1 - r0, w.shape[0]), (inputs * seg.strides[0], seg.strides[0])
-        )
-        # finite samples near the float64 limit may overflow, silently, as a direct sum would;
-        # the one copy of the rows widens float32 samples
-        with np.errstate(over="ignore", invalid="ignore"):
-            np.matmul(rows_in.astype(np.float64), w, out=out[:, phase : phase + w.shape[1]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for offset, phase, w in groups:
+            lo = r0 * inputs + offset - start
+            hi = (r1 - 1) * inputs + offset + w.shape[0] - start
+            a = max(lo, 0)
+            b = max(min(hi, n), a)
+            seg = x[a:b]
+            if lo < 0 or hi > n:
+                seg = np.concatenate((np.zeros(a - lo), seg, np.zeros(hi - b)))
+            rows = scratch[: (r1 - r0) * w.shape[0]].reshape(r1 - r0, w.shape[0])
+            step = seg.itemsize
+            np.copyto(rows, np.ndarray(rows.shape, seg.dtype, seg, strides=(inputs * step, step)))
+            np.matmul(rows, w, out=out[:, phase : phase + w.shape[1]])
+
+
+class _Polyphase:
+    """The product of ``plan`` with an ``n``-sample signal that arrives a
+    slice at a time, in the blocks of :func:`_polyphase_blocks`.
+
+    :meth:`push` takes the next ``(channels, k)`` slice, and :meth:`ready`
+    then yields each block ``(r0, r1)`` whose inputs have all arrived; while
+    a block is out, :meth:`rows` computes its rows of one channel. The window keeps only the
+    samples that blocks still to come read, about one block's inputs and one
+    slice, and a whole signal pushed at once is used without a copy.
+    """
+
+    def __init__(self, plan: _Plan, n: int, rows: int) -> None:
+        self._plan, self._n = plan, n
+        blocks = _polyphase_blocks(n, plan, rows)
+        self._blocks = iter(blocks)
+        self._next = next(self._blocks, None)
+        most = max((r1 - r0 for r0, r1 in blocks), default=0)
+        self._scratch = np.empty(most * max(w.shape[0] for _, _, w in plan[2]))
+        self._window: np.ndarray | None = None
+        self._start = 0  # the signal sample in the window's first column
+
+    def push(self, x: np.ndarray) -> None:
+        """Append the next slice. Raises ``ValueError`` when it holds a NaN
+        or inf sample, which would spread over whole rows."""
+        for start in range(0, x.shape[1], _BLOCK_SAMPLES):
+            if not np.isfinite(x[:, start : start + _BLOCK_SAMPLES]).all():
+                raise _non_finite("buffer")
+        if self._window is None or not self._window.shape[1]:
+            self._window = x
+        else:
+            self._window = np.concatenate((self._window, x), axis=1)
+
+    def ready(self) -> Iterator[tuple[int, int]]:
+        """The blocks whose inputs have all arrived, dropping from the window
+        the samples no later block reads."""
+        end = self._start + self._window.shape[1]
+        inputs, reach = self._plan[1], _reach(self._plan)
+        while self._next is not None and min(self._n, (self._next[1] - 1) * inputs + reach[1]) <= end:
+            yield self._next
+            self._next = next(self._blocks, None)
+            if self._next is not None:
+                drop = min(max(0, self._next[0] * inputs + reach[0]) - self._start, end - self._start)
+                self._window = self._window[:, drop:]
+                self._start += drop
+
+    def same_inputs(self, r0: int, r1: int) -> bool:
+        """Whether every channel holds the same samples where rows ``r0`` to
+        ``r1 - 1`` of the block out now read, so that their rows are equal."""
+        inputs, reach = self._plan[1], _reach(self._plan)
+        lo = max(r0 * inputs + reach[0] - self._start, 0)
+        seen = self._window[:, lo : (r1 - 1) * inputs + reach[1] - self._start]
+        return all(np.array_equal(seen[0], row) for row in seen[1:])
+
+    def rows(self, channel: int, r0: int, out: np.ndarray) -> None:
+        """Rows ``r0`` on of ``channel`` of the block out now, into ``out``."""
+        _polyphase_rows(self._window[channel], self._plan, r0, out, self._start, self._scratch)
 
 
 def _resampled_length(num_samples: int, rate: int, target_rate: int) -> int:
@@ -523,14 +666,42 @@ def _resampled_length(num_samples: int, rate: int, target_rate: int) -> int:
     return q + (1 if (2 * r > rate or (2 * r == rate and q % 2 == 1)) else 0)
 
 
+def _resampled(slices: Iterable[np.ndarray], n: int, rate: int, target_rate: int) -> Iterator[np.ndarray]:
+    """An ``n``-sample signal at ``rate`` that arrives as ``(channels, k)``
+    slices, resampled to ``target_rate``: consecutive float64
+    ``(channels, m)`` blocks, each made as soon as the samples it reads have
+    arrived. Raises ValueError when a slice holds a NaN or inf sample, or when
+    the filtered values of finite samples overflow float64."""
+    g = gcd(rate, target_rate)
+    up, down = target_rate // g, rate // g
+    plan = (_resample_plan if max(up, down) <= _CACHED_RATIO_TERM else _resample_plan.__wrapped__)(up, down)
+    outputs = plan[0]
+    n_out = _resampled_length(n, rate, target_rate)
+    poly = _Polyphase(plan, n, -(-n_out // outputs))
+    done = 0  # rows given out
+    for x in slices:
+        channels = x.shape[0]
+        poly.push(x)
+        del x  # the window holds what the rows still read
+        for r0, r1 in poly.ready():
+            y = np.empty((channels, r1 - r0, outputs))
+            for c in range(channels):
+                poly.rows(c, r0, y[c])
+            if not np.isfinite(y).all():  # the rows read finite samples: an overflow
+                raise _too_large()
+            yield y[:, done - r0 :].reshape(channels, -1)[:, : n_out - done * outputs]
+            done = r1
+
+
 def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     """Band-limited sample-rate conversion via polyphase filtering.
 
     Output length is ``num_samples * target_rate / sample_rate`` rounded to
     nearest (ties to even). Returns the input unchanged when the rates match.
     The sums are dense matrix products (see :func:`_polyphase_rows`) over
-    blocks of about ``_BLOCK_SAMPLES`` values, so no temporary grows with
-    the signal. Every sample is read by some output row, so each is checked.
+    blocks of about ``_BLOCK_SAMPLES`` values, the blocks curation streams,
+    so no temporary grows with the signal. Every sample is read by some
+    output row, so each is checked.
 
     Raises:
         ValueError: on a target rate that is not a positive integer, a
@@ -542,19 +713,12 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     target_rate = int(target_rate)
     if target_rate == buf.sample_rate:
         return buf
-    g = gcd(buf.sample_rate, target_rate)
-    up, down = target_rate // g, buf.sample_rate // g
-    n_out = _resampled_length(buf.num_samples, buf.sample_rate, target_rate)
-    plan = (_resample_plan if max(up, down) <= _CACHED_RATIO_TERM else _resample_plan.__wrapped__)(up, down)
-    rows = -(-n_out // plan[0])
-    blocks = _polyphase_blocks(buf.num_samples, plan, rows)
-    out = np.empty((buf.channels, rows, plan[0]))
-    for x, y in zip(buf.samples, out):
-        for r0, r1 in blocks:
-            _polyphase_rows(x, plan, r0, y[r0:r1])
-            if not np.isfinite(y[r0:r1]).all():  # the rows read finite samples: an overflow
-                raise _too_large()
-    return AudioBuffer(_frozen(out.reshape(buf.channels, -1)[:, :n_out]), target_rate)
+    out = np.empty((buf.channels, _resampled_length(buf.num_samples, buf.sample_rate, target_rate)))
+    at = 0
+    for block in _resampled([buf.samples], buf.num_samples, buf.sample_rate, target_rate):
+        out[:, at : at + block.shape[1]] = block
+        at += block.shape[1]
+    return AudioBuffer(_frozen(out), target_rate)
 
 
 @lru_cache(maxsize=16)

@@ -17,9 +17,9 @@ from math import inf, isfinite, log10
 
 import numpy as np
 
-from .audio import AudioBuffer, _frozen, _non_finite, _Plan
-from .audio import _polyphase_blocks, _polyphase_plan, _polyphase_rows
-from .weighting import apply_cascade, design_k_weighting
+from . import audio
+from .audio import AudioBuffer, _frozen, _non_finite, _Plan, _Polyphase, _polyphase_plan
+from .weighting import _CascadeFilter, design_k_weighting
 
 __all__ = [
     "LoudnessResult",
@@ -70,19 +70,13 @@ class TruePeakResult:
             raise ValueError("dbtp must equal the per-channel maximum")
 
 
-def _distinct_rows(samples: np.ndarray) -> list[tuple[np.ndarray, int]]:
-    """Each distinct row of ``samples`` with the number of channels it stands
+def _distinct_rows(samples: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The distinct rows of ``samples`` and the number of channels each stands
     for: two equal rows (a mono signal promoted to stereo, as a stride-0 view
     or a copy of one) are one row, twice."""
     if samples.shape[0] > 1 and (samples.strides[0] == 0 or np.array_equal(samples[0], samples[1])):
-        return [(samples[0], samples.shape[0])]
-    return [(row, 1) for row in samples]
-
-
-def _block_mean_squares(channel: np.ndarray, block: int, step: int, count: int) -> np.ndarray:
-    csum = np.concatenate([[0.0], np.cumsum(channel * channel)])
-    starts = step * np.arange(count)
-    return (csum[starts + block] - csum[starts]) / block
+        return samples[:1], (samples.shape[0],)
+    return samples, (1,) * samples.shape[0]
 
 
 def _gating_block(rate: int) -> int:
@@ -90,10 +84,108 @@ def _gating_block(rate: int) -> int:
     return int(round(_BLOCK_SECONDS * rate))
 
 
+class _Loudness:
+    """Integrated loudness of a signal that arrives in ``(rows, k)`` blocks.
+
+    The blocks are gathered into chunks of whole gating steps (a quarter
+    block each), about ``_BLOCK_SAMPLES`` samples. Each chunk is K-weighted,
+    the filter state carried from chunk to chunk, and its squares are summed
+    step by step. A 400 ms block's power is then four step sums, plus the
+    first ``block - 4 * step`` samples of the step after them where that is
+    not 0 (2 at 11025 Hz). Sums over whole steps round once per step, not
+    against a running total, and are the same however the signal is cut.
+    """
+
+    def __init__(self, rate: int, copies: tuple[int, ...]) -> None:
+        self._block = _gating_block(rate)
+        self._step = self._block // 4
+        self._extra = self._block - 4 * self._step
+        self._filter = _CascadeFilter(design_k_weighting(rate), len(copies))
+        self._copies = copies
+        self._chunk = np.empty((len(copies), max(1, audio._BLOCK_SAMPLES // self._step) * self._step))
+        self._held = 0
+        self._sums: list[np.ndarray] = []  # per step, and of its first _extra samples
+        self._heads: list[np.ndarray] = []
+        self._samples = 0
+
+    def add(self, x: np.ndarray) -> None:
+        self._samples += x.shape[1]
+        at = 0
+        while at < x.shape[1]:
+            take = min(x.shape[1] - at, self._chunk.shape[1] - self._held)
+            self._chunk[:, self._held : self._held + take] = x[:, at : at + take]
+            self._held += take
+            at += take
+            if self._held == self._chunk.shape[1]:
+                self._measure_chunk()
+
+    def _measure_chunk(self) -> None:
+        """Sums of the chunk's whole steps; a last chunk's part step adds only its head."""
+        y = self._filter(self._chunk[:, : self._held])
+        self._held = 0
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.multiply(y, y, out=y)
+            steps = y[:, : y.shape[1] // self._step * self._step].reshape(y.shape[0], -1, self._step)
+            self._sums.append(np.add.reduce(steps, axis=2))
+            if self._extra:
+                self._heads.append(np.add.reduce(steps[:, :, : self._extra], axis=2))
+                tail = y[:, steps.shape[1] * self._step :]
+                if tail.shape[1] >= self._extra:
+                    self._heads.append(np.add.reduce(tail[:, : self._extra], axis=1, keepdims=True))
+
+    @property
+    def state_finite(self) -> bool:
+        """Whether the filters' state is finite: a NaN or inf sample, or an
+        overflow, stays in it to the end."""
+        return bool(np.isfinite(self._filter.state).all())
+
+    def powers(self) -> np.ndarray:
+        """The power of every 400 ms block, summed over the channels."""
+        if self._held:
+            self._measure_chunk()
+        count = 1 + (self._samples - self._block) // self._step
+        sums = np.concatenate(self._sums, axis=1)
+        heads = np.concatenate(self._heads, axis=1) if self._extra else sums
+        power = np.zeros(count)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s, h, copies in zip(sums, heads, self._copies):
+                total = s[:count] + s[1 : count + 1] + s[2 : count + 2] + s[3 : count + 3]
+                if self._extra:
+                    total += h[4 : count + 4]
+                msq = total / self._block
+                for _ in range(copies):
+                    power += msq
+        return power
+
+    def result(self) -> LoudnessResult:
+        power = self.powers()
+        count = power.shape[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            total = power.sum()
+        if not isfinite(total):  # finite samples whose power overflows float64: louder than any gate
+            return LoudnessResult(float("inf"), count, count)
+        with np.errstate(divide="ignore"):
+            block_loudness = _LOUDNESS_OFFSET_DB + 10.0 * np.log10(power)
+        above_absolute = block_loudness > _ABSOLUTE_GATE_LUFS
+        if not above_absolute.any():
+            return LoudnessResult(float("-inf"), 0, count)
+        relative_gate = (
+            _LOUDNESS_OFFSET_DB + 10.0 * log10(power[above_absolute].mean()) - _RELATIVE_GATE_LU
+        )
+        gated = above_absolute & (block_loudness > relative_gate)
+        if not gated.any():
+            return LoudnessResult(float("-inf"), 0, count)
+        lufs = _LOUDNESS_OFFSET_DB + 10.0 * log10(power[gated].mean())
+        return LoudnessResult(float(lufs), int(gated.sum()), count)
+
+
 def integrated_lufs(buf: AudioBuffer) -> LoudnessResult:
     """Gated integrated loudness of a mono or stereo buffer.
 
-    Channel weights are 1.0 for both left and right.
+    Channel weights are 1.0 for both left and right. The buffer is measured
+    ``_BLOCK_SAMPLES`` samples at a time, as curation measures a file while
+    it streams it, so no temporary grows with the signal, and two equal
+    channels are filtered once.
 
     Raises:
         ValueError: duration under one 400 ms block (checked first), a rate
@@ -101,40 +193,20 @@ def integrated_lufs(buf: AudioBuffer) -> LoudnessResult:
     """
     rate = buf.sample_rate
     block = _gating_block(rate)
-    step = block // 4
     if buf.num_samples < block:
         raise ValueError(
             f"audio too short for loudness measurement: {buf.num_samples} samples "
             f"< one {block}-sample gating block"
         )
-    cascade = design_k_weighting(rate)
-    count = 1 + (buf.num_samples - block) // step
-    power = np.zeros(count)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row, copies in _distinct_rows(buf.samples):
-            weighted = apply_cascade(cascade, AudioBuffer(row, rate)).samples[0]
-            # feedback carries a NaN or inf sample, or an overflow of finite input, to the last output
-            if not isfinite(weighted[-1]) and not np.isfinite(row).all():
-                raise _non_finite("buffer")
-            msq = _block_mean_squares(weighted, block, step, count)
-            for _ in range(copies):
-                power += msq
-        total = power.sum()
-    if not isfinite(total):  # finite samples whose power overflows float64: louder than any gate
-        return LoudnessResult(float("inf"), count, count)
-    with np.errstate(divide="ignore"):
-        block_loudness = _LOUDNESS_OFFSET_DB + 10.0 * np.log10(power)
-    above_absolute = block_loudness > _ABSOLUTE_GATE_LUFS
-    if not above_absolute.any():
-        return LoudnessResult(float("-inf"), 0, count)
-    relative_gate = (
-        _LOUDNESS_OFFSET_DB + 10.0 * log10(power[above_absolute].mean()) - _RELATIVE_GATE_LU
-    )
-    gated = above_absolute & (block_loudness > relative_gate)
-    if not gated.any():
-        return LoudnessResult(float("-inf"), 0, count)
-    lufs = _LOUDNESS_OFFSET_DB + 10.0 * log10(power[gated].mean())
-    return LoudnessResult(float(lufs), int(gated.sum()), count)
+    rows, copies = _distinct_rows(buf.samples)
+    meter = _Loudness(rate, copies)
+    step = audio._BLOCK_SAMPLES
+    for start in range(0, buf.num_samples, step):
+        meter.add(rows[:, start : start + step])
+    result = meter.result()
+    if not meter.state_finite and not np.isfinite(rows).all():
+        raise _non_finite("buffer")
+    return result
 
 
 @lru_cache(maxsize=1)
@@ -152,36 +224,59 @@ def _true_peak_plan() -> _Plan:
     return _polyphase_plan(_true_peak_taps(), _TP_FACTOR, 1, 0)
 
 
+class _TruePeak:
+    """The 4x true peaks of the channels of an ``n``-sample signal that
+    arrives in ``(channels, k)`` slices: the blocks of the oversampling
+    product go into one reused array, and only each block's absolute maximum
+    is kept."""
+
+    def __init__(self, n: int, channels: int) -> None:
+        plan = _true_peak_plan()
+        rows = -(-(_TP_FACTOR * (n - 1) + _TP_TAPS_TOTAL) // plan[0])
+        self._product = _Polyphase(plan, n, rows)
+        self._outputs = plan[0]
+        self._y = np.empty((0, plan[0]))
+        self.peaks = [0.0] * channels
+
+    def add(self, x: np.ndarray) -> None:
+        self._product.push(x)
+        for r0, r1 in self._product.ready():
+            if self._y.shape[0] < r1 - r0:
+                self._y = np.empty((r1 - r0, self._outputs))
+            block = self._y[: r1 - r0]
+            # channels that read the same samples, such as a mono signal promoted to stereo, are one row
+            same = len(self.peaks) > 1 and self._product.same_inputs(r0, r1)
+            for c in range(len(self.peaks)):
+                if c == 0 or not same:
+                    self._product.rows(c, r0, block)
+                    block_peak = float(np.abs(block, out=block).max())
+                    # the rows read finite samples only, so a NaN or inf is an overflow of their sums
+                    block_peak = block_peak if isfinite(block_peak) else inf
+                self.peaks[c] = max(self.peaks[c], block_peak)
+
+    def dbtp(self) -> list[float]:
+        return [20.0 * log10(peak) if peak > 0.0 else SILENCE_FLOOR_DBTP for peak in self.peaks]
+
+
 def true_peak_dbtp(buf: AudioBuffer) -> TruePeakResult:
     """True peak via 4x polyphase oversampling.
 
     Oversampled sample ``k`` is ``sum_n taps[k - 4 * n] * x[n]``, the full
     convolution of the zero-stuffed channel with the filter, so peaks near
     the boundaries are seen. It runs as blocked matrix products (see
-    ``audio._polyphase_rows``) into one reused block array, keeping only
-    each block's absolute maximum. Digital silence reports the floor value
-    ``SILENCE_FLOOR_DBTP``, and finite samples whose oversampled values
-    overflow float64 report ``+inf``.
+    ``audio._polyphase_rows``), the blocks curation streams, into one reused
+    block array, keeping only each block's absolute maximum. Digital silence
+    reports the floor value ``SILENCE_FLOOR_DBTP``, and finite samples whose
+    oversampled values overflow float64 report ``+inf``.
 
     Raises:
         ValueError: on an empty buffer or one holding NaN or inf samples.
     """
     if buf.num_samples == 0:
         raise ValueError("cannot measure true peak of an empty buffer")
-    plan = _true_peak_plan()
-    rows = -(-(_TP_FACTOR * (buf.num_samples - 1) + _TP_TAPS_TOTAL) // plan[0])
-    blocks = _polyphase_blocks(buf.num_samples, plan, rows)
-    y = np.empty((max(r1 - r0 for r0, r1 in blocks), plan[0]))
-    per_channel = []
-    for row, copies in _distinct_rows(buf.samples):
-        peak = 0.0
-        for r0, r1 in blocks:
-            block = y[: r1 - r0]
-            _polyphase_rows(row, plan, r0, block)
-            block_peak = float(np.abs(block, out=block).max())
-            # the rows read finite samples only, so a NaN or inf is an overflow of their sums
-            peak = max(peak, block_peak if isfinite(block_peak) else inf)
-        per_channel += [20.0 * log10(peak) if peak > 0.0 else SILENCE_FLOOR_DBTP] * copies
+    meter = _TruePeak(buf.num_samples, buf.channels)
+    meter.add(buf.samples)
+    per_channel = meter.dbtp()
     return TruePeakResult(dbtp=max(per_channel), per_channel=tuple(per_channel))
 
 

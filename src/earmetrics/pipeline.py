@@ -5,8 +5,11 @@ Stage 1 standardizes format: files natively below 44.1 kHz are rejected
 stereo, and integrated loudness must fall within [-22, -5] LUFS (inclusive);
 kept files are written as 44.1 kHz stereo float32 WAV. Stage 2 keeps only
 files whose true peak is strictly below +1.0 dBTP (a measurement exactly at
-the limit is rejected). Running both decides in memory and writes only files
-that pass both gates.
+the limit is rejected). Every stage reads a file in slices and holds a few
+blocks, never the whole file: stage 1 resamples, K-weights and writes each
+block to a temporary file as it is made, and running both takes the true
+peak of that file, read back, only when the loudness gate passes. A keep
+renames the temporary file into place and a reject removes it.
 
 Batch runs process files in a worker pool but always emit decisions ordered
 by input path, so the JSONL log is byte-identical across runs and across
@@ -25,13 +28,14 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from math import inf
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .audio import AudioBuffer, _as_stereo, _frozen, _resampled_length, load_wav, resample, save_wav
-from .loudness import _gating_block, integrated_lufs, true_peak_dbtp
+from .audio import _resampled, _resampled_length, _WavReader, _WavWriter
+from .loudness import _gating_block, _Loudness, _TruePeak
 
 __all__ = [
     "CurateDecision",
@@ -152,12 +156,17 @@ def _output_path(path: str, out_dir: str | Path, stage: str) -> str:
     return str(Path(out_dir) / name)
 
 
+def _temporary(path: Path) -> Path:
+    """A name beside ``path`` that no other writer in this process or another uses."""
+    return path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+
+
 @contextmanager
 def _atomic_target(path: str | Path) -> Iterator[str]:
     """A temporary name beside ``path`` to write to. It replaces ``path`` when
     the block completes and is removed when the block or the rename raises."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    tmp = _temporary(path)
     try:
         yield str(tmp)
         os.replace(tmp, path)
@@ -174,6 +183,218 @@ class _WriteError(OSError):
         self.decision = decision
 
 
+class _Staged:
+    """A standardized file written under a temporary name beside its output
+    path while its blocks are made. A failed write is kept, not raised, so
+    the file is still measured: only a keep reports it (:meth:`commit`), and
+    a reject removes the temporary file (:meth:`discard`)."""
+
+    def __init__(self, path: str, frames: int) -> None:
+        self._out, self.path = path, _temporary(Path(path))
+        self._fh = None
+        self._error: OSError | None = None
+        try:
+            self._fh = open(self.path, "wb")
+            self._writer = _WavWriter(self._fh, 2, TARGET_RATE, frames, "float32")
+        except OSError as exc:
+            self._fail(exc)
+
+    def flushed(self) -> bool:
+        """Whether every block so far is in the temporary file at ``path``,
+        flushed so that it can be read back."""
+        if self._error is None:
+            try:
+                self._fh.flush()
+            except OSError as exc:
+                self._fail(exc)
+        return self._error is None
+
+    def write(self, block: np.ndarray) -> None:
+        if self._error is None:
+            try:
+                self._writer.write(block)
+            except OSError as exc:
+                self._fail(exc)
+
+    def _fail(self, exc: OSError) -> None:
+        self._error = exc
+        self.discard()
+
+    def discard(self) -> None:
+        fh, self._fh = self._fh, None
+        if fh is not None:
+            try:
+                fh.close()
+            except OSError:  # a flush that fails no longer matters: the file goes next
+                pass
+        self.path.unlink(missing_ok=True)
+
+    def commit(self, decision: CurateDecision) -> CurateDecision:
+        """``decision`` once the written file has replaced its output path;
+        a failed write or rename raises :class:`_WriteError`."""
+        try:
+            if self._error is not None:
+                raise self._error
+            self._fh.close()
+            self._fh = None
+            os.replace(self.path, self._out)
+        except OSError as exc:
+            self.discard()
+            raise _WriteError(decision, exc) from exc
+        return decision
+
+
+class _Unfit(Exception):
+    """A file rejected part way through its samples as ``reason``."""
+
+    def __init__(self, reason: str) -> None:
+        super().__init__(reason)
+        self.reason = reason
+
+
+def _finite(x: np.ndarray) -> np.ndarray:
+    if not np.isfinite(x).all():
+        raise _Unfit("non_finite")
+    return x
+
+
+def _checked(wav: _WavReader) -> Iterator[np.ndarray]:
+    """The slices of ``wav``, held by nothing here once given out; raises
+    :class:`_Unfit` on a slice that cannot be read or holds a NaN or inf
+    sample."""
+    slices = wav.slices()
+    while True:
+        try:
+            yield _finite(next(slices))
+        except StopIteration:
+            return
+        except _Unfit:
+            raise
+        except Exception:
+            raise _Unfit("decode_error") from None
+
+
+def _curate(path: str, out_dir: str | Path | None, stage: str, gates: dict) -> CurateDecision:
+    """One stage, or both, on the file at ``path``, reading it a slice at a
+    time: each slice is checked and, for stage 1, resampled, K-weighted into
+    gating-step sums, rounded to float32 and written to a temporary file as
+    it is made. ``all`` then takes the true peak of that file, read back,
+    only if the loudness gate keeps it; stage 2 takes the true peak of the
+    slices themselves. A worker holds a few blocks, never the whole file.
+
+    The reasons keep their order whatever the position of the sample that
+    decides them: ``decode_error``, ``non_finite`` (every file is scanned to
+    its end for one), ``below_rate``, ``too_short``, loudness, true peak.
+    """
+    try:
+        fh = open(path, "rb")
+    except OSError:
+        return _reject(path, "decode_error")
+    with fh:
+        try:
+            wav = _WavReader(fh)
+        except Exception:
+            return _reject(path, "decode_error")
+        try:
+            return _measure(path, out_dir, stage, gates, wav, _checked(wav))
+        except _Unfit as exc:
+            measured = {"native_rate": wav.rate} if exc.reason == "non_finite" else {}
+            return _reject(path, exc.reason, measured)
+
+
+def _measure(
+    path: str, out_dir: str | Path | None, stage: str, gates: dict, wav: _WavReader, slices: Iterator[np.ndarray]
+) -> CurateDecision:
+    measured = {"native_rate": wav.rate, "lufs_i": None, "dbtp": None}
+    if stage == "stage2":
+        if not wav.frames:
+            return _reject(path, "too_short", measured)
+        out_path = None if out_dir is None else _output_path(path, out_dir, "stage2")
+        dbtp = _peak_of(slices, wav.frames, wav.channels)
+        decision = _peak_gate(path, dbtp, measured, gates["dbtp_max"], out_path)
+        if decision.verdict == "keep" and out_path and os.path.abspath(out_path) != os.path.abspath(path):
+            return _write_kept(decision, lambda tmp: shutil.copyfile(path, tmp))
+        return decision
+    frames = _resampled_length(wav.frames, wav.rate, TARGET_RATE)
+    if wav.rate < TARGET_RATE or frames < _gating_block(TARGET_RATE):
+        for _ in slices:
+            pass
+        return _reject(path, "below_rate" if wav.rate < TARGET_RATE else "too_short", measured)
+    out_path = _output_path(path, out_dir, "stage1")
+    staged = _Staged(out_path, frames)
+    try:
+        measured["lufs_i"], beyond = _standardize(wav, slices, staged)
+        if measured["lufs_i"] < gates["lufs_min"]:
+            return _reject(path, "lufs_low", measured)
+        if measured["lufs_i"] > gates["lufs_max"]:
+            return _reject(path, "lufs_high", measured)
+        decision = CurateDecision(path, "keep", "none", measured, output_path=out_path)
+        if stage == "all":
+            # a sample beyond float32's range is stored as inf: a true peak beyond any gate
+            dbtp = inf if beyond else _stored_peak(path, staged)
+            decision = _peak_gate(path, dbtp, measured, gates["dbtp_max"], out_path)
+        return staged.commit(decision) if decision.verdict == "keep" else decision
+    finally:
+        staged.discard()
+
+
+def _standardized(wav: _WavReader, slices: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """The blocks of a file at or above 44.1 kHz converted to 44.1 kHz: its
+    slices, or the blocks they resample to."""
+    return slices if wav.rate == TARGET_RATE else _resampled(slices, wav.frames, wav.rate, TARGET_RATE)
+
+
+def _standardize(wav: _WavReader, slices: Iterator[np.ndarray], staged: _Staged) -> tuple[float, bool]:
+    """The integrated loudness of the file at 44.1 kHz, mono counted twice,
+    with each block rounded to float32 and written to ``staged`` as it is
+    made; and whether a sample lay beyond float32's range."""
+    meter = _Loudness(TARGET_RATE, (2,) if wav.channels == 1 else (1, 1))
+    beyond = False
+    try:
+        for x in _standardized(wav, slices):
+            meter.add(x)
+            if x.dtype != np.float32:
+                with np.errstate(over="ignore"):
+                    x = x.astype(np.float32)
+                beyond = beyond or not np.isfinite(x).all()
+            staged.write(x)
+    except ValueError:
+        # the slices are checked finite, so this is the resampler's overflow: louder than any
+        # gate, as finite samples whose K-weighted power overflows measure; the rest is still
+        # scanned for a NaN, which outranks it
+        for _ in slices:
+            pass
+        return inf, beyond
+    return meter.result().lufs_i, beyond
+
+
+def _peak_of(blocks: Iterable[np.ndarray], frames: int, channels: int) -> float:
+    """The true peak in dBTP of a signal of ``frames`` frames that arrives in blocks."""
+    meter = _TruePeak(frames, channels)
+    for x in blocks:
+        meter.add(x)
+    return max(meter.dbtp())
+
+
+def _stored_peak(source: str, staged: _Staged) -> float:
+    """The true peak of the standardized file as stored: read back from the
+    temporary file, or, where that could not be written, from ``source``
+    standardized again."""
+    written = staged.flushed()
+    with open(staged.path if written else source, "rb") as fh:
+        wav = _WavReader(fh)
+        blocks = wav.slices() if written else (x.astype(np.float32) for x in _standardized(wav, wav.slices()))
+        return _peak_of(blocks, _resampled_length(wav.frames, wav.rate, TARGET_RATE), wav.channels)
+
+
+def _peak_gate(path: str, dbtp: float, measured: dict, dbtp_max: float, out_path: str | None) -> CurateDecision:
+    """Keep iff the true peak ``dbtp`` is strictly below ``dbtp_max``."""
+    measured = {**measured, "dbtp": dbtp}
+    if not dbtp < dbtp_max:
+        return _reject(path, "true_peak_exceeded", measured)
+    return CurateDecision(path, "keep", "none", measured, output_path=out_path)
+
+
 def _write_kept(decision: CurateDecision, write: Callable[[str], object]) -> CurateDecision:
     """``decision`` once ``write`` has filled a temporary name that then replaced
     its output path; a failed write raises :class:`_WriteError`."""
@@ -183,59 +404,6 @@ def _write_kept(decision: CurateDecision, write: Callable[[str], object]) -> Cur
     except OSError as exc:
         raise _WriteError(decision, exc) from exc
     return decision
-
-
-def _load(path: str) -> AudioBuffer | CurateDecision:
-    """The decoded file, or its ``decode_error`` / ``non_finite`` rejection."""
-    try:
-        buf = load_wav(path)
-    except Exception:
-        return _reject(path, "decode_error")
-    if not np.isfinite(buf.samples).all():
-        return _reject(path, "non_finite", {"native_rate": buf.sample_rate})
-    return buf
-
-
-def _stage1(
-    path: str, out_dir: str | Path, lufs_min: float, lufs_max: float
-) -> tuple[CurateDecision, AudioBuffer | None]:
-    """Rate gate, standardization and loudness gate, without writing. A keep
-    comes with the standardized buffer rounded to float32, as the file stores it."""
-    buf = _load(path)
-    if isinstance(buf, CurateDecision):
-        return buf, None
-    native = buf.sample_rate
-    if native < TARGET_RATE:
-        return _reject(path, "below_rate", {"native_rate": native}), None
-    if _resampled_length(buf.num_samples, native, TARGET_RATE) < _gating_block(TARGET_RATE):
-        return _reject(path, "too_short", {"native_rate": native}), None
-    try:
-        buf = _as_stereo(resample(buf, TARGET_RATE))
-    except ValueError:
-        # _load checked the samples, so this is the resampler's overflow: louder
-        # than any gate, as finite samples whose K-weighted power overflows measure
-        lufs = float("inf")
-    else:
-        lufs = integrated_lufs(buf).lufs_i
-    measured = {"native_rate": native, "lufs_i": lufs, "dbtp": None}
-    if lufs < lufs_min:
-        return _reject(path, "lufs_low", measured), None
-    if lufs > lufs_max:
-        return _reject(path, "lufs_high", measured), None
-    out_path = _output_path(path, out_dir, "stage1")
-    # a float32 buffer (a 44.1 kHz float32, pcm16 or pcm24 file) is stored as it is
-    stored = AudioBuffer(_frozen(buf.samples.astype(np.float32, copy=False)), TARGET_RATE)
-    return CurateDecision(path, "keep", "none", measured, output_path=out_path), stored
-
-
-def _peak_gate(
-    path: str, buf: AudioBuffer, measured: dict, dbtp_max: float, out_path: str | None
-) -> CurateDecision:
-    """Keep iff the true peak of ``buf`` is strictly below ``dbtp_max``."""
-    measured = {**measured, "dbtp": true_peak_dbtp(buf).dbtp}
-    if not measured["dbtp"] < dbtp_max:
-        return _reject(path, "true_peak_exceeded", measured)
-    return CurateDecision(path, "keep", "none", measured, output_path=out_path)
 
 
 def curate_stage1(
@@ -248,12 +416,11 @@ def curate_stage1(
 
     On keep, writes ``<out_dir>/<stem>.wav`` as 44.1 kHz stereo float32 and
     records its path. Files that decode but are shorter than one 400 ms
-    gating block are rejected as ``too_short``.
+    gating block are rejected as ``too_short``. The file is read, resampled,
+    measured and written a block at a time, to a temporary file that a keep
+    renames into place and a reject removes.
     """
-    decision, stored = _stage1(str(path), out_dir, lufs_min, lufs_max)
-    if stored is not None:
-        decision = _write_kept(decision, lambda tmp: save_wav(tmp, stored, sample_format="float32"))
-    return decision
+    return _curate(str(path), out_dir, "stage1", {"lufs_min": lufs_min, "lufs_max": lufs_max})
 
 
 def curate_stage2(
@@ -265,19 +432,9 @@ def curate_stage2(
 
     Keeps iff measured dBTP is strictly below ``dbtp_max``. When ``out_dir``
     is given, kept files are copied there byte-for-byte. A file without
-    samples is rejected as ``too_short``.
+    samples is rejected as ``too_short``. The file is read in slices.
     """
-    path = str(path)
-    buf = _load(path)
-    if isinstance(buf, CurateDecision):
-        return buf
-    if buf.num_samples == 0:
-        return _reject(path, "too_short", {"native_rate": buf.sample_rate})
-    out_path = None if out_dir is None else _output_path(path, out_dir, "stage2")
-    decision = _peak_gate(path, buf, {"native_rate": buf.sample_rate, "lufs_i": None}, dbtp_max, out_path)
-    if decision.verdict == "keep" and out_path and os.path.abspath(out_path) != os.path.abspath(path):
-        return _write_kept(decision, lambda tmp: shutil.copyfile(path, tmp))
-    return decision
+    return _curate(str(path), out_dir, "stage2", {"dbtp_max": dbtp_max})
 
 
 def curate_all(
@@ -287,15 +444,15 @@ def curate_all(
     lufs_max: float = DEFAULT_LUFS_MAX,
     dbtp_max: float = DEFAULT_DBTP_MAX,
 ) -> CurateDecision:
-    """Stage 1 followed by stage 2, decided in memory: the standardized file
-    is written only if both gates pass, and nothing is read back."""
-    decision, stored = _stage1(str(path), out_dir, lufs_min, lufs_max)
-    if stored is None:
-        return decision
-    decision = _peak_gate(str(path), stored, decision.measured, dbtp_max, decision.output_path)
-    if decision.verdict == "keep":
-        return _write_kept(decision, lambda tmp: save_wav(tmp, stored, sample_format="float32"))
-    return decision
+    """Stage 1 followed by stage 2. The file is read, resampled and
+    K-weighted a block at a time, and each block is rounded to float32 and
+    written to a temporary file as it is made. If the loudness gate passes,
+    the true peak is taken on that file, read back in slices, so it is the
+    peak of exactly what is stored. The temporary file replaces the output
+    only if both gates pass, and is removed otherwise. A worker holds a few
+    blocks, never the whole file."""
+    gates = {"lufs_min": lufs_min, "lufs_max": lufs_max, "dbtp_max": dbtp_max}
+    return _curate(str(path), out_dir, "all", gates)
 
 
 def collect_inputs(source: str | Path) -> list[str]:

@@ -14,6 +14,7 @@ from math import pi, tan
 
 import numpy as np
 
+from . import audio
 from .audio import AudioBuffer, _frozen, _too_large
 
 __all__ = [
@@ -147,8 +148,26 @@ def frequency_response(cascade: BiquadCascade, freqs_hz: np.ndarray) -> np.ndarr
     return h
 
 
+class _CascadeFilter:
+    """A cascade run over consecutive ``(channels, k)`` blocks of a signal:
+    each call filters the next block, carrying every channel's state, so the
+    blocks of a signal give exactly the samples one whole ``sosfilt`` gives."""
+
+    def __init__(self, cascade: BiquadCascade, channels: int) -> None:
+        self._sos = cascade.sos.copy()  # sosfilt rejects a read-only sos ("buffer source array is read-only")
+        self.state = np.zeros((self._sos.shape[0], channels, 2))
+
+    def __call__(self, block: np.ndarray) -> np.ndarray:
+        from scipy import signal
+
+        filtered, self.state = signal.sosfilt(self._sos, block, axis=-1, zi=self.state)
+        return filtered
+
+
 def apply_cascade(cascade: BiquadCascade, buf: AudioBuffer) -> AudioBuffer:
-    """Filter every channel through the cascade with zero initial state.
+    """Filter every channel through the cascade with zero initial state, a
+    block of ``_BLOCK_SAMPLES`` samples at a time (the blocks loudness
+    filters).
 
     Raises:
         ValueError: when the buffer rate differs from the design rate.
@@ -158,10 +177,10 @@ def apply_cascade(cascade: BiquadCascade, buf: AudioBuffer) -> AudioBuffer:
             f"sample rate mismatch: buffer at {buf.sample_rate} Hz, "
             f"filter designed for {cascade.design_rate} Hz"
         )
-    from scipy import signal
-
-    # sosfilt rejects a read-only sos ("buffer source array is read-only")
-    filtered = signal.sosfilt(cascade.sos.copy(), buf.samples, axis=-1)
+    run, block = _CascadeFilter(cascade, buf.channels), audio._BLOCK_SAMPLES
+    filtered = np.empty((buf.channels, buf.num_samples))
+    for start in range(0, buf.num_samples, block):
+        filtered[:, start : start + block] = run(buf.samples[:, start : start + block])
     return AudioBuffer(_frozen(filtered), buf.sample_rate)
 
 

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import tracemalloc
 from typing import Callable
 
 import numpy as np
@@ -177,3 +178,13 @@ def assert_float32_equals_widened(consume: Callable, *bufs: AudioBuffer) -> None
     assert all(buf.samples.dtype == np.float32 for buf in bufs)
     wide = [AudioBuffer(buf.samples.astype(np.float64), buf.sample_rate) for buf in bufs]
     assert exact_bits(consume(*bufs)) == exact_bits(consume(*wide))
+
+
+def traced_peak(fn: Callable, *args) -> int:
+    """Peak bytes that tracemalloc sees allocated while ``fn(*args)`` runs."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -35,7 +35,7 @@ from earmetrics.audio import (
 )
 from earmetrics.loudness import _true_peak_plan, _true_peak_taps
 from earmetrics.spectral import mel_filterbank
-from helpers import noise_stereo, overflowing_96k
+from helpers import noise_stereo, overflowing_96k, traced_peak
 from oracles import load_wav_direct, resample_poly_direct
 
 WAV_FORMATS = ["pcm16", "pcm24", "pcm32", "float32"]
@@ -259,24 +259,15 @@ class TestWavIo:
         path = tmp_path / "ten.wav"
         x = 0.5 * np.random.default_rng(3).standard_normal((2, 10 * 44100))
         save_wav(path, AudioBuffer(x, 44100), sample_format="float32")
-        tracemalloc.start()
-        try:
-            buf = load_wav(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(load_wav, path)
+        buf = load_wav(path)
         assert buf.samples.dtype == np.float32
         assert peak < 2.1 * buf.samples.nbytes, f"peak {peak / buf.samples.nbytes:.2f}x the buffer"
 
     def test_float32_save_peak_memory_is_one_float32_copy(self, tmp_path):
         # one interleaved float32 copy is half the buffer; a float64 copy before it makes 1.5x
         buf = AudioBuffer(0.5 * np.random.default_rng(4).standard_normal((2, 10 * 44100)), 44100)
-        tracemalloc.start()
-        try:
-            save_wav(tmp_path / "ten.wav", buf, sample_format="float32")
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(save_wav, tmp_path / "ten.wav", buf, "float32")
         assert peak < 0.6 * buf.samples.nbytes, f"peak {peak / buf.samples.nbytes:.2f}x the buffer"
 
     @settings(max_examples=30, deadline=None)
@@ -591,12 +582,8 @@ class TestResample:
         taps = _resample_taps(44100, 44101)
         monkeypatch.setattr(audio, "_resample_taps", lambda up, down: taps)  # the filter is not cached
         buf = AudioBuffer(np.random.default_rng(7).standard_normal(3000), 44101)
-        tracemalloc.start()
-        try:
-            out = resample(buf, 44100)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(resample, buf, 44100)
+        out = resample(buf, 44100)
         assert peak < 2 * taps.nbytes
         want = resample_poly_direct(buf.samples, 44100, 44101, 3000, taps)
         np.testing.assert_allclose(out.samples, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))

@@ -7,8 +7,6 @@ feed the per-metric accumulators the zero-bin toy in blocks of every size.
 """
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,7 +28,7 @@ from earmetrics import (
 from earmetrics.audio import _BLOCK_SAMPLES
 from earmetrics.coherence import _Ccpc, _Icpc
 from earmetrics.phase import _CorrelationSums, _PhaseSums
-from helpers import noise_stereo, toy_with_silent_bins
+from helpers import noise_stereo, toy_with_silent_bins, traced_peak
 from oracles import evaluate_whole, objective_whole
 
 RATE = 44100
@@ -151,16 +149,6 @@ def test_accumulators_in_blocks_match_one_block_on_silent_bins(block):
     assert ccpc.percent()[0] == ccpc_from_spectra(al, ar, bl, br)
 
 
-def _traced_peak(fn, *args) -> int:
-    """Peak bytes that tracemalloc sees allocated while ``fn(*args)`` runs."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def _long_pair() -> tuple[AudioBuffer, AudioBuffer]:
     ref = noise_stereo(seconds=20.0, amp=0.4, seed=7)
     return ref, AudioBuffer(ref.samples + 0.05 * np.random.default_rng(8).standard_normal(ref.samples.shape), RATE)
@@ -171,7 +159,7 @@ def test_evaluate_pair_memory_is_bounded_by_its_inputs():
     # inputs; a block of frames takes a fixed amount, whatever the length
     ref, rec = _long_pair()
     inputs = ref.samples.nbytes + rec.samples.nbytes
-    peak = _traced_peak(evaluate_pair, ref, rec)
+    peak = traced_peak(evaluate_pair, ref, rec)
     assert peak < 2 * inputs, f"peak {peak / 1e6:.1f} MB above inputs of {inputs / 1e6:.1f} MB"
 
 
@@ -181,5 +169,5 @@ def test_composite_objective_memory_is_below_half_its_inputs():
     # derived pair at a time takes 0.35x
     ref, rec = _long_pair()
     inputs = ref.samples.nbytes + rec.samples.nbytes
-    peak = _traced_peak(composite_objective, ref, rec)
+    peak = traced_peak(composite_objective, ref, rec)
     assert peak < inputs / 2, f"peak {peak / 1e6:.1f} MB against inputs of {inputs / 1e6:.1f} MB"

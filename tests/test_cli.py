@@ -4,7 +4,6 @@ import json
 import os
 import subprocess
 import sys
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,19 +15,16 @@ import earmetrics.weighting
 from earmetrics import AudioBuffer, align_pair, composite_objective, evaluate_pair, load_wav, save_wav
 from earmetrics.cli import main
 from earmetrics.audio import _FLOAT, _wav_header
-from helpers import HUGE_AMPLITUDES, huge_noise_pair, noise_stereo, overflowing_pair
+from helpers import HUGE_AMPLITUDES, huge_noise_pair, noise_stereo, overflowing_pair, traced_peak
 
 
 def _traced_eval_peak(paths: list[Path], warm_pair: tuple[str, str], capsys) -> int:
     """Peak traced bytes of ``earmetrics eval`` on ``paths``, after one eval of
     ``warm_pair`` fills the per-process filterbank and window caches."""
     assert main(["eval", *warm_pair]) == 0
-    tracemalloc.start()
-    try:
-        assert main(["eval", *map(str, paths)]) == 0
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    codes = []
+    peak = traced_peak(lambda: codes.append(main(["eval", *map(str, paths)])))
+    assert codes == [0]
     capsys.readouterr()
     return peak
 

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import tracemalloc
 from math import log10
 
 import numpy as np
@@ -17,10 +16,10 @@ from earmetrics import (
     integrated_lufs,
     true_peak_dbtp,
 )
-from earmetrics import loudness
+from earmetrics import audio, loudness
 from earmetrics.audio import _BLOCK_SAMPLES, _as_stereo, load_wav, save_wav
 from earmetrics.loudness import _true_peak_plan, _true_peak_taps
-from helpers import faded, noise_stereo, quarter_rate_sine_45
+from helpers import faded, noise_stereo, quarter_rate_sine_45, traced_peak
 from oracles import integrated_lufs_direct, true_peak_direct, true_peak_whole
 
 BLOCK = _BLOCK_SAMPLES
@@ -139,14 +138,20 @@ class TestPromotedMono:
     row measured once."""
 
     def _count_calls(self, monkeypatch) -> dict:
-        calls = {"apply_cascade": 0, "_polyphase_rows": 0}
-        for name in calls:
+        """Rows given a K-weighting filter, and calls of the polyphase product."""
+        calls = {"filtered_rows": 0, "_polyphase_rows": 0}
 
-            def counted(*args, _name=name, _f=getattr(loudness, name)):
-                calls[_name] += 1
-                return _f(*args)
+        class Counted(loudness._CascadeFilter):
+            def __init__(self, cascade, channels):
+                calls["filtered_rows"] += channels
+                super().__init__(cascade, channels)
 
-            monkeypatch.setattr(loudness, name, counted)
+        def counted(*args, _f=audio._polyphase_rows):
+            calls["_polyphase_rows"] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(loudness, "_CascadeFilter", Counted)
+        monkeypatch.setattr(audio, "_polyphase_rows", counted)
         return calls
 
     def test_view_measured_once_equals_its_copy(self, monkeypatch, tmp_path):
@@ -162,7 +167,7 @@ class TestPromotedMono:
             counts.append(dict(calls))
             calls.update(dict.fromkeys(calls, 0))
         assert counts[0]["_polyphase_rows"] > 0
-        assert counts[0]["apply_cascade"] == 1
+        assert counts[0]["filtered_rows"] == 1
         assert counts[0] == counts[1] == counts[2]
         assert results[0] == results[1]
         assert results[0][1].per_channel[0] == results[0][1].per_channel[1]
@@ -175,7 +180,7 @@ class TestPromotedMono:
         calls = self._count_calls(monkeypatch)
         integrated_lufs(buf)
         peak = true_peak_dbtp(buf)
-        assert calls["apply_cascade"] == 2
+        assert calls["filtered_rows"] == 2
         assert peak.per_channel == tuple(true_peak_dbtp(AudioBuffer(row, 44100)).dbtp for row in x)
         assert peak.per_channel[0] != peak.per_channel[1]
 
@@ -323,12 +328,7 @@ class TestTruePeak:
         # values of rows and sums 4/3 as many outputs, about 2.4 MB
         buf = noise_stereo(seconds=30.0, seed=3)
         true_peak_dbtp(buf)  # plan made and cached
-        tracemalloc.start()
-        try:
-            true_peak_dbtp(buf)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(true_peak_dbtp, buf)
         block = _BLOCK_SAMPLES * 8 * (1 + 4 / 3)
         assert peak < 1.5 * block < buf.samples.nbytes / 5
 

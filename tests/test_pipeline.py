@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import earmetrics.audio
 import earmetrics.pipeline
 from earmetrics import (
     AudioBuffer,
@@ -256,15 +257,15 @@ class TestAtomicWrites:
         src = tmp_path / "x.wav"
         save_wav(src, noise_stereo(seconds=5.0, amp=0.05, seed=88), sample_format="float32")
 
-        def truncated_write(path, buf, sample_format="float32"):
-            Path(path).write_bytes(b"RIFF\x00\x00")
+        def truncated_write(self, block):
+            self._fh.write(b"RIFF\x00\x00")
             raise OSError("disk full")
 
         def truncated_copy(source, target):
             Path(target).write_bytes(b"RIFF\x00\x00")
             raise OSError("disk full")
 
-        monkeypatch.setattr(earmetrics.pipeline, "save_wav", truncated_write)
+        monkeypatch.setattr(earmetrics.audio._WavWriter, "write", truncated_write)
         monkeypatch.setattr(earmetrics.pipeline.shutil, "copyfile", truncated_copy)
         for curate in (curate_stage1, curate_stage2, curate_all):
             out = tmp_path / curate.__name__

@@ -5,13 +5,11 @@ from __future__ import annotations
 
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import earmetrics.pipeline
 from earmetrics import (
     AudioBuffer,
     ccpc,
@@ -28,7 +26,7 @@ from earmetrics import (
     split_mslr,
     true_peak_dbtp,
 )
-from earmetrics.audio import _BLOCK_SAMPLES, _as_stereo
+from earmetrics.audio import _BLOCK_SAMPLES, _FLOAT, _as_stereo, _wav_header
 from helpers import assert_float32_equals_widened, float32_pair
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -120,12 +118,20 @@ def test_save_wav(sample_format, seed, channels, length, amp):
     rate=st.sampled_from([44100, 48000, 96000]),
 )
 def test_curate_all(seed, channels, length, amp, rate):
-    # the decoded file is the given buffer; the decision and the kept file's bytes are compared
+    # the file holds the given samples at their precision, a float32 or a float64
+    # file; the decision and the kept file's bytes are compared
     buf = float32_pair(seed, channels, length, amp, rate=rate)[0]
 
     def curate(x: AudioBuffer):
-        with tempfile.TemporaryDirectory() as out, mock.patch.object(earmetrics.pipeline, "load_wav", lambda p: x):
-            decision = curate_all("in/x.wav", out)
+        with tempfile.TemporaryDirectory() as out:
+            src = Path(out) / "x.wav"
+            (Path(out) / "kept").mkdir()
+            width = x.samples.dtype.itemsize
+            src.write_bytes(
+                _wav_header(_FLOAT, x.channels, rate, width, x.num_samples)
+                + x.samples.T.astype(f"<f{width}").tobytes()
+            )
+            decision = curate_all(src, Path(out) / "kept")
             kept = Path(decision.output_path).read_bytes() if decision.verdict == "keep" else None
             return decision.verdict, decision.reason, decision.measured, kept
 
