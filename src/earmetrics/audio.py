@@ -126,12 +126,21 @@ def _overflow_named(values=lambda result: (result,)):
     return decorate
 
 
+def _stereo_rows(samples: np.ndarray) -> np.ndarray:
+    """``(channels, k)`` samples as two rows; one row as a read-only stride-0 view, with no copy."""
+    return samples if samples.shape[0] == 2 else np.broadcast_to(samples, (2, samples.shape[1]))
+
+
 def _as_stereo(buf: AudioBuffer) -> AudioBuffer:
-    """A mono buffer as a read-only two-channel view of its one channel, with
-    no copy; a stereo buffer as it is."""
-    if buf.channels == 2:
-        return buf
-    return AudioBuffer(np.broadcast_to(buf.samples, (2, buf.num_samples)), buf.sample_rate)
+    """A mono buffer as the stereo buffer of :func:`_stereo_rows`; a stereo buffer as it is."""
+    return buf if buf.channels == 2 else AudioBuffer(_stereo_rows(buf.samples), buf.sample_rate)
+
+
+def _same_rows(block: np.ndarray) -> bool:
+    """Whether the rows of ``block`` (its first axis) hold the same bits, as a stride-0 view
+    does, so that work on the first row alone gives the result of every row."""
+    bits = block.view(f"u{block.itemsize}")
+    return block.strides[0] == 0 or all(np.array_equal(bits[0], row) for row in bits[1:])
 
 
 def _quarter_hop(fft_size: int) -> int:
@@ -437,10 +446,10 @@ class _WavWriter:
         fh.write(_wav_header(self._tag, channels, rate, self._width, frames))
 
     def write(self, block: np.ndarray) -> None:
-        """Writes a ``(channels, k)`` block; one row stands for every channel."""
+        """Writes a ``(channels, k)`` block."""
         frames = np.empty((block.shape[1], self._channels), "<f4" if self._tag == _FLOAT else np.float64)
         for c in range(self._channels):  # a column at a time: a transposed copy is several times slower
-            frames[:, c] = block[c % block.shape[0]]
+            frames[:, c] = block[c]
         if self._tag == _FLOAT:
             self._fh.write(frames)
             return
@@ -459,15 +468,18 @@ def save_wav(path: str | Path, buf: AudioBuffer, sample_format: str = "float32")
 
     ``sample_format`` is one of ``float32`` (default, lossless for curated
     output), ``pcm16``, ``pcm24``, ``pcm32``. PCM output is rounded and
-    clipped to the integer range. The samples go out ``_BLOCK_SAMPLES``
-    frames at a time through the writer curation uses, so no interleaved
-    copy of the whole buffer is made.
+    clipped to the integer range (+-inf to full scale); a NaN sample in PCM,
+    like a bad format, raises ValueError before the file is made. The
+    samples go out ``_BLOCK_SAMPLES`` frames at a time through the writer
+    curation uses, so no interleaved copy of the whole buffer is made.
     """
-    _sample_format(sample_format)  # a bad format fails before the file is made
+    blocks = [buf.samples[:, start : start + _BLOCK_SAMPLES] for start in range(0, buf.num_samples, _BLOCK_SAMPLES)]
+    if _sample_format(sample_format)[0] == _PCM and any(np.isnan(block).any() for block in blocks):
+        raise ValueError(f"cannot write a NaN sample as {sample_format}")
     with open(path, "wb") as fh:
         writer = _WavWriter(fh, buf.channels, buf.sample_rate, buf.num_samples, sample_format)
-        for start in range(0, buf.num_samples, _BLOCK_SAMPLES):
-            writer.write(buf.samples[:, start : start + _BLOCK_SAMPLES])
+        for block in blocks:
+            writer.write(block)
 
 
 def _resample_taps(up: int, down: int) -> np.ndarray:
@@ -652,8 +664,7 @@ class _Polyphase:
         ``r1 - 1`` of the block out now read, so that their rows are equal."""
         inputs, reach = self._plan[1], _reach(self._plan)
         lo = max(r0 * inputs + reach[0] - self._start, 0)
-        seen = self._window[:, lo : (r1 - 1) * inputs + reach[1] - self._start]
-        return all(np.array_equal(seen[0], row) for row in seen[1:])
+        return _same_rows(self._window[:, lo : (r1 - 1) * inputs + reach[1] - self._start])
 
     def rows(self, channel: int, r0: int, out: np.ndarray) -> None:
         """Rows ``r0`` on of ``channel`` of the block out now, into ``out``."""

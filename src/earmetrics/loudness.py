@@ -5,8 +5,8 @@ form 400 ms blocks at 75% overlap, drop blocks at or below -70 LUFS, then
 drop blocks at or below 10 LU under the ungated mean. True peak upsamples
 4x through a 193-tap Kaiser-windowed sinc, run as one polyphase matrix
 product per block (the resampler's kernel, ``audio._polyphase_rows``), and
-reports the oversampled absolute maximum in dB. Two equal channels, such as
-a mono signal promoted to stereo, are one row, and both measures take it once.
+reports the oversampled absolute maximum in dB. A block whose channels are
+the same (``audio._same_rows``), as a promoted mono signal's, is measured once.
 """
 
 from __future__ import annotations
@@ -70,39 +70,30 @@ class TruePeakResult:
             raise ValueError("dbtp must equal the per-channel maximum")
 
 
-def _distinct_rows(samples: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The distinct rows of ``samples`` and the number of channels each stands
-    for: two equal rows (a mono signal promoted to stereo, as a stride-0 view
-    or a copy of one) are one row, twice."""
-    if samples.shape[0] > 1 and (samples.strides[0] == 0 or np.array_equal(samples[0], samples[1])):
-        return samples[:1], (samples.shape[0],)
-    return samples, (1,) * samples.shape[0]
-
-
 def _gating_block(rate: int) -> int:
     """Samples in one 400 ms gating block; a shorter signal has no loudness."""
     return int(round(_BLOCK_SECONDS * rate))
 
 
 class _Loudness:
-    """Integrated loudness of a signal that arrives in ``(rows, k)`` blocks.
+    """Integrated loudness of a signal that arrives in ``(channels, k)`` blocks.
 
     The blocks are gathered into chunks of whole gating steps (a quarter
     block each), about ``_BLOCK_SAMPLES`` samples. Each chunk is K-weighted,
-    the filter state carried from chunk to chunk, and its squares are summed
-    step by step. A 400 ms block's power is then four step sums, plus the
-    first ``block - 4 * step`` samples of the step after them where that is
-    not 0 (2 at 11025 Hz). Sums over whole steps round once per step, not
-    against a running total, and are the same however the signal is cut.
+    the filter state carried from chunk to chunk (equal channels as one row),
+    and its squares are summed step by step. A 400 ms block's power is then
+    four step sums, plus the first ``block - 4 * step`` samples of the step
+    after them where that is not 0 (2 at 11025 Hz). Sums over whole steps
+    round once per step, not against a running total, and are the same
+    however the signal is cut.
     """
 
-    def __init__(self, rate: int, copies: tuple[int, ...]) -> None:
+    def __init__(self, rate: int, channels: int) -> None:
         self._block = _gating_block(rate)
         self._step = self._block // 4
         self._extra = self._block - 4 * self._step
-        self._filter = _CascadeFilter(design_k_weighting(rate), len(copies))
-        self._copies = copies
-        self._chunk = np.empty((len(copies), max(1, audio._BLOCK_SAMPLES // self._step) * self._step))
+        self._filter = _CascadeFilter(design_k_weighting(rate), channels)
+        self._chunk = np.empty((channels, max(1, audio._BLOCK_SAMPLES // self._step) * self._step))
         self._held = 0
         self._sums: list[np.ndarray] = []  # per step, and of its first _extra samples
         self._heads: list[np.ndarray] = []
@@ -125,6 +116,7 @@ class _Loudness:
         self._held = 0
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(y, y, out=y)
+            y = np.broadcast_to(y, (self._chunk.shape[0], y.shape[1]))  # one filtered row stands for all
             steps = y[:, : y.shape[1] // self._step * self._step].reshape(y.shape[0], -1, self._step)
             self._sums.append(np.add.reduce(steps, axis=2))
             if self._extra:
@@ -148,13 +140,11 @@ class _Loudness:
         heads = np.concatenate(self._heads, axis=1) if self._extra else sums
         power = np.zeros(count)
         with np.errstate(over="ignore", invalid="ignore"):
-            for s, h, copies in zip(sums, heads, self._copies):
+            for s, h in zip(sums, heads):
                 total = s[:count] + s[1 : count + 1] + s[2 : count + 2] + s[3 : count + 3]
                 if self._extra:
                     total += h[4 : count + 4]
-                msq = total / self._block
-                for _ in range(copies):
-                    power += msq
+                power += total / self._block
         return power
 
     def result(self) -> LoudnessResult:
@@ -183,9 +173,9 @@ def integrated_lufs(buf: AudioBuffer) -> LoudnessResult:
     """Gated integrated loudness of a mono or stereo buffer.
 
     Channel weights are 1.0 for both left and right. The buffer is measured
-    ``_BLOCK_SAMPLES`` samples at a time, as curation measures a file while
-    it streams it, so no temporary grows with the signal, and two equal
-    channels are filtered once.
+    in chunks of about ``_BLOCK_SAMPLES`` samples, as curation measures a
+    file while it streams it, so no temporary grows with the signal, and a
+    chunk whose two channels are the same is filtered once.
 
     Raises:
         ValueError: duration under one 400 ms block (checked first), a rate
@@ -198,13 +188,10 @@ def integrated_lufs(buf: AudioBuffer) -> LoudnessResult:
             f"audio too short for loudness measurement: {buf.num_samples} samples "
             f"< one {block}-sample gating block"
         )
-    rows, copies = _distinct_rows(buf.samples)
-    meter = _Loudness(rate, copies)
-    step = audio._BLOCK_SAMPLES
-    for start in range(0, buf.num_samples, step):
-        meter.add(rows[:, start : start + step])
+    meter = _Loudness(rate, buf.channels)
+    meter.add(buf.samples)
     result = meter.result()
-    if not meter.state_finite and not np.isfinite(rows).all():
+    if not meter.state_finite and not np.isfinite(buf.samples).all():
         raise _non_finite("buffer")
     return result
 
@@ -234,7 +221,6 @@ class _TruePeak:
         plan = _true_peak_plan()
         rows = -(-(_TP_FACTOR * (n - 1) + _TP_TAPS_TOTAL) // plan[0])
         self._product = _Polyphase(plan, n, rows)
-        self._outputs = plan[0]
         self._y = np.empty((0, plan[0]))
         self.peaks = [0.0] * channels
 
@@ -242,10 +228,10 @@ class _TruePeak:
         self._product.push(x)
         for r0, r1 in self._product.ready():
             if self._y.shape[0] < r1 - r0:
-                self._y = np.empty((r1 - r0, self._outputs))
+                self._y = np.empty((r1 - r0, self._y.shape[1]))
             block = self._y[: r1 - r0]
             # channels that read the same samples, such as a mono signal promoted to stereo, are one row
-            same = len(self.peaks) > 1 and self._product.same_inputs(r0, r1)
+            same = self._product.same_inputs(r0, r1)
             for c in range(len(self.peaks)):
                 if c == 0 or not same:
                     self._product.rows(c, r0, block)

@@ -124,9 +124,12 @@ def correlation_loss(ref: np.ndarray, rec: np.ndarray) -> float:
 
     Computed as ``1 - mean(Re(rec * conj(ref) / (|rec| |ref| + 1e-8)))``
     so zero-magnitude bins contribute zero correlation rather than NaN.
+    Spectrograms without a bin, such as ``(0, bins)``, raise ValueError.
     """
     sums = _CorrelationSums()
     a, b = _bins_of(ref, rec)
+    if not a.size:
+        raise ValueError(f"correlation loss needs at least one bin, got empty spectrograms of shape {a.shape}")
     sums.add(a, b, np.abs(a), np.abs(b))
     return sums.loss()
 

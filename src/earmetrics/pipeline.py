@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .audio import _resampled, _resampled_length, _WavReader, _WavWriter
+from .audio import _resampled, _resampled_length, _stereo_rows, _WavReader, _WavWriter
 from .loudness import _gating_block, _Loudness, _TruePeak
 
 __all__ = [
@@ -345,13 +345,14 @@ def _standardized(wav: _WavReader, slices: Iterator[np.ndarray]) -> Iterator[np.
 
 
 def _standardize(wav: _WavReader, slices: Iterator[np.ndarray], staged: _Staged) -> tuple[float, bool]:
-    """The integrated loudness of the file at 44.1 kHz, mono counted twice,
-    with each block rounded to float32 and written to ``staged`` as it is
-    made; and whether a sample lay beyond float32's range."""
-    meter = _Loudness(TARGET_RATE, (2,) if wav.channels == 1 else (1, 1))
+    """The integrated loudness of the file at 44.1 kHz stereo, with each block
+    rounded to float32 and written to ``staged`` as it is made; and whether a
+    sample lay beyond float32's range."""
+    meter = _Loudness(TARGET_RATE, 2)
     beyond = False
     try:
         for x in _standardized(wav, slices):
+            x = _stereo_rows(x)
             meter.add(x)
             if x.dtype != np.float32:
                 with np.errstate(over="ignore"):
@@ -475,9 +476,7 @@ def resolve_jobs(jobs: int | None = None) -> int:
         try:
             return max(1, int(env))
         except ValueError:
-            raise ValueError(
-                f"{THREADS_ENV_VAR} must be an integer, got {env!r}"
-            ) from None
+            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
     if jobs is not None:
         return max(1, int(jobs))
     return 1
@@ -560,10 +559,4 @@ def curate_batch(
     decisions = run_batch(paths, claimed, log_path, jobs=jobs)
     kept = sum(1 for d in decisions if d.verdict == "keep")
     rejected = dict(Counter(d.reason for d in decisions if d.verdict == "reject"))
-    summary = BatchSummary(
-        total=len(decisions),
-        kept=kept,
-        rejected_by_reason=rejected,
-        manifest_path=str(log_path),
-    )
-    return decisions, summary
+    return decisions, BatchSummary(len(decisions), kept, rejected, str(log_path))

@@ -15,7 +15,7 @@ from math import pi, tan
 import numpy as np
 
 from . import audio
-from .audio import AudioBuffer, _frozen, _too_large
+from .audio import AudioBuffer, _frozen, _same_rows, _too_large
 
 __all__ = [
     "BiquadCascade",
@@ -151,7 +151,9 @@ def frequency_response(cascade: BiquadCascade, freqs_hz: np.ndarray) -> np.ndarr
 class _CascadeFilter:
     """A cascade run over consecutive ``(channels, k)`` blocks of a signal:
     each call filters the next block, carrying every channel's state, so the
-    blocks of a signal give exactly the samples one whole ``sosfilt`` gives."""
+    blocks of a signal give exactly the samples one whole ``sosfilt`` gives.
+    Where a block's rows and their states are the same (``audio._same_rows``),
+    it filters the first row, returns it for all and copies its state."""
 
     def __init__(self, cascade: BiquadCascade, channels: int) -> None:
         self._sos = cascade.sos.copy()  # sosfilt rejects a read-only sos ("buffer source array is read-only")
@@ -160,14 +162,16 @@ class _CascadeFilter:
     def __call__(self, block: np.ndarray) -> np.ndarray:
         from scipy import signal
 
-        filtered, self.state = signal.sosfilt(self._sos, block, axis=-1, zi=self.state)
+        rows = 1 if _same_rows(block) and _same_rows(self.state.swapaxes(0, 1)) else block.shape[0]
+        filtered, self.state[:, :rows] = signal.sosfilt(self._sos, block[:rows], axis=-1, zi=self.state[:, :rows])
+        self.state[:, rows:] = self.state[:, :1]
         return filtered
 
 
 def apply_cascade(cascade: BiquadCascade, buf: AudioBuffer) -> AudioBuffer:
     """Filter every channel through the cascade with zero initial state, a
     block of ``_BLOCK_SAMPLES`` samples at a time (the blocks loudness
-    filters).
+    filters); a block whose channels are the same is filtered once.
 
     Raises:
         ValueError: when the buffer rate differs from the design rate.

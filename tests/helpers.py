@@ -180,6 +180,21 @@ def assert_float32_equals_widened(consume: Callable, *bufs: AudioBuffer) -> None
     assert exact_bits(consume(*bufs)) == exact_bits(consume(*wide))
 
 
+def count_sosfilt_rows(monkeypatch) -> list[int]:
+    """The rows of signal given to each ``scipy.signal.sosfilt`` call (filtering
+    along the last axis) for the rest of the test, one entry a call, in order."""
+    from scipy import signal
+
+    rows: list[int] = []
+
+    def counted(sos, x, *args, _f=signal.sosfilt, **kwargs):
+        rows.append(int(np.prod(np.shape(x)[:-1])))
+        return _f(sos, x, *args, **kwargs)
+
+    monkeypatch.setattr(signal, "sosfilt", counted)
+    return rows
+
+
 def traced_peak(fn: Callable, *args) -> int:
     """Peak bytes that tracemalloc sees allocated while ``fn(*args)`` runs."""
     tracemalloc.start()

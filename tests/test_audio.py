@@ -4,6 +4,7 @@ import re
 import struct
 import tempfile
 import tracemalloc
+import warnings
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -269,6 +270,25 @@ class TestWavIo:
         buf = AudioBuffer(0.5 * np.random.default_rng(4).standard_normal((2, 10 * 44100)), 44100)
         peak = traced_peak(save_wav, tmp_path / "ten.wav", buf, "float32")
         assert peak < 0.6 * buf.samples.nbytes, f"peak {peak / buf.samples.nbytes:.2f}x the buffer"
+
+    @pytest.mark.parametrize("sample_format", ["pcm16", "pcm24", "pcm32"])
+    def test_nan_in_pcm_raises_before_the_file_is_made(self, tmp_path, sample_format):
+        # it used to be written as 0 (16, 24 bit) or -1.0 (32 bit), with a RuntimeWarning
+        x = np.zeros((2, 2 * _BLOCK_SAMPLES + 5))
+        x[1, -1] = np.nan  # in the last block
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"cannot write a NaN sample as {sample_format}"):
+                save_wav(tmp_path / "x.wav", AudioBuffer(x, 44100), sample_format)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("sample_format", ["pcm16", "pcm24", "pcm32"])
+    def test_infinite_samples_clip_to_full_scale_in_pcm(self, tmp_path, sample_format):
+        full = 2.0 ** (int(sample_format[3:]) - 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            save_wav(tmp_path / "x.wav", AudioBuffer(np.array([np.inf, -np.inf, 0.5]), 44100), sample_format)
+        assert load_wav(tmp_path / "x.wav").samples.tolist() == [[(full - 1) / full, -1.0, 0.5]]
 
     @settings(max_examples=30, deadline=None)
     @given(

@@ -16,10 +16,10 @@ from earmetrics import (
     integrated_lufs,
     true_peak_dbtp,
 )
-from earmetrics import audio, loudness
+from earmetrics import audio, curate_all
 from earmetrics.audio import _BLOCK_SAMPLES, _as_stereo, load_wav, save_wav
-from earmetrics.loudness import _true_peak_plan, _true_peak_taps
-from helpers import faded, noise_stereo, quarter_rate_sine_45, traced_peak
+from earmetrics.loudness import _gating_block, _Loudness, _true_peak_plan, _true_peak_taps
+from helpers import count_sosfilt_rows, exact_bits, faded, noise_stereo, quarter_rate_sine_45, traced_peak
 from oracles import integrated_lufs_direct, true_peak_direct, true_peak_whole
 
 BLOCK = _BLOCK_SAMPLES
@@ -132,27 +132,32 @@ class TestIntegratedLufs:
         with pytest.raises(ValueError, match="non-finite samples"):
             integrated_lufs(AudioBuffer(x, 44100))
 
+    def test_peak_memory_does_not_grow_with_length(self):
+        # a whole-row comparison of the channels made it 4.11 MB at 30 s and 5.29 MB at 120 s
+        integrated_lufs(noise_stereo(seconds=1.0))  # filter design and imports done
+        peaks = []
+        for seconds in (30, 120):
+            x = np.random.default_rng(seconds).standard_normal((2, seconds * 44100), dtype=np.float32)
+            x *= 0.1
+            x.flags.writeable = False  # kept by the buffer without a copy
+            peaks.append(traced_peak(integrated_lufs, AudioBuffer(x, 44100)) / 1e6)
+        assert abs(peaks[1] - peaks[0]) < 0.5, f"{peaks[0]:.2f} MB at 30 s, {peaks[1]:.2f} MB at 120 s"
+
 
 class TestPromotedMono:
     """Two equal channels, such as a mono signal promoted to stereo, are one
     row measured once."""
 
-    def _count_calls(self, monkeypatch) -> dict:
-        """Rows given a K-weighting filter, and calls of the polyphase product."""
-        calls = {"filtered_rows": 0, "_polyphase_rows": 0}
-
-        class Counted(loudness._CascadeFilter):
-            def __init__(self, cascade, channels):
-                calls["filtered_rows"] += channels
-                super().__init__(cascade, channels)
+    def _count_calls(self, monkeypatch) -> tuple[list[int], list[None]]:
+        """Rows given to each ``sosfilt`` call, and one entry a call of the polyphase product."""
+        products: list[None] = []
 
         def counted(*args, _f=audio._polyphase_rows):
-            calls["_polyphase_rows"] += 1
+            products.append(None)
             return _f(*args)
 
-        monkeypatch.setattr(loudness, "_CascadeFilter", Counted)
         monkeypatch.setattr(audio, "_polyphase_rows", counted)
-        return calls
+        return count_sosfilt_rows(monkeypatch), products
 
     def test_view_measured_once_equals_its_copy(self, monkeypatch, tmp_path):
         view = _as_stereo(AudioBuffer(noise_stereo(seconds=3.0, seed=12).samples[0], 44100))
@@ -160,14 +165,15 @@ class TestPromotedMono:
         assert view.samples.strides[0] == 0 and copy.samples.strides[0] != 0
         save_wav(tmp_path / "mono.wav", copy)  # what curation stores and stage 2 reads back
         read_back = load_wav(tmp_path / "mono.wav")
-        calls = self._count_calls(monkeypatch)
+        rows, products = self._count_calls(monkeypatch)
         results, counts = [], []
         for buf in (view, copy, read_back):
             results.append((integrated_lufs(buf), true_peak_dbtp(buf)))
-            counts.append(dict(calls))
-            calls.update(dict.fromkeys(calls, 0))
-        assert counts[0]["_polyphase_rows"] > 0
-        assert counts[0]["filtered_rows"] == 1
+            counts.append((list(rows), len(products)))
+            rows.clear()
+            products.clear()
+        assert counts[0][1] > 0
+        assert counts[0][0] == [1, 1]  # two chunks, each filtered as one row
         assert counts[0] == counts[1] == counts[2]
         assert results[0] == results[1]
         assert results[0][1].per_channel[0] == results[0][1].per_channel[1]
@@ -177,12 +183,77 @@ class TestPromotedMono:
         x = np.array(_as_stereo(AudioBuffer(noise_stereo(seconds=1.0, seed=13).samples[0], 44100)).samples)
         x[1, -1] += 5.0
         buf = AudioBuffer(x, 44100)
-        calls = self._count_calls(monkeypatch)
+        rows, _ = self._count_calls(monkeypatch)
         integrated_lufs(buf)
         peak = true_peak_dbtp(buf)
-        assert calls["filtered_rows"] == 2
+        assert rows == [2]
         assert peak.per_channel == tuple(true_peak_dbtp(AudioBuffer(row, 44100)).dbtp for row in x)
         assert peak.per_channel[0] != peak.per_channel[1]
+
+    def test_curate_all_of_a_mono_tone_equals_it_tiled_to_stereo(self, monkeypatch, tmp_path):
+        # curation K-weighted both rows of the stereo file, where it filtered the mono file once
+        tone = (0.2 * np.sin(2 * np.pi * 997 * np.arange(3 * 44100) / 44100)).astype(np.float32)
+        (tmp_path / "in").mkdir()
+        rows = count_sosfilt_rows(monkeypatch)
+        lufs, counts = [], []
+        for name, samples in (("mono", tone), ("tiled", np.stack([tone, tone]))):
+            save_wav(tmp_path / "in" / f"{name}.wav", AudioBuffer(samples, 44100))
+            decision = curate_all(tmp_path / "in" / f"{name}.wav", tmp_path)
+            assert decision.reason == "none"
+            lufs.append(decision.measured["lufs_i"].hex())
+            counts.append(list(rows))
+            rows.clear()
+        assert lufs[0] == lufs[1]
+        assert counts[0] == counts[1] == [1, 1]  # two chunks, each filtered as one row
+
+
+def _equal_in_part(n: int, cut: int, equal_first: bool) -> np.ndarray:
+    """Two rows of noise whose samples are equal before sample ``cut`` and
+    differ after it, or differ before it and are equal after it."""
+    x = 0.3 * np.random.default_rng(21).standard_normal((2, n))
+    part = np.s_[:cut] if equal_first else np.s_[cut:]
+    x[1, part] = x[0, part]
+    return x
+
+
+# the samples _Loudness K-weights in one call at 44.1 kHz: whole gating steps, about BLOCK
+CHUNK = BLOCK // (_gating_block(44100) // 4) * (_gating_block(44100) // 4)
+
+
+class TestRowsEqualInPart:
+    """Rows equal in only part of a signal are filtered as one row in a block
+    where their samples and filter states are equal, and apart elsewhere:
+    from rows that become different the state goes on in both, and rows that
+    become equal still differ in their states. Every bit is as if each row
+    were filtered alone."""
+
+    @pytest.mark.parametrize(
+        "equal_first, n, want", [(True, 2 * BLOCK + 1000, [1, 2, 2]), (False, BLOCK + 1000, [2, 2])]
+    )
+    def test_apply_cascade_equals_each_row_filtered_alone(self, monkeypatch, equal_first, n, want):
+        x = _equal_in_part(n, BLOCK, equal_first)
+        cascade = design_k_weighting(44100)
+        rows = count_sosfilt_rows(monkeypatch)
+        both = apply_cascade(cascade, AudioBuffer(x, 44100)).samples
+        assert rows == want
+        alone = np.concatenate([apply_cascade(cascade, AudioBuffer(row, 44100)).samples for row in x])
+        assert exact_bits(both) == exact_bits(alone)
+
+    @pytest.mark.parametrize(
+        "equal_first, n, want", [(True, 2 * CHUNK + 1000, [1, 2, 2]), (False, CHUNK + 1000, [2, 2])]
+    )
+    def test_loudness_powers_equal_each_row_measured_alone(self, monkeypatch, equal_first, n, want):
+        x = _equal_in_part(n, CHUNK, equal_first)
+
+        def powers(rows: np.ndarray) -> np.ndarray:
+            meter = _Loudness(44100, rows.shape[0])
+            meter.add(rows)
+            return meter.powers()
+
+        rows = count_sosfilt_rows(monkeypatch)
+        both = powers(x)
+        assert rows == want
+        assert exact_bits(both) == exact_bits(powers(x[:1]) + powers(x[1:]))
 
 
 class TestTruePeak:

@@ -143,6 +143,12 @@ class TestCorrelationLoss:
         with pytest.raises(ValueError):
             correlation_loss(np.zeros((4, 8), complex), np.zeros((4, 9), complex))
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+    def test_empty_spectrograms_rejected_by_name(self, shape):
+        # no frames used to raise ZeroDivisionError
+        with pytest.raises(ValueError, match=rf"empty spectrograms of shape \({shape[0]}, {shape[1]}\)"):
+            correlation_loss(np.zeros(shape, complex), np.zeros(shape, complex))
+
 
 class TestPhaseLoss:
     def test_matches_direct_oracle_on_toys(self):

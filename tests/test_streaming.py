@@ -105,7 +105,7 @@ class TestLoudnessSums:
         quiet = 58 * rate
         x[:, quiet - rate : quiet + 2 * block] *= 1e-4
         buf = AudioBuffer(x, rate)
-        meter = _Loudness(rate, (1, 1))
+        meter = _Loudness(rate, 2)
         meter.add(x)
         powers = meter.powers()
         weighted = apply_cascade(design_k_weighting(rate), buf).samples
@@ -122,7 +122,7 @@ class TestLoudnessSums:
     def test_every_block_matches_exact_sums(self):
         rate = 44100
         x = 0.2 * np.random.default_rng(12).standard_normal((2, 3 * rate + 17))
-        meter = _Loudness(rate, (1, 1))
+        meter = _Loudness(rate, 2)
         for start in range(0, x.shape[1], 5000):  # blocks that cut the gating steps anywhere
             meter.add(x[:, start : start + 5000])
         weighted = apply_cascade(design_k_weighting(rate), AudioBuffer(x, rate)).samples
