@@ -66,11 +66,9 @@ class AudioBuffer:
             raise ValueError(f"samples must be 1-D or 2-D, got {arr.ndim}-D")
         if arr.shape[0] not in (1, 2):
             raise ValueError(f"unsupported channel count {arr.shape[0]}")
-        rate = self.sample_rate
-        if not isinstance(rate, (int, np.integer)) or rate <= 0:
-            raise ValueError(f"sample_rate must be a positive integer, got {rate!r}")
+        rate = _positive_rate(self.sample_rate, "sample_rate")
         object.__setattr__(self, "samples", _frozen(arr))
-        object.__setattr__(self, "sample_rate", int(rate))
+        object.__setattr__(self, "sample_rate", rate)
 
     @property
     def channels(self) -> int:
@@ -86,6 +84,13 @@ class AudioBuffer:
         return self.num_samples / self.sample_rate
 
 
+def _positive_rate(rate: int, name: str) -> int:
+    """``rate`` as an int, checked to be a positive integer (a numpy integer passes)."""
+    if not isinstance(rate, (int, np.integer)) or rate <= 0:
+        raise ValueError(f"{name} must be a positive integer, got {rate!r}")
+    return int(rate)
+
+
 def _sample_array(x) -> np.ndarray:
     """``x`` as an array of samples: a float32 array as it is, anything else as float64."""
     arr = np.asarray(x)
@@ -98,8 +103,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _non_finite(name: str) -> ValueError:
-    return ValueError(f"{name} holds non-finite samples (NaN or inf)")
+def _check_finite(x: np.ndarray, name: str) -> None:
+    """Raise a ValueError naming ``name`` if the samples ``x`` hold a NaN or inf,
+    scanning ``_BLOCK_SAMPLES`` columns at a time so that no mask grows with the signal."""
+    for start in range(0, x.shape[-1], _BLOCK_SAMPLES):
+        if not np.isfinite(x[..., start : start + _BLOCK_SAMPLES]).all():
+            raise ValueError(f"{name} holds non-finite samples (NaN or inf)")
 
 
 def _too_large() -> ValueError:
@@ -117,7 +126,7 @@ def _overflow_named(values=lambda result: (result,)):
         def checked(*args, **kwargs):
             with np.errstate(over="ignore", invalid="ignore"):
                 result = fn(*args, **kwargs)
-            if not np.isfinite([v for v in values(result) if v is not None]).all():
+            if not all(np.isfinite(v).all() for v in values(result) if v is not None):
                 raise _too_large()
             return result
 
@@ -636,11 +645,7 @@ class _Polyphase:
         self._start = 0  # the signal sample in the window's first column
 
     def push(self, x: np.ndarray) -> None:
-        """Append the next slice. Raises ``ValueError`` when it holds a NaN
-        or inf sample, which would spread over whole rows."""
-        for start in range(0, x.shape[1], _BLOCK_SAMPLES):
-            if not np.isfinite(x[:, start : start + _BLOCK_SAMPLES]).all():
-                raise _non_finite("buffer")
+        """Append the next slice, of checked samples: a NaN or inf would spread over whole rows."""
         if self._window is None or not self._window.shape[1]:
             self._window = x
         else:
@@ -681,8 +686,7 @@ def _resampled(slices: Iterable[np.ndarray], n: int, rate: int, target_rate: int
     """An ``n``-sample signal at ``rate`` that arrives as ``(channels, k)``
     slices, resampled to ``target_rate``: consecutive float64
     ``(channels, m)`` blocks, each made as soon as the samples it reads have
-    arrived. Raises ValueError when a slice holds a NaN or inf sample, or when
-    the filtered values of finite samples overflow float64."""
+    arrived. Of checked slices, an overflow of float64 comes out as inf or NaN."""
     g = gcd(rate, target_rate)
     up, down = target_rate // g, rate // g
     plan = (_resample_plan if max(up, down) <= _CACHED_RATIO_TERM else _resample_plan.__wrapped__)(up, down)
@@ -698,8 +702,6 @@ def _resampled(slices: Iterable[np.ndarray], n: int, rate: int, target_rate: int
             y = np.empty((channels, r1 - r0, outputs))
             for c in range(channels):
                 poly.rows(c, r0, y[c])
-            if not np.isfinite(y).all():  # the rows read finite samples: an overflow
-                raise _too_large()
             yield y[:, done - r0 :].reshape(channels, -1)[:, : n_out - done * outputs]
             done = r1
 
@@ -711,22 +713,23 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     nearest (ties to even). Returns the input unchanged when the rates match.
     The sums are dense matrix products (see :func:`_polyphase_rows`) over
     blocks of about ``_BLOCK_SAMPLES`` values, the blocks curation streams,
-    so no temporary grows with the signal. Every sample is read by some
-    output row, so each is checked.
+    so no temporary grows with the signal. The samples are checked finite
+    first, so a NaN or inf block of output is an overflow.
 
     Raises:
         ValueError: on a target rate that is not a positive integer, a
             buffer holding NaN or inf samples, or finite samples so large
             that the filtered values overflow float64.
     """
-    if not isinstance(target_rate, (int, np.integer)) or target_rate <= 0:
-        raise ValueError(f"target_rate must be a positive integer, got {target_rate!r}")
-    target_rate = int(target_rate)
+    target_rate = _positive_rate(target_rate, "target_rate")
     if target_rate == buf.sample_rate:
         return buf
+    _check_finite(buf.samples, "buffer")
     out = np.empty((buf.channels, _resampled_length(buf.num_samples, buf.sample_rate, target_rate)))
     at = 0
     for block in _resampled([buf.samples], buf.num_samples, buf.sample_rate, target_rate):
+        if not np.isfinite(block).all():
+            raise _too_large()
         out[:, at : at + block.shape[1]] = block
         at += block.shape[1]
     return AudioBuffer(_frozen(out), target_rate)
@@ -792,6 +795,7 @@ def _stft_blocks(channels: Sequence[np.ndarray], config: StftConfig) -> Iterator
         yield [_frame_bins(x, config, start, stop) for x in channels]
 
 
+@_overflow_named(lambda spec: (spec.bins,))
 def stft(channel: np.ndarray, config: StftConfig) -> ComplexSpectrogram:
     """Hann-windowed one-sided STFT of a single channel.
 
@@ -799,12 +803,14 @@ def stft(channel: np.ndarray, config: StftConfig) -> ComplexSpectrogram:
     signal reflect-padded by ``fft_size // 2`` at both ends.
 
     Raises:
-        ValueError: on a signal of ``fft_size // 2`` samples or fewer, too
-            short to reflect-pad.
+        ValueError: on a NaN or inf sample, finite samples so large that a
+            bin overflows float64, or a signal of ``fft_size // 2`` samples
+            or fewer, too short to reflect-pad.
     """
     x = _sample_array(channel)
     if x.ndim != 1:
         raise ValueError(f"channel must be 1-D, got {x.ndim}-D")
+    _check_finite(x, "channel")
     bins = _frozen(_frame_bins(x, config, 0, _num_frames(x.shape[0], config)))
     return ComplexSpectrogram(bins, config, x.shape[0])
 

@@ -18,7 +18,7 @@ from math import inf, isfinite, log10
 import numpy as np
 
 from . import audio
-from .audio import AudioBuffer, _frozen, _non_finite, _Plan, _Polyphase, _polyphase_plan
+from .audio import AudioBuffer, _check_finite, _frozen, _Plan, _Polyphase, _polyphase_plan
 from .weighting import _CascadeFilter, design_k_weighting
 
 __all__ = [
@@ -125,12 +125,6 @@ class _Loudness:
                 if tail.shape[1] >= self._extra:
                     self._heads.append(np.add.reduce(tail[:, : self._extra], axis=1, keepdims=True))
 
-    @property
-    def state_finite(self) -> bool:
-        """Whether the filters' state is finite: a NaN or inf sample, or an
-        overflow, stays in it to the end."""
-        return bool(np.isfinite(self._filter.state).all())
-
     def powers(self) -> np.ndarray:
         """The power of every 400 ms block, summed over the channels."""
         if self._held:
@@ -152,7 +146,7 @@ class _Loudness:
         count = power.shape[0]
         with np.errstate(over="ignore", invalid="ignore"):
             total = power.sum()
-        if not isfinite(total):  # finite samples whose power overflows float64: louder than any gate
+        if not isfinite(total):  # checked samples whose power overflows float64: louder than any gate
             return LoudnessResult(float("inf"), count, count)
         with np.errstate(divide="ignore"):
             block_loudness = _LOUDNESS_OFFSET_DB + 10.0 * np.log10(power)
@@ -189,11 +183,9 @@ def integrated_lufs(buf: AudioBuffer) -> LoudnessResult:
             f"< one {block}-sample gating block"
         )
     meter = _Loudness(rate, buf.channels)
+    _check_finite(buf.samples, "buffer")
     meter.add(buf.samples)
-    result = meter.result()
-    if not meter.state_finite and not np.isfinite(buf.samples).all():
-        raise _non_finite("buffer")
-    return result
+    return meter.result()
 
 
 @lru_cache(maxsize=1)
@@ -236,7 +228,7 @@ class _TruePeak:
                 if c == 0 or not same:
                     self._product.rows(c, r0, block)
                     block_peak = float(np.abs(block, out=block).max())
-                    # the rows read finite samples only, so a NaN or inf is an overflow of their sums
+                    # samples are checked where they enter: a NaN or inf is an overflow, or a stored inf
                     block_peak = block_peak if isfinite(block_peak) else inf
                 self.peaks[c] = max(self.peaks[c], block_peak)
 
@@ -260,6 +252,7 @@ def true_peak_dbtp(buf: AudioBuffer) -> TruePeakResult:
     """
     if buf.num_samples == 0:
         raise ValueError("cannot measure true peak of an empty buffer")
+    _check_finite(buf.samples, "buffer")
     meter = _TruePeak(buf.num_samples, buf.channels)
     meter.add(buf.samples)
     per_channel = meter.dbtp()

@@ -29,9 +29,10 @@ _EPSILON = 1e-8  # regularizes the correlation loss's denominators and the phase
 
 
 def wrap_phase(x: np.ndarray | float) -> np.ndarray | float:
-    """Wrap angles into (-pi, pi]; the boundary -pi maps to +pi."""
+    """Wrap angles into (-pi, pi]; the boundary -pi maps to +pi, and NaN or inf to NaN."""
     arr = np.asarray(x, dtype=np.float64)
-    wrapped = np.asarray(arr - _TWO_PI * np.round(arr / _TWO_PI))
+    with np.errstate(invalid="ignore"):
+        wrapped = np.asarray(arr - _TWO_PI * np.round(arr / _TWO_PI))
     # rounding can leave a result just outside the interval at either end
     np.add(wrapped, _TWO_PI, out=wrapped, where=wrapped <= -np.pi)
     np.subtract(wrapped, _TWO_PI, out=wrapped, where=wrapped > np.pi)
@@ -76,11 +77,12 @@ def phase_matrix(spec: np.ndarray) -> np.ndarray:
 
 
 def _wrapped_diff(x: np.ndarray, axis: int) -> np.ndarray:
-    """Wrapped forward difference of a 2-D phase matrix along ``axis``."""
+    """Wrapped forward difference of a 2-D phase matrix along ``axis``; NaN where not finite."""
     if x.ndim != 2 or x.shape[axis] < 2:
         raise ValueError(f"need a 2-D phase matrix with >= 2 {('frames', 'bins')[axis]}, got shape {x.shape}")
     # what np.diff computes, without its per-call overhead (it runs once per block)
-    return wrap_phase(x[1:] - x[:-1] if axis == 0 else x[:, 1:] - x[:, :-1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return wrap_phase(x[1:] - x[:-1] if axis == 0 else x[:, 1:] - x[:, :-1])
 
 
 def instantaneous_frequency(phase: np.ndarray) -> np.ndarray:

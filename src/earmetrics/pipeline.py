@@ -323,16 +323,16 @@ def _measure(
     out_path = _output_path(path, out_dir, "stage1")
     staged = _Staged(out_path, frames)
     try:
-        measured["lufs_i"], beyond = _standardize(wav, slices, staged)
+        measured["lufs_i"] = _standardize(wav, slices, staged)
         if measured["lufs_i"] < gates["lufs_min"]:
             return _reject(path, "lufs_low", measured)
-        if measured["lufs_i"] > gates["lufs_max"]:
+        # +inf is an overflow, whose staged file holds inf or NaN samples: beyond any bound
+        if measured["lufs_i"] > gates["lufs_max"] or measured["lufs_i"] == inf:
             return _reject(path, "lufs_high", measured)
         decision = CurateDecision(path, "keep", "none", measured, output_path=out_path)
         if stage == "all":
-            # a sample beyond float32's range is stored as inf: a true peak beyond any gate
-            dbtp = inf if beyond else _stored_peak(path, staged)
-            decision = _peak_gate(path, dbtp, measured, gates["dbtp_max"], out_path)
+            # a sample beyond float32's range is stored as inf, and reads back as an inf true peak
+            decision = _peak_gate(path, _stored_peak(path, staged), measured, gates["dbtp_max"], out_path)
         return staged.commit(decision) if decision.verdict == "keep" else decision
     finally:
         staged.discard()
@@ -344,29 +344,17 @@ def _standardized(wav: _WavReader, slices: Iterator[np.ndarray]) -> Iterator[np.
     return slices if wav.rate == TARGET_RATE else _resampled(slices, wav.frames, wav.rate, TARGET_RATE)
 
 
-def _standardize(wav: _WavReader, slices: Iterator[np.ndarray], staged: _Staged) -> tuple[float, bool]:
+def _standardize(wav: _WavReader, slices: Iterator[np.ndarray], staged: _Staged) -> float:
     """The integrated loudness of the file at 44.1 kHz stereo, with each block
-    rounded to float32 and written to ``staged`` as it is made; and whether a
-    sample lay beyond float32's range."""
+    rounded to float32 and written to ``staged`` as it is made. The slices are
+    checked, so a NaN or inf block is the resampler's overflow: +inf LUFS."""
     meter = _Loudness(TARGET_RATE, 2)
-    beyond = False
-    try:
-        for x in _standardized(wav, slices):
-            x = _stereo_rows(x)
-            meter.add(x)
-            if x.dtype != np.float32:
-                with np.errstate(over="ignore"):
-                    x = x.astype(np.float32)
-                beyond = beyond or not np.isfinite(x).all()
+    for x in _standardized(wav, slices):
+        x = _stereo_rows(x)
+        meter.add(x)
+        with np.errstate(over="ignore"):  # the writer rounds to float32: a sample beyond its range is stored as inf
             staged.write(x)
-    except ValueError:
-        # the slices are checked finite, so this is the resampler's overflow: louder than any
-        # gate, as finite samples whose K-weighted power overflows measure; the rest is still
-        # scanned for a NaN, which outranks it
-        for _ in slices:
-            pass
-        return inf, beyond
-    return meter.result().lufs_i, beyond
+    return meter.result().lufs_i
 
 
 def _peak_of(blocks: Iterable[np.ndarray], frames: int, channels: int) -> float:

@@ -14,6 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import audio
 from .audio import AudioBuffer, StftConfig, _fft_size, _frozen, _overflow_named, _quarter_hop, _stft_blocks
 from .phase import _CorrelationSums, _PhaseSums
 from .stereo import _channel_pair, _check_stereo_pair
@@ -88,15 +89,17 @@ def _mel_to_hz(m: np.ndarray | float) -> np.ndarray:
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)  # typed: 8.0 must not hit the entry of 8
 def mel_filterbank(n_mels: int, fft_size: int, rate: int) -> np.ndarray:
     """Triangular mel filterbank on the HTK scale, peak gain 1 per band.
 
     Band edges run from 0 Hz to Nyquist; returns shape
-    ``(n_mels, fft_size // 2 + 1)``.
+    ``(n_mels, fft_size // 2 + 1)``. Raises ValueError on fewer than one band, an
+    ``fft_size`` that is not a power of two >= 2, or a ``rate`` that is not a positive integer.
     """
     if n_mels < 1:
         raise ValueError(f"n_mels must be >= 1, got {n_mels}")
+    fft_size, rate = _fft_size(fft_size), audio._positive_rate(rate, "rate")
     edges = _mel_to_hz(np.linspace(0.0, float(_hz_to_mel(rate / 2.0)), n_mels + 2))
     freqs = np.arange(fft_size // 2 + 1) * (rate / fft_size)
     lower = edges[:-2][:, np.newaxis]

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .audio import AudioBuffer, _frozen, _non_finite, _sample_array
+from . import audio
+from .audio import AudioBuffer, _frozen, _overflow_named, _sample_array
 
 __all__ = [
     "split_mslr",
@@ -19,8 +20,7 @@ __all__ = [
 
 def _check_finite(ref: np.ndarray, rec: np.ndarray) -> None:
     for name, x in (("reference", ref), ("reconstruction", rec)):
-        if not np.isfinite(x).all():
-            raise _non_finite(name)
+        audio._check_finite(x, name)
 
 
 def _channel_pair(ref_ch: np.ndarray, rec_ch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -43,27 +43,32 @@ def _check_stereo_pair(ref: AudioBuffer, rec: AudioBuffer, what: str) -> None:
     _check_finite(ref.samples, rec.samples)
 
 
+@_overflow_named(lambda mid_side: mid_side)
 def split_mslr(buf: AudioBuffer) -> tuple[np.ndarray, np.ndarray]:
     """Mid and side of a stereo buffer, whose left and right are ``buf.samples``.
 
     Raises:
-        ValueError: on mono input.
+        ValueError: on mono input, a NaN or inf sample, or an overflow of float64.
     """
     if buf.channels != 2:
         raise ValueError(f"stereo input required, got {buf.channels} channel(s)")
+    audio._check_finite(buf.samples, "buffer")
     left, right = buf.samples
     # summed in float64, which float32 samples are widened to first
     return np.add(left, right, dtype=np.float64) / 2.0, np.subtract(left, right, dtype=np.float64) / 2.0
 
 
+@_overflow_named(lambda buf: (buf.samples,))
 def merge_mslr(mid: np.ndarray, side: np.ndarray, rate: int) -> AudioBuffer:
     """Inverse of :func:`split_mslr`: left = mid + side, right = mid - side.
 
     Raises:
-        ValueError: on length mismatch.
+        ValueError: on length mismatch, a NaN or inf sample, or an overflow of float64.
     """
     mid = np.asarray(mid, dtype=np.float64)
     side = np.asarray(side, dtype=np.float64)
     if mid.shape != side.shape or mid.ndim != 1:
         raise ValueError(f"mid and side must be equal-length 1-D arrays, got {mid.shape} and {side.shape}")
+    audio._check_finite(mid, "mid")
+    audio._check_finite(side, "side")
     return AudioBuffer(_frozen(np.stack([mid + side, mid - side])), rate)

@@ -15,7 +15,7 @@ from math import pi, tan
 import numpy as np
 
 from . import audio
-from .audio import AudioBuffer, _frozen, _same_rows, _too_large
+from .audio import AudioBuffer, _check_finite, _frozen, _positive_rate, _same_rows, _too_large
 
 __all__ = [
     "BiquadCascade",
@@ -61,11 +61,8 @@ class BiquadCascade:
             poles = np.roots([1.0, a1, a2])
             if poles.size and np.max(np.abs(poles)) >= 1.0:
                 raise ValueError(f"unstable biquad section: pole magnitude {np.max(np.abs(poles)):.6f}")
-        rate = self.design_rate
-        if not isinstance(rate, (int, np.integer)) or rate <= 0:
-            raise ValueError(f"design_rate must be a positive integer, got {rate!r}")
         object.__setattr__(self, "sos", _frozen(sos))
-        object.__setattr__(self, "design_rate", int(rate))
+        object.__setattr__(self, "design_rate", _positive_rate(self.design_rate, "design_rate"))
 
 
 # Analog prototype of the BS.1770 K-weighting stages. The shelf gain is split
@@ -138,13 +135,14 @@ def design_a_weighting(rate: int) -> BiquadCascade:
 
 
 def frequency_response(cascade: BiquadCascade, freqs_hz: np.ndarray) -> np.ndarray:
-    """Complex response of the cascade at the given frequencies in Hz."""
+    """Complex response of the cascade at the given frequencies in Hz; NaN where one is NaN or huge."""
     f = np.asarray(freqs_hz, dtype=np.float64)
-    z1 = np.exp(-2j * pi * f / cascade.design_rate)
-    z2 = z1 * z1
-    h = np.ones_like(z1)
-    for b0, b1, b2, _, a1, a2 in cascade.sos:
-        h *= (b0 + b1 * z1 + b2 * z2) / (1.0 + a1 * z1 + a2 * z2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        z1 = np.exp(-2j * pi * f / cascade.design_rate)
+        z2 = z1 * z1
+        h = np.ones_like(z1)
+        for b0, b1, b2, _, a1, a2 in cascade.sos:
+            h *= (b0 + b1 * z1 + b2 * z2) / (1.0 + a1 * z1 + a2 * z2)
     return h
 
 
@@ -174,7 +172,7 @@ def apply_cascade(cascade: BiquadCascade, buf: AudioBuffer) -> AudioBuffer:
     filters); a block whose channels are the same is filtered once.
 
     Raises:
-        ValueError: when the buffer rate differs from the design rate.
+        ValueError: when the buffer rate differs from the design rate, on a NaN or inf sample, or on overflow.
     """
     if buf.sample_rate != cascade.design_rate:
         raise ValueError(
@@ -184,7 +182,13 @@ def apply_cascade(cascade: BiquadCascade, buf: AudioBuffer) -> AudioBuffer:
     run, block = _CascadeFilter(cascade, buf.channels), audio._BLOCK_SAMPLES
     filtered = np.empty((buf.channels, buf.num_samples))
     for start in range(0, buf.num_samples, block):
-        filtered[:, start : start + block] = run(buf.samples[:, start : start + block])
+        x = buf.samples[:, start : start + block]
+        y = run(x)
+        # the first block that is not finite reads a NaN or inf sample, or its filter overflowed
+        if not np.isfinite(y).all():
+            _check_finite(x, "buffer")
+            raise _too_large()
+        filtered[:, start : start + block] = y
     return AudioBuffer(_frozen(filtered), buf.sample_rate)
 
 
@@ -194,8 +198,4 @@ def _prefilter_pair(name: str, ref: AudioBuffer, rec: AudioBuffer) -> tuple[Audi
     if name == "none":
         return ref, rec
     cascade = (design_k_weighting if name == "k" else design_a_weighting)(ref.sample_rate)
-    pair = apply_cascade(cascade, ref), apply_cascade(cascade, rec)
-    # callers pass finite samples, so a non-finite output is an overflow of the filter
-    if not all(np.isfinite(buf.samples).all() for buf in pair):
-        raise _too_large()
-    return pair
+    return apply_cascade(cascade, ref), apply_cascade(cascade, rec)

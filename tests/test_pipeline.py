@@ -431,11 +431,15 @@ class TestOverflowOutcomes:
     get the gate's outcome, as samples whose K-weighted power overflows do."""
 
     @staticmethod
-    def _huge_wav(path: Path, rate: int, seconds: float = 2.0) -> None:
-        x = np.clip(np.random.default_rng(0).standard_normal((2, int(seconds * rate))), -1, 1) * 1.7e308
+    def _float64_wav(path: Path, x: np.ndarray, rate: int) -> None:
         with open(path, "wb") as fh:
-            fh.write(_wav_header(_FLOAT, 2, rate, 8, x.shape[1]))
+            fh.write(_wav_header(_FLOAT, x.shape[0], rate, 8, x.shape[1]))
             fh.write(x.T.astype("<f8").tobytes())
+
+    @classmethod
+    def _huge_wav(cls, path: Path, rate: int, seconds: float = 2.0) -> None:
+        x = np.clip(np.random.default_rng(0).standard_normal((2, int(seconds * rate))), -1, 1) * 1.7e308
+        cls._float64_wav(path, x, rate)
 
     def test_stage2_rejects_as_true_peak_exceeded(self, tmp_path):
         # true peak used to raise "buffer holds non-finite samples", logged as decode_error
@@ -455,6 +459,39 @@ class TestOverflowOutcomes:
         (decision,), _ = curate_batch(tmp_path / "in", tmp_path / "out", stage=stage)
         assert (decision.reason, decision.measured["lufs_i"]) == ("lufs_high", np.inf)
         assert json.loads(decision.to_json())["measured"] == {"native_rate": rate, "lufs_i": None, "dbtp": None}
+
+    @pytest.mark.parametrize("rate,channels,lufs", [(44100, 2, 740.66), (48000, 1, 742.69)])
+    def test_sample_beyond_float32_is_stored_as_inf(self, tmp_path, rate, channels, lufs):
+        # one sample at 1e39 measures finite loudness, but the float32 file stores inf there
+        x = 0.1 * np.random.default_rng(7).uniform(-1.0, 1.0, (channels, 2 * rate))
+        x[0, rate] = 1e39
+        src = tmp_path / "spike.wav"
+        self._float64_wav(src, x, rate)
+        for stage in ("all", "stage1"):
+            (tmp_path / stage).mkdir()
+        decision = curate_all(src, tmp_path / "all", lufs_max=1e9)
+        assert decision.reason == "true_peak_exceeded"
+        assert json.loads(decision.to_json())["measured"] == {"native_rate": rate, "lufs_i": lufs, "dbtp": None}
+        assert list((tmp_path / "all").iterdir()) == []
+        decision = curate_stage1(src, tmp_path / "stage1", lufs_max=1e9)
+        assert (decision.verdict, json.loads(decision.to_json())["measured"]["lufs_i"]) == ("keep", lufs)
+        assert load_wav(decision.output_path).num_samples == 2 * 44100
+
+    @pytest.mark.parametrize("stage", ["stage1", "all", "batch"])
+    def test_overflow_is_lufs_high_under_an_infinite_bound(self, tmp_path, stage):
+        # resampling overflows; with lufs_max=inf stage 1 used to keep a header-only WAV
+        x = 1.5e308 * np.random.default_rng(3).uniform(-1.0, 1.0, (2, 5 * 48000))
+        (tmp_path / "in").mkdir()
+        src = tmp_path / "in" / "huge.wav"
+        self._float64_wav(src, x, 48000)
+        out = tmp_path / "out"
+        out.mkdir()
+        if stage == "batch":
+            (decision,), _ = curate_batch(tmp_path / "in", out, stage="all", lufs_max=np.inf)
+        else:
+            decision = (curate_stage1 if stage == "stage1" else curate_all)(src, out, lufs_max=np.inf)
+        assert (decision.reason, decision.measured["lufs_i"]) == ("lufs_high", np.inf)
+        assert [p.name for p in out.iterdir()] == (["decisions.jsonl"] if stage == "batch" else [])
 
     def test_short_file_is_too_short_before_its_overflow(self, tmp_path):
         src = tmp_path / "short.wav"
