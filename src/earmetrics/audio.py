@@ -27,7 +27,6 @@ import numpy as np
 __all__ = [
     "AudioBuffer",
     "StftConfig",
-    "ComplexSpectrogram",
     "load_wav",
     "save_wav",
     "resample",
@@ -92,13 +91,16 @@ def _positive_rate(rate: int, name: str) -> int:
 
 
 def _sample_array(x) -> np.ndarray:
-    """``x`` as an array of samples: a float32 array as it is, anything else as float64."""
+    """``x`` as an array of samples: a float32 array as it is, any other bool, integer
+    or float array as float64. Any other dtype (complex, string, object) raises, naming it."""
     arr = np.asarray(x)
-    return arr if arr.dtype == np.float32 else np.asarray(x, dtype=np.float64)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"samples must be bool, integer or float, got dtype {arr.dtype}")
+    return arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64)
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr`` made read-only: safe to share or cache, and kept uncopied by a buffer or spectrogram."""
+    """``arr`` made read-only: safe to share or cache, and kept uncopied by a buffer."""
     arr.flags.writeable = False
     return arr
 
@@ -188,36 +190,6 @@ class StftConfig:
     @property
     def num_bins(self) -> int:
         return self.fft_size // 2 + 1
-
-
-@dataclass(frozen=True, eq=False)
-class ComplexSpectrogram:
-    """One-sided STFT of a single channel.
-
-    ``bins`` has shape ``(num_frames, fft_size // 2 + 1)``; ``num_samples``
-    records the analyzed signal length so :func:`istft` can trim its output
-    exactly.
-    """
-
-    bins: np.ndarray
-    config: StftConfig
-    num_samples: int
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.bins, dtype=np.complex128)
-        if arr.ndim != 2:
-            raise ValueError(f"bins must be 2-D, got {arr.ndim}-D")
-        if arr.shape[1] != self.config.num_bins:
-            raise ValueError(
-                f"bin count {arr.shape[1]} does not match "
-                f"fft_size {self.config.fft_size} (expected {self.config.num_bins})"
-            )
-        arr = arr.copy() if arr is self.bins and arr.flags.writeable else arr
-        object.__setattr__(self, "bins", _frozen(arr))
-
-    @property
-    def num_frames(self) -> int:
-        return self.bins.shape[0]
 
 
 _PCM, _FLOAT, _EXTENSIBLE = 0x0001, 0x0003, 0xFFFE
@@ -795,51 +767,64 @@ def _stft_blocks(channels: Sequence[np.ndarray], config: StftConfig) -> Iterator
         yield [_frame_bins(x, config, start, stop) for x in channels]
 
 
-@_overflow_named(lambda spec: (spec.bins,))
-def stft(channel: np.ndarray, config: StftConfig) -> ComplexSpectrogram:
-    """Hann-windowed one-sided STFT of a single channel.
+@_overflow_named()
+def stft(channel: np.ndarray, config: StftConfig) -> np.ndarray:
+    """Hann-windowed one-sided STFT of a single channel: a read-only complex128
+    array of shape ``(1 + len(channel) // hop, fft_size // 2 + 1)``.
 
     Frame ``t`` covers samples ``[t * hop, t * hop + fft_size)`` of the
     signal reflect-padded by ``fft_size // 2`` at both ends.
 
     Raises:
-        ValueError: on a NaN or inf sample, finite samples so large that a
-            bin overflows float64, or a signal of ``fft_size // 2`` samples
-            or fewer, too short to reflect-pad.
+        ValueError: on samples that are not bool, integer or float, a NaN or
+            inf sample, finite samples so large that a bin overflows float64,
+            or a signal of ``fft_size // 2`` samples or fewer, too short to
+            reflect-pad.
     """
     x = _sample_array(channel)
     if x.ndim != 1:
         raise ValueError(f"channel must be 1-D, got {x.ndim}-D")
     _check_finite(x, "channel")
-    bins = _frozen(_frame_bins(x, config, 0, _num_frames(x.shape[0], config)))
-    return ComplexSpectrogram(bins, config, x.shape[0])
+    return _frozen(_frame_bins(x, config, 0, _num_frames(x.shape[0], config)))
 
 
-def istft(spec: ComplexSpectrogram) -> np.ndarray:
-    """Inverse STFT by overlap-add with window-square normalization.
+def istft(bins: np.ndarray, config: StftConfig, num_samples: int) -> np.ndarray:
+    """Inverse of :func:`stft` by overlap-add with window-square normalization.
 
-    Requires a constant-overlap-add configuration for the Hann window:
+    ``bins`` are the ``(frames, fft_size // 2 + 1)`` bins that :func:`stft`
+    gives for a ``num_samples`` signal at ``config``. Requires a
+    constant-overlap-add configuration for the Hann window:
     ``hop <= fft_size / 2`` and ``fft_size % hop == 0``, under which the
-    centred frames cover every sample, and the frame count :func:`stft` gives
-    ``spec.num_samples`` samples. Returns exactly that many samples.
+    centred frames cover every sample. Returns exactly ``num_samples`` samples.
+
+    Raises:
+        ValueError: on bins that are not 2-D with ``config.num_bins``
+            columns, a hop that breaks constant overlap-add, or a frame count
+            other than the one ``num_samples`` samples give.
     """
-    n, hop = spec.config.fft_size, spec.config.hop
+    bins = np.asarray(bins, dtype=np.complex128)
+    n, hop = config.fft_size, config.hop
+    if bins.ndim != 2:
+        raise ValueError(f"bins must be 2-D, got {bins.ndim}-D")
+    if bins.shape[1] != config.num_bins:
+        raise ValueError(f"bin count {bins.shape[1]} does not match fft_size {n} (expected {config.num_bins})")
     if hop > n // 2 or n % hop != 0:
         raise ValueError(
             f"hop {hop} violates constant overlap-add for fft_size {n} "
             f"(need hop <= fft_size / 2 and fft_size % hop == 0)"
         )
-    if spec.num_frames != _num_frames(spec.num_samples, spec.config):
-        raise ValueError(f"{spec.num_frames} frames do not cover {spec.num_samples} samples at hop {hop}")
+    num_frames = bins.shape[0]
+    if num_frames != _num_frames(num_samples, config):
+        raise ValueError(f"{num_frames} frames do not cover {num_samples} samples at hop {hop}")
     w = _hann_window(n)
-    frames = np.fft.irfft(spec.bins, n=n, axis=1) * w
-    total = hop * (spec.num_frames - 1) + n
+    frames = np.fft.irfft(bins, n=n, axis=1) * w
+    total = hop * (num_frames - 1) + n
     y = np.zeros(total)
     norm = np.zeros(total)
     wsq = w * w
-    for i in range(spec.num_frames):
+    for i in range(num_frames):
         start = i * hop
         y[start : start + n] += frames[i]
         norm[start : start + n] += wsq
     np.divide(y, norm, out=y, where=norm > 1e-12)
-    return y[n // 2 : n // 2 + spec.num_samples]
+    return y[n // 2 : n // 2 + num_samples]

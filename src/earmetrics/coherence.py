@@ -171,15 +171,18 @@ def si_sdr(ref: np.ndarray, rec: np.ndarray) -> float:
     ``(channels, n)`` return the mean over channels.
 
     Raises:
-        ValueError: on shape mismatch, no channels, non-finite samples, an
-            all-zero reference, or finite samples so large that a power
-            overflows float64.
+        ValueError: on shape mismatch, no channels, channels that hold no
+            samples, non-finite samples, an all-zero reference, or finite
+            samples so large that a power overflows float64.
     """
     if np.ndim(ref) == 2 and np.shape(ref) == np.shape(rec):
         if not len(ref):
             raise ValueError(f"si_sdr needs at least one channel, got shape {np.shape(ref)}")
         return float(np.mean([si_sdr(a, b) for a, b in zip(ref, rec)]))
-    value = _si_sdr_channel(*_channel_pair(ref, rec))
+    a, b = _channel_pair(ref, rec)
+    if not a.shape[0]:
+        raise ValueError("si_sdr channels hold no samples")
+    value = _si_sdr_channel(a, b)
     if value is None:
         raise ValueError("reference signal is all zeros")
     return value

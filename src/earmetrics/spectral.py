@@ -175,8 +175,8 @@ def mel_distance(
     rate: int,
     cfg: MultiScaleConfig | None = None,
 ) -> float:
-    """Multi-scale log distance with magnitudes projected through mel bands."""
-    return _multiscale_distance(ref_ch, rec_ch, cfg, int(rate))
+    """Multi-scale log distance with magnitudes projected through the mel bands of a positive integer ``rate``."""
+    return _multiscale_distance(ref_ch, rec_ch, cfg, audio._positive_rate(rate, "rate"))
 
 
 @_overflow_named(lambda b: (b.stft_mag, b.corr, b.phase))

@@ -63,10 +63,11 @@ def merge_mslr(mid: np.ndarray, side: np.ndarray, rate: int) -> AudioBuffer:
     """Inverse of :func:`split_mslr`: left = mid + side, right = mid - side.
 
     Raises:
-        ValueError: on length mismatch, a NaN or inf sample, or an overflow of float64.
+        ValueError: on samples that are not bool, integer or float, length
+            mismatch, a NaN or inf sample, or an overflow of float64.
     """
-    mid = np.asarray(mid, dtype=np.float64)
-    side = np.asarray(side, dtype=np.float64)
+    mid = np.asarray(_sample_array(mid), dtype=np.float64)
+    side = np.asarray(_sample_array(side), dtype=np.float64)
     if mid.shape != side.shape or mid.ndim != 1:
         raise ValueError(f"mid and side must be equal-length 1-D arrays, got {mid.shape} and {side.shape}")
     audio._check_finite(mid, "mid")

@@ -163,7 +163,7 @@ def test_criterion_04_true_peak_intersample():
 def test_criterion_05_phase_loss_analytics():
     rng = np.random.default_rng(31)
     sig = 0.9 * rng.standard_normal(2 * RATE)
-    spec = stft(sig, StftConfig(1024)).bins
+    spec = stft(sig, StftConfig(1024))
 
     identity_exact = phase_loss(spec, spec) == 0.0
     rotations = [spec * np.exp(1j * c) for c in rng.uniform(-np.pi, np.pi, 10)]
@@ -181,7 +181,7 @@ def test_criterion_05_phase_loss_analytics():
 
     n, hop, k = 1024, 256, 9
     tone = 0.8 * np.sin(2 * np.pi * k / n * np.arange(2 * RATE))
-    if_mat = instantaneous_frequency(phase_matrix(stft(tone, StftConfig(n, hop=hop)).bins))
+    if_mat = instantaneous_frequency(phase_matrix(stft(tone, StftConfig(n, hop=hop))))
     expected = wrap_phase(2 * np.pi * k * hop / n)
     if_err = float(np.max(np.abs(wrap_phase(if_mat[4:-4, k] - expected))))
 
@@ -198,15 +198,15 @@ def test_criterion_05_phase_loss_analytics():
 
 def test_criterion_06_coherence_statistics():
     rng = np.random.default_rng(41)
-    ref = stft(0.5 * rng.standard_normal(3 * RATE), StftConfig(2048, hop=512)).bins
+    ref = stft(0.5 * rng.standard_normal(3 * RATE), StftConfig(2048, hop=512))
     scrambled = np.abs(ref) * np.exp(1j * rng.uniform(-np.pi, np.pi, ref.shape))
     random_icpc = icpc_from_spectra(ref, scrambled)
 
     base = noise_stereo(rate=RATE, seconds=2.0, amp=0.4, seed=42)
     rec = AudioBuffer(base.samples + 0.1 * rng.standard_normal(base.samples.shape), RATE)
     cfg = StftConfig(2048, hop=512)
-    al, ar = (stft(base.samples[c], cfg).bins for c in (0, 1))
-    bl, br = (stft(rec.samples[c], cfg).bins for c in (0, 1))
+    al, ar = (stft(base.samples[c], cfg) for c in (0, 1))
+    bl, br = (stft(rec.samples[c], cfg) for c in (0, 1))
     plain = ccpc_from_spectra(al, ar, bl, br)
     rotated = ccpc_from_spectra(al, ar, bl * np.exp(1.1j), br * np.exp(1.1j))
     rot_dev = abs(plain - rotated)
@@ -252,8 +252,8 @@ def test_criterion_08_composite_objective_identity():
     for a, b in zip(ref.samples, rec.samples):
         for n in cfg.fft_sizes:
             sc = cfg.stft_config(n)
-            sa = stft(a, sc).bins
-            sb = stft(b, sc).bins
+            sa = stft(a, sc)
+            sb = stft(b, sc)
             corrs.append(correlation_loss(sa, sb))
             phases.append(phase_loss(sa, sb))
     hand_total = 50.0 * np.mean(mags) + 10.0 * np.mean(corrs) + 10.0 * np.mean(phases)
@@ -298,8 +298,8 @@ def test_criterion_10_roundtrip_dsp():
     x = 0.6 * rng.standard_normal(2 * RATE)
     stft_err = 0.0
     for n, hop in ((1024, 256), (2048, 512), (512, 128)):
-        spec = stft(x, StftConfig(n, hop=hop))
-        stft_err = max(stft_err, float(np.max(np.abs(istft(spec) - x))))
+        cfg = StftConfig(n, hop=hop)
+        stft_err = max(stft_err, float(np.max(np.abs(istft(stft(x, cfg), cfg, x.shape[0]) - x))))
 
     buf = noise_stereo(rate=RATE, seconds=2.0, amp=0.5, seed=62)
     mid, side = split_mslr(buf)

@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from earmetrics import (
     AudioBuffer,
-    ComplexSpectrogram,
     StftConfig,
     curate_batch,
     istft,
@@ -29,6 +28,7 @@ from earmetrics import audio
 from earmetrics.audio import (
     _BLOCK_SAMPLES,
     _as_stereo,
+    _frame_bins,
     _hann_window,
     _resample_plan,
     _resample_taps,
@@ -49,7 +49,7 @@ STORED_PRECISION = {"pcm16": np.float32, "pcm24": np.float32, "pcm32": np.float6
     [
         lambda: _resample_taps(160, 147),
         lambda: _hann_window(512),
-        lambda: stft(np.ones(2048), StftConfig(512)).bins,
+        lambda: stft(np.ones(2048), StftConfig(512)),
         _true_peak_taps,
         lambda: mel_filterbank(16, 512, 44100),
         lambda: _resample_plan(160, 147)[2][0][2],
@@ -460,9 +460,8 @@ class TestWavIo:
 class TestStft:
     def test_frame_count_with_center_pad(self, rng):
         x = rng.standard_normal(44100)
-        spec = stft(x, StftConfig(1024))
-        assert spec.num_frames == 44100 // 256 + 1
-        assert spec.bins.shape[1] == 513
+        bins = stft(x, StftConfig(1024))
+        assert bins.shape == (44100 // 256 + 1, 513)
 
     def test_short_signal_raises(self):
         with pytest.raises(ValueError, match="short"):
@@ -472,9 +471,9 @@ class TestStft:
         n, k, rate = 1024, 32, 44100
         t = np.arange(8 * n)
         x = np.sin(2 * np.pi * k * t / n)
-        spec = stft(x, StftConfig(n))
+        bins = stft(x, StftConfig(n))
         # frame 8 is centred on sample 8 * hop = 2n, far from either end
-        frame = np.abs(spec.bins[8])
+        frame = np.abs(bins[8])
         assert np.argmax(frame) == k
         # Hann mainlobe: peak bin carries amplitude * N/4, and the three
         # mainlobe bins hold nearly all of the frame energy.
@@ -490,17 +489,30 @@ class TestStft:
         n = 1024
         x = rng.standard_normal(8 * n)
         padded = np.concatenate([np.zeros(n), x, np.zeros(2 * n)])
-        spec = stft(padded, StftConfig(n))
-        mags = np.abs(spec.bins) ** 2
+        mags = np.abs(stft(padded, StftConfig(n))) ** 2
         # one-sided spectrum: interior bins count twice
         spec_energy = (mags[:, 0] + mags[:, -1] + 2 * np.sum(mags[:, 1:-1], axis=1)).sum() / n
         ratio = spec_energy / (1.5 * np.sum(x**2))
         assert ratio == pytest.approx(1.0, abs=1e-4)
 
     def test_bins_are_read_only(self, rng):
-        spec = stft(rng.standard_normal(4096), StftConfig(1024))
+        bins = stft(rng.standard_normal(4096), StftConfig(1024))
         with pytest.raises(ValueError):
-            spec.bins[0, 0] = 0.0
+            bins[0, 0] = 0.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n,hop", [(2, 1), (256, 64), (1024, 256), (1024, 1000), (4096, 1024), (4096, 4096)])
+    def test_bins_are_the_frame_bins_of_every_frame(self, rng, dtype, n, hop):
+        # stft is every frame of the signal as one block of _frame_bins, bit for bit
+        x = rng.standard_normal(3 * 4096 + 17).astype(dtype)
+        cfg = StftConfig(n, hop=hop)
+        bins = stft(x, cfg)
+        expected = _frame_bins(x, cfg, 0, 1 + x.shape[0] // hop)
+        assert type(bins) is np.ndarray and bins.dtype == np.complex128
+        assert bins.shape == expected.shape
+        assert bins.tobytes() == expected.tobytes()
+        # float32 samples widen exactly, so their bins are those of the float64 values
+        assert bins.tobytes() == _frame_bins(x.astype(np.float64), cfg, 0, bins.shape[0]).tobytes()
 
     def test_hann_window_equals_scipy_get_window_exactly(self):
         from scipy.signal import get_window
@@ -508,35 +520,57 @@ class TestStft:
         for n in range(2, 8193):
             assert np.array_equal(_hann_window(n), get_window("hann", n)), n
 
-    def test_writeable_caller_bins_are_copied(self):
-        bins = np.ones((3, 5), dtype=complex)
-        spec = ComplexSpectrogram(bins, StftConfig(8), 16)
-        bins[0, 0] = 2.0
-        assert spec.bins[0, 0] == 1.0
-        assert not spec.bins.flags.writeable
-
 
 class TestIstft:
     @pytest.mark.parametrize("n,hop", [(1024, 256), (1024, 512), (256, 64)])
     def test_roundtrip_identity(self, rng, n, hop):
         x = 0.7 * rng.standard_normal(8192)
-        spec = stft(x, StftConfig(n, hop=hop))
-        y = istft(spec)
+        cfg = StftConfig(n, hop=hop)
+        y = istft(stft(x, cfg), cfg, x.shape[0])
         assert y.shape == x.shape
         assert np.max(np.abs(y - x)) < 1e-10
 
-    @pytest.mark.parametrize("n,hop", [(1024, 768), (1024, 384)])
+    @pytest.mark.parametrize("n,hop", [(1024, 768), (1024, 384), (512, 512)])
     def test_non_cola_hop_rejected(self, rng, n, hop):
-        spec = stft(rng.standard_normal(4096), StftConfig(n, hop=hop))
-        with pytest.raises(ValueError, match="hop"):
-            istft(spec)
+        cfg = StftConfig(n, hop=hop)
+        message = f"hop {hop} violates constant overlap-add for fft_size {n}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            istft(stft(rng.standard_normal(4096), cfg), cfg, 4096)
+
+    @pytest.mark.parametrize("width", [256, 1024])
+    def test_bins_of_another_width_named(self, rng, width):
+        bins = stft(rng.standard_normal(4096), StftConfig(width))
+        message = f"bin count {width // 2 + 1} does not match fft_size 512 (expected 257)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            istft(bins, StftConfig(512), 4096)
+
+    @pytest.mark.parametrize("shape", [(257,), (2, 3, 257)])
+    def test_bins_that_are_not_2d_named(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"bins must be 2-D, got {len(shape)}-D")):
+            istft(np.zeros(shape, complex), StftConfig(512), 4096)
+
+    @pytest.mark.parametrize("num_samples", [4095, 4224, 8192])
+    def test_frame_count_that_does_not_cover_the_length_named(self, rng, num_samples):
+        # 4096 samples at hop 128 give 33 frames; 4095 give 32, 4224 give 34
+        cfg = StftConfig(512)
+        bins = stft(rng.standard_normal(4096), cfg)
+        message = f"33 frames do not cover {num_samples} samples at hop 128"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            istft(bins, cfg, num_samples)
+
+    def test_callers_bins_are_left_as_they_are(self, rng):
+        cfg = StftConfig(256)
+        bins = np.array(stft(rng.standard_normal(2048), cfg))
+        before = bins.copy()
+        istft(bins, cfg, 2048)
+        assert bins.flags.writeable and bins.tobytes() == before.tobytes()
 
     @given(st.integers(min_value=600, max_value=3000), st.integers(min_value=0, max_value=2**32 - 1))
     @settings(max_examples=20, deadline=None)
     def test_roundtrip_property(self, length, seed):
         x = np.random.default_rng(seed).standard_normal(length)
-        spec = stft(x, StftConfig(256))
-        assert np.max(np.abs(istft(spec) - x)) < 1e-10
+        cfg = StftConfig(256)
+        assert np.max(np.abs(istft(stft(x, cfg), cfg, length) - x)) < 1e-10
 
 
 class TestResample:

@@ -1,7 +1,8 @@
 """Bad samples at the public building blocks: a NaN or inf sample raises a
 ValueError that names the input, wherever it lies; finite samples near the
-float64 limit give each function's documented overflow outcome; and no case
-emits a warning."""
+float64 limit give each function's documented overflow outcome; samples that
+are not bool, integer or float raise a ValueError that names their dtype; and
+no case emits a warning."""
 from __future__ import annotations
 
 import re
@@ -16,10 +17,14 @@ from earmetrics import (
     design_a_weighting,
     design_k_weighting,
     frequency_response,
+    icpc,
     integrated_lufs,
-    merge_mslr,
+    log_magnitude_distance,
+    mel_distance,
     mel_filterbank,
+    merge_mslr,
     resample,
+    si_sdr,
     split_mslr,
     stft,
     true_peak_dbtp,
@@ -144,3 +149,57 @@ class TestMelFilterbankArguments:
     def test_rate_named(self, rate):
         with pytest.raises(ValueError, match=re.escape(f"rate must be a positive integer, got {rate!r}")):
             mel_filterbank(4, 8, rate)
+
+
+def _with_none(x: np.ndarray) -> np.ndarray:
+    out = x.astype(object)
+    out[3] = None
+    return out
+
+
+# samples of a kind that is not bool, integer or float: complex ones lost their
+# imaginary part with a ComplexWarning, strings were parsed as numbers (si_sdr of
+# two arrays of "0.5" read 100.0), and None became a NaN sample in AudioBuffer
+BAD_KINDS = {
+    "complex": lambda x: x + 0.5j * x,
+    "string": lambda x: x.astype(str),
+    "object": _with_none,
+}
+
+# name: call on (the bad samples, good samples of the same length)
+DTYPE_ROWS = {
+    "AudioBuffer": lambda bad, good: AudioBuffer(bad, RATE),
+    "stft": lambda bad, good: stft(bad, StftConfig(512)),
+    "icpc_reference": lambda bad, good: icpc(bad, good),
+    "icpc_reconstruction": lambda bad, good: icpc(good, bad),
+    "log_magnitude_distance": lambda bad, good: log_magnitude_distance(good, bad),
+    "mel_distance": lambda bad, good: mel_distance(bad, good, RATE),
+    "si_sdr": lambda bad, good: si_sdr(bad, good),
+    "si_sdr_stereo": lambda bad, good: si_sdr(np.stack([good, good]), np.stack([good, bad])),
+    "merge_mslr_mid": lambda bad, good: merge_mslr(bad, good, RATE),
+    "merge_mslr_side": lambda bad, good: merge_mslr(good, bad, RATE),
+}
+
+
+@pytest.mark.parametrize("row", DTYPE_ROWS)
+@pytest.mark.parametrize("kind", BAD_KINDS)
+def test_samples_of_another_dtype_named(row, kind):
+    good = 0.1 * np.random.default_rng(13).standard_normal(8192)
+    bad = BAD_KINDS[kind](good)
+    with pytest.raises(ValueError, match=re.escape(f"samples must be bool, integer or float, got dtype {bad.dtype}")):
+        DTYPE_ROWS[row](bad, good)
+
+
+@pytest.mark.parametrize("rate", [44100.5, 44100.0, np.float64(48000.0), None])
+def test_mel_distance_rate_named(rate):
+    # the rate was truncated by int(): 44100.5 gave the distance at 44100 Hz
+    x = 0.1 * np.random.default_rng(14).standard_normal(8192)
+    with pytest.raises(ValueError, match=re.escape(f"rate must be a positive integer, got {rate!r}")):
+        mel_distance(x, 0.5 * x, rate)
+
+
+@pytest.mark.parametrize("shape", [(0,), (2, 0)])
+def test_si_sdr_of_channels_without_samples_named(shape):
+    # these raised "reference signal is all zeros"
+    with pytest.raises(ValueError, match="si_sdr channels hold no samples"):
+        si_sdr(np.zeros(shape), np.zeros(shape))

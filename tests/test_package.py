@@ -37,3 +37,24 @@ CONFIG_FIELDS = {
 def test_config_fields_are_pinned():
     got = {name: tuple(f.name for f in dataclasses.fields(getattr(earmetrics, name))) for name in CONFIG_FIELDS}
     assert got == CONFIG_FIELDS
+
+
+# The building blocks take and return plain arrays; a new public wrapper type,
+# like a new config field, means editing this on purpose.
+PUBLIC_CLASSES = {
+    "AudioBuffer",
+    "BatchSummary",
+    "BiquadCascade",
+    "CurateDecision",
+    "LoudnessResult",
+    "MetricReport",
+    "MultiScaleConfig",
+    "ObjectiveBreakdown",
+    "StftConfig",
+    "TruePeakResult",
+}
+
+
+def test_public_classes_are_pinned():
+    got = {name for name, value in vars(earmetrics).items() if not name.startswith("_") and isinstance(value, type)}
+    assert got == PUBLIC_CLASSES

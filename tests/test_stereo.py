@@ -65,7 +65,7 @@ class TestSpectra:
     def test_shapes_and_consistency(self):
         buf = noise_stereo(seconds=0.5, seed=6)
         channels = dict(zip(("mid", "side", "left", "right"), (*split_mslr(buf), *buf.samples)))
-        spectra = {c: stft(x, StftConfig(512)).bins for c, x in channels.items()}
+        spectra = {c: stft(x, StftConfig(512)) for c, x in channels.items()}
         assert len({s.shape for s in spectra.values()}) == 1
         # mid and side formed in time equal (L +- R) / 2 bin-wise (STFT is linear)
         mid_direct = (spectra["left"] + spectra["right"]) / 2
