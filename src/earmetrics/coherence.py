@@ -34,7 +34,7 @@ from .audio import (
     resample,
 )
 from .loudness import dbtp_distance
-from .phase import _bins_of, _spectra_overflow_named
+from .phase import _bins_of, _cross, _spectra_overflow_named
 from .spectral import _LOG_EPSILON, MultiScaleConfig, _check_length, _LogL1, mel_filterbank
 from .stereo import _channel_pair, _check_finite, _check_stereo_pair
 from .weighting import _prefilter_pair
@@ -92,7 +92,7 @@ class _Resultants:
 class _Icpc(_Resultants):
     def add(self, a: np.ndarray, b: np.ndarray) -> None:
         # the weight |rec * conj(ref)| counts hallucinated and missing energy; its phase is the phase error
-        weighted = b * np.conj(a)
+        weighted = _cross(a, b)
         self._add(weighted, np.abs(weighted))
 
 
@@ -142,8 +142,7 @@ def icpc(ref_ch: np.ndarray, rec_ch: np.ndarray) -> float:
             so large that the statistic overflows float64.
     """
     acc = _Icpc()
-    for a, b in _stft_blocks(_channel_pair(ref_ch, rec_ch), _COHERENCE_STFT):
-        acc.add(a, b)
+    _stft_blocks(_channel_pair(ref_ch, rec_ch), _COHERENCE_STFT, acc.add)
     return acc.percent()[0]
 
 
@@ -157,8 +156,7 @@ def ccpc(ref: AudioBuffer, rec: AudioBuffer) -> float:
     """
     _check_stereo_pair(ref, rec, "ccpc")
     acc = _Ccpc()
-    for blocks in _stft_blocks((*ref.samples, *rec.samples), _COHERENCE_STFT):
-        acc.add(*blocks)
+    _stft_blocks((*ref.samples, *rec.samples), _COHERENCE_STFT, acc.add)
     return acc.percent()[0]
 
 
@@ -331,16 +329,19 @@ def _evaluate_aligned(
     coh = (_Icpc(), _Icpc(), _Ccpc())
     channels = (ref.samples[0], rec.samples[0], ref.samples[1], rec.samples[1])
     for sc, scale_dists in zip_longest(configs, dists, fillvalue=()):
-        for a_l, b_l, a_r, b_r in _stft_blocks(channels, sc):
+
+        def add_block(a_l, b_l, a_r, b_r):
             for (stft_d, mel_d), a, b in zip(scale_dists, (a_l, a_r), (b_l, b_r)):
                 mag_a, mag_b = np.abs(a), np.abs(b)
                 stft_d.add(mag_a, mag_b)
                 mel_d.add(mag_a, mag_b)
-            mag_a = mag_b = None  # released before ICPC/CCPC form their products
+                del mag_a, mag_b  # released before the next channel's, and before ICPC/CCPC's products
             if sc == _COHERENCE_STFT:
                 coh[0].add(a_l, b_l)
                 coh[1].add(a_r, b_r)
                 coh[2].add(a_l, a_r, b_l, b_r)
+
+        _stft_blocks(channels, sc, add_block)
     (icpc_l, deg_l), (icpc_r, deg_r), (ccpc_value, deg_c) = (c.percent() for c in coh)
     # align_pair checked the channels finite, and chunks are views of them
     sdr = [_si_sdr_channel(a, b) for a, b in zip(ref.samples, rec.samples)]

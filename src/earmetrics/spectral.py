@@ -152,8 +152,7 @@ def _multiscale_distance(
     for i, n in enumerate(cfg.fft_sizes):
         mel_fb = None if mel_rate is None else mel_filterbank(cfg.mel_bins_for(i), n, mel_rate)
         dist = _LogL1(_LOG_EPSILON, mel_fb)
-        for a, b in _stft_blocks(pair, cfg.stft_config(n)):
-            dist.add(np.abs(a), np.abs(b))
+        _stft_blocks(pair, cfg.stft_config(n), lambda a, b: dist.add(np.abs(a), np.abs(b)))
         per_scale.append(dist.mean())
     return float(np.mean(per_scale))
 
@@ -177,6 +176,13 @@ def mel_distance(
 ) -> float:
     """Multi-scale log distance with magnitudes projected through the mel bands of a positive integer ``rate``."""
     return _multiscale_distance(ref_ch, rec_ch, cfg, audio._positive_rate(rate, "rate"))
+
+
+def _half_abs(x: np.ndarray) -> np.ndarray:
+    """``np.abs(x) / 2``, halved in place."""
+    mag = np.abs(x)
+    mag /= 2
+    return mag
 
 
 @_overflow_named(lambda b: (b.stft_mag, b.corr, b.phase))
@@ -210,16 +216,20 @@ def composite_objective(
     for n in cfg.fft_sizes:
         mag_sums = [_LogL1(_LOG_EPSILON) for _ in mag_terms]
         lr_sums = [_CorrelationSums() for _ in "lr"] + [_PhaseSums() for _ in "lr"]
-        for a_l, a_r, b_l, b_r in _stft_blocks((*ref.samples, *rec.samples), cfg.stft_config(n)):
+
+        def add_block(a_l, a_r, b_l, b_r):
             # the STFT is linear, so mid and side are (a_l +/- a_r) / 2; one such pair at a time
-            mag_sums[0].add(np.abs(a_l + a_r) / 2, np.abs(b_l + b_r) / 2)
-            mag_sums[1].add(np.abs(a_l - a_r) / 2, np.abs(b_l - b_r) / 2)
+            mag_sums[0].add(_half_abs(a_l + a_r), _half_abs(b_l + b_r))
+            mag_sums[1].add(_half_abs(a_l - a_r), _half_abs(b_l - b_r))
             for i, (a, b) in enumerate(((a_l, b_l), (a_r, b_r))):
-                mag_a, mag_b = np.abs(a), np.abs(b)  # shared by all three terms
+                mag_a, mag_b = np.abs(a), np.abs(b)  # shared by the three terms
                 mag_sums[2 + i].add(mag_a, mag_b)
                 lr_sums[i].add(a, b, mag_a, mag_b)
+                del mag_b  # released before the phase term's buffers are made
                 lr_sums[2 + i].add(a, b, mag_a)
-                del mag_a, mag_b
+                del mag_a
+
+        _stft_blocks((*ref.samples, *rec.samples), cfg.stft_config(n), add_block)
         for per_scale, sums in zip(mag_terms, mag_sums):
             per_scale.append(sums.mean())
         for per_scale, sums in zip(lr_terms, lr_sums):

@@ -172,8 +172,15 @@ def apply_cascade(cascade: BiquadCascade, buf: AudioBuffer) -> AudioBuffer:
     filters); a block whose channels are the same is filtered once.
 
     Raises:
-        ValueError: when the buffer rate differs from the design rate, on a NaN or inf sample, or on overflow.
+        ValueError: on arguments that are not a cascade and a buffer, in that
+            order, when the buffer rate differs from the design rate, on a NaN
+            or inf sample, or on overflow.
     """
+    if not isinstance(cascade, BiquadCascade) or not isinstance(buf, AudioBuffer):
+        raise ValueError(
+            f"apply_cascade takes a BiquadCascade and an AudioBuffer, got "
+            f"{type(cascade).__name__} and {type(buf).__name__}"
+        )
     if buf.sample_rate != cascade.design_rate:
         raise ValueError(
             f"sample rate mismatch: buffer at {buf.sample_rate} Hz, "

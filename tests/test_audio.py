@@ -558,6 +558,18 @@ class TestIstft:
         with pytest.raises(ValueError, match=re.escape(message)):
             istft(bins, cfg, num_samples)
 
+    @pytest.mark.parametrize("num_samples", [4096.0, "4096", True, None, np.float64(4096)])
+    def test_num_samples_that_is_not_an_integer_named(self, rng, num_samples):
+        bins = stft(rng.standard_normal(4096), StftConfig(512))
+        message = f"num_samples must be an integer, got {num_samples!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            istft(bins, StftConfig(512), num_samples)
+
+    def test_numpy_integer_num_samples_accepted(self, rng):
+        x = rng.standard_normal(4096)
+        cfg = StftConfig(512)
+        assert np.array_equal(istft(stft(x, cfg), cfg, np.int64(4096)), istft(stft(x, cfg), cfg, 4096))
+
     def test_callers_bins_are_left_as_they_are(self, rng):
         cfg = StftConfig(256)
         bins = np.array(stft(rng.standard_normal(2048), cfg))

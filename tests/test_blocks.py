@@ -25,7 +25,7 @@ from earmetrics import (
     icpc_from_spectra,
     phase_loss,
 )
-from earmetrics.audio import _BLOCK_SAMPLES
+from earmetrics.audio import _BLOCK_SAMPLES, StftConfig
 from earmetrics.coherence import _Ccpc, _Icpc
 from earmetrics.phase import _CorrelationSums, _PhaseSums
 from helpers import noise_stereo, toy_with_silent_bins, traced_peak
@@ -33,6 +33,9 @@ from oracles import evaluate_whole, objective_whole
 
 RATE = 44100
 REL = 1e-12
+# bytes of one block of one channel's spectra: step frames of complex128 bins at the
+# 4096 scale (about 1.05 MB; every scale's block is within 2% of it)
+SPECTRA_BLOCK = (_BLOCK_SAMPLES // 4096) * StftConfig(4096).num_bins * 16
 COHERENCE_FIELDS = ("mel_dist", "stft_dist", "icpc_percent", "ccpc_percent")
 
 
@@ -171,3 +174,16 @@ def test_composite_objective_memory_is_below_half_its_inputs():
     inputs = ref.samples.nbytes + rec.samples.nbytes
     peak = traced_peak(composite_objective, ref, rec)
     assert peak < inputs / 2, f"peak {peak / 1e6:.1f} MB against inputs of {inputs / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize("consume", [composite_objective, evaluate_pair], ids=["objective", "evaluate_pair"])
+def test_working_set_is_under_seven_spectra_blocks(consume):
+    # one block of the four channels' spectra (4 blocks) and the per-block
+    # terms' buffers beside it; the inputs are made before the trace. While
+    # block k was still held as block k + 1 was made, both took about 9.1
+    # blocks. Two seconds take three blocks at every scale. A first call fills
+    # the caches (filterbanks, windows, plans), which are not working set.
+    pair = _pair(2 * RATE, seed=10)
+    consume(*pair)
+    peak = traced_peak(consume, *pair)
+    assert peak < 7 * SPECTRA_BLOCK, f"peak {peak / SPECTRA_BLOCK:.2f} blocks of {SPECTRA_BLOCK / 1e6:.3f} MB"

@@ -179,3 +179,33 @@ class TestPhaseLoss:
     def test_too_small_spectrogram_rejected(self):
         with pytest.raises(ValueError):
             phase_loss(np.ones((1, 4), complex), np.ones((1, 4), complex))
+
+    def test_zero_bin_with_negative_zero_real_part_reads_as_pi(self):
+        # unlike phase_matrix: the objective's values keep np.angle's reading
+        a = np.ones((3, 3), complex)
+        a[1, 1] = complex(-0.0, 0.0)
+        b = a.copy()
+        b[1, 1] = 0j
+        assert phase_loss(a, a) == 0.0
+        assert phase_loss(a, b) > 0.5
+
+
+class TestPhaseMatrix:
+    @pytest.mark.parametrize("zero", [complex(-0.0, 0.0), complex(-0.0, -0.0), complex(0.0, -0.0), 0j])
+    def test_zero_bins_of_either_sign_read_as_phase_0(self, zero):
+        spec = np.array([[zero, 1 + 0j], [-1 + 0j, 1j]])
+        got = phase_matrix(spec)
+        assert got.tolist() == [[0.0, 0.0], [np.pi, np.pi / 2]]
+        assert not np.signbit(got).any()
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.float32, np.float16, np.int64])
+    def test_narrow_bins_are_wrapped_in_float64(self, dtype):
+        rng = np.random.default_rng(7)
+        bins = 100 * (rng.standard_normal((6, 9)) + 1j * rng.standard_normal((6, 9)))
+        bins = bins.astype(dtype) if np.dtype(dtype).kind == "c" else bins.real.astype(dtype)
+        got = phase_matrix(bins)
+        assert got.dtype == np.float64
+        assert got.tobytes() == wrap_phase(np.angle(bins)).tobytes()
+
+    def test_real_bins_of_negative_zero_read_as_phase_0(self):
+        assert phase_matrix(np.array([[-0.0, 0.0], [-2.0, 3.0]])).tolist() == [[0.0, 0.0], [np.pi, 0.0]]

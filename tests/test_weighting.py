@@ -193,6 +193,12 @@ class TestResponseAndApply:
         with pytest.raises(ValueError, match="44100.*48000|48000.*44100"):
             apply_cascade(design_k_weighting(48000), buf)
 
+    def test_apply_cascade_with_swapped_arguments_names_their_types(self):
+        buf = AudioBuffer(np.zeros((1, 1000)), 44100)
+        message = "apply_cascade takes a BiquadCascade and an AudioBuffer, got AudioBuffer and BiquadCascade"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            apply_cascade(buf, design_k_weighting(44100))
+
     def test_apply_preserves_shape_and_rate(self, rng):
         buf = AudioBuffer(rng.standard_normal((2, 5000)), 44100)
         out = apply_cascade(design_a_weighting(44100), buf)
