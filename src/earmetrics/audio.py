@@ -17,12 +17,14 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from math import gcd
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+
+from ._inputs import _check_finite, _fft_size, _overflow_named, _positive_rate, _sample_array, _takes, _too_large
 
 __all__ = [
     "AudioBuffer",
@@ -83,58 +85,10 @@ class AudioBuffer:
         return self.num_samples / self.sample_rate
 
 
-def _positive_rate(rate: int, name: str) -> int:
-    """``rate`` as an int, checked to be a positive integer (a numpy integer passes)."""
-    if not isinstance(rate, (int, np.integer)) or rate <= 0:
-        raise ValueError(f"{name} must be a positive integer, got {rate!r}")
-    return int(rate)
-
-
-def _sample_array(x) -> np.ndarray:
-    """``x`` as an array of samples: a float32 array as it is, any other bool, integer
-    or float array as float64. Any other dtype (complex, string, object) raises, naming it."""
-    arr = np.asarray(x)
-    if arr.dtype.kind not in "biuf":
-        raise ValueError(f"samples must be bool, integer or float, got dtype {arr.dtype}")
-    return arr if arr.dtype == np.float32 else np.asarray(arr, dtype=np.float64)
-
-
 def _frozen(arr: np.ndarray) -> np.ndarray:
     """``arr`` made read-only: safe to share or cache, and kept uncopied by a buffer."""
     arr.flags.writeable = False
     return arr
-
-
-def _check_finite(x: np.ndarray, name: str) -> None:
-    """Raise a ValueError naming ``name`` if the samples ``x`` hold a NaN or inf,
-    scanning ``_BLOCK_SAMPLES`` columns at a time so that no mask grows with the signal."""
-    for start in range(0, x.shape[-1], _BLOCK_SAMPLES):
-        if not np.isfinite(x[..., start : start + _BLOCK_SAMPLES]).all():
-            raise ValueError(f"{name} holds non-finite samples (NaN or inf)")
-
-
-def _too_large() -> ValueError:
-    """Finite samples whose filtered values or metrics overflow float64."""
-    return ValueError("samples are too large for the metrics to stay finite in float64")
-
-
-def _overflow_named(values=lambda result: (result,)):
-    """Decorator: run a function of checked-finite samples with numpy's overflow
-    warnings off, and raise :func:`_too_large` if any of ``values(result)``
-    other than None is NaN or inf, which only an overflow of its sums can give."""
-
-    def decorate(fn):
-        @wraps(fn)
-        def checked(*args, **kwargs):
-            with np.errstate(over="ignore", invalid="ignore"):
-                result = fn(*args, **kwargs)
-            if not all(np.isfinite(v).all() for v in values(result) if v is not None):
-                raise _too_large()
-            return result
-
-        return checked
-
-    return decorate
 
 
 def _stereo_rows(samples: np.ndarray) -> np.ndarray:
@@ -157,13 +111,6 @@ def _same_rows(block: np.ndarray) -> bool:
 def _quarter_hop(fft_size: int) -> int:
     """The default hop of every STFT: a quarter of the window, at least one sample."""
     return max(1, fft_size // 4)
-
-
-def _fft_size(n: int) -> int:
-    """``n`` as an int, checked to be a power of two >= 2 (a numpy integer passes)."""
-    if not isinstance(n, (int, np.integer)) or n < 2 or n & (n - 1):
-        raise ValueError(f"fft sizes must be powers of two >= 2, got {n!r}")
-    return int(n)
 
 
 @dataclass(frozen=True)
@@ -361,10 +308,11 @@ def load_wav(path: str | Path) -> AudioBuffer:
 
     Raises:
         FileNotFoundError: missing file.
-        ValueError: naming the path, on a file that is not RIFF/RIFX/RF64
-            WAVE; has no ``fmt `` chunk before its ``data`` chunk or no
-            ``data`` chunk; is truncated (its data chunk declares more bytes
-            than the file holds); has zero or more than two channels, a block
+        ValueError: naming the path, on a path that is not a str, bytes or
+            path-like object, or a file that is not RIFF/RIFX/RF64 WAVE; has
+            no ``fmt `` chunk before its ``data`` chunk or no ``data`` chunk;
+            is truncated (its data chunk declares more bytes than the file
+            holds); has zero or more than two channels, a block
             align that is not whole bytes per channel, or a data chunk that
             is not whole frames; or holds another format: PCM of 8 bits or
             fewer (unsigned), PCM in containers other than 2, 3 or 4 bytes,
@@ -381,7 +329,7 @@ def load_wav(path: str | Path) -> AudioBuffer:
         return AudioBuffer(_frozen(samples), wav.rate)
     except FileNotFoundError:
         raise
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         raise ValueError(f"cannot decode {path}: {exc}") from exc
 
 
@@ -427,16 +375,17 @@ class _WavWriter:
         fh.write(_wav_header(self._tag, channels, rate, self._width, frames))
 
     def write(self, block: np.ndarray) -> None:
-        """Writes a ``(channels, k)`` block."""
+        """Writes a ``(channels, k)`` block. A finite sample beyond float32's
+        range is stored as inf in float32, and clipped to full scale in PCM."""
         frames = np.empty((block.shape[1], self._channels), "<f4" if self._tag == _FLOAT else np.float64)
-        for c in range(self._channels):  # a column at a time: a transposed copy is several times slower
-            frames[:, c] = block[c]
-        if self._tag == _FLOAT:
-            self._fh.write(frames)
-            return
-        # rounded in float64: float32 cannot hold the pcm32 clip bound 2**31 - 1
         full = 2 ** (8 * self._width - 1)
-        frames *= full
+        with np.errstate(over="ignore"):
+            for c in range(self._channels):  # a column at a time: a transposed copy is several times slower
+                frames[:, c] = block[c]
+            if self._tag == _FLOAT:
+                self._fh.write(frames)
+                return
+            frames *= full  # rounded in float64: float32 cannot hold the pcm32 clip bound 2**31 - 1
         np.clip(np.rint(frames, out=frames), -full, full - 1, out=frames)
         ints = frames.astype(f"<i{4 if self._width == 3 else self._width}")
         del frames
@@ -449,11 +398,14 @@ def save_wav(path: str | Path, buf: AudioBuffer, sample_format: str = "float32")
 
     ``sample_format`` is one of ``float32`` (default, lossless for curated
     output), ``pcm16``, ``pcm24``, ``pcm32``. PCM output is rounded and
-    clipped to the integer range (+-inf to full scale); a NaN sample in PCM,
-    like a bad format, raises ValueError before the file is made. The
-    samples go out ``_BLOCK_SAMPLES`` frames at a time through the writer
-    curation uses, so no interleaved copy of the whole buffer is made.
+    clipped to the integer range (+-inf to full scale), and a finite sample
+    beyond float32's range is stored in float32 as inf; a NaN sample in PCM,
+    like a bad format or a ``buf`` that is not an AudioBuffer, raises
+    ValueError before the file is made. The samples go out
+    ``_BLOCK_SAMPLES`` frames at a time through the writer curation uses,
+    so no interleaved copy of the whole buffer is made.
     """
+    _takes("save_wav", (buf, AudioBuffer))
     blocks = [buf.samples[:, start : start + _BLOCK_SAMPLES] for start in range(0, buf.num_samples, _BLOCK_SAMPLES)]
     if _sample_format(sample_format)[0] == _PCM and any(np.isnan(block).any() for block in blocks):
         raise ValueError(f"cannot write a NaN sample as {sample_format}")
@@ -689,19 +641,21 @@ def resample(buf: AudioBuffer, target_rate: int) -> AudioBuffer:
     first, so a NaN or inf block of output is an overflow.
 
     Raises:
-        ValueError: on a target rate that is not a positive integer, a
-            buffer holding NaN or inf samples, or finite samples so large
-            that the filtered values overflow float64.
+        ValueError: on a ``buf`` that is not an AudioBuffer, a target rate
+            that is not a positive integer, a buffer holding NaN or inf
+            samples, or finite samples so large that the filtered values
+            overflow float64.
     """
+    _takes("resample", (buf, AudioBuffer))
     target_rate = _positive_rate(target_rate, "target_rate")
     if target_rate == buf.sample_rate:
         return buf
-    _check_finite(buf.samples, "buffer")
+    _check_finite(buffer=buf.samples)
     out = np.empty((buf.channels, _resampled_length(buf.num_samples, buf.sample_rate, target_rate)))
     at = 0
     for block in _resampled([buf.samples], buf.num_samples, buf.sample_rate, target_rate):
         if not np.isfinite(block).all():
-            raise _too_large()
+            raise _too_large("samples")
         out[:, at : at + block.shape[1]] = block
         at += block.shape[1]
     return AudioBuffer(_frozen(out), target_rate)
@@ -771,7 +725,7 @@ def _stft_blocks(channels: Sequence[np.ndarray], config: StftConfig, add: Callab
         add(*[_frame_bins(x, config, start, stop) for x in channels])
 
 
-@_overflow_named()
+@_overflow_named("samples")
 def stft(channel: np.ndarray, config: StftConfig) -> np.ndarray:
     """Hann-windowed one-sided STFT of a single channel: a read-only complex128
     array of shape ``(1 + len(channel) // hop, fft_size // 2 + 1)``.
@@ -780,15 +734,16 @@ def stft(channel: np.ndarray, config: StftConfig) -> np.ndarray:
     signal reflect-padded by ``fft_size // 2`` at both ends.
 
     Raises:
-        ValueError: on samples that are not bool, integer or float, a NaN or
-            inf sample, finite samples so large that a bin overflows float64,
-            or a signal of ``fft_size // 2`` samples or fewer, too short to
-            reflect-pad.
+        ValueError: on a ``config`` that is not a StftConfig, samples that
+            are not bool, integer or float, a NaN or inf sample, finite
+            samples so large that a bin overflows float64, or a signal of
+            ``fft_size // 2`` samples or fewer, too short to reflect-pad.
     """
+    _takes("stft", (config, StftConfig))
     x = _sample_array(channel)
     if x.ndim != 1:
         raise ValueError(f"channel must be 1-D, got {x.ndim}-D")
-    _check_finite(x, "channel")
+    _check_finite(channel=x)
     return _frozen(_frame_bins(x, config, 0, _num_frames(x.shape[0], config)))
 
 
@@ -803,12 +758,17 @@ def istft(bins: np.ndarray, config: StftConfig, num_samples: int) -> np.ndarray:
 
     Raises:
         ValueError: on a ``num_samples`` that is not an integer (a bool is
-            not), bins that are not 2-D with ``config.num_bins`` columns, a
+            not), a ``config`` that is not a StftConfig, bins that are not
+            numeric, or not 2-D with ``config.num_bins`` columns, a
             hop that breaks constant overlap-add, or a frame count other than
             the one ``num_samples`` samples give.
     """
     if not isinstance(num_samples, (int, np.integer)) or isinstance(num_samples, bool):
         raise ValueError(f"num_samples must be an integer, got {num_samples!r}")
+    _takes("istft", (config, StftConfig))
+    bins = np.asarray(bins)
+    if bins.dtype.kind not in "biufc":
+        raise ValueError(f"bins must be numeric, got dtype {bins.dtype}")
     bins = np.asarray(bins, dtype=np.complex128)
     n, hop = config.fft_size, config.hop
     if bins.ndim != 2:

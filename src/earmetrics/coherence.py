@@ -24,19 +24,11 @@ from typing import Iterator
 
 import numpy as np
 
-from .audio import (
-    _BLOCK_SAMPLES,
-    AudioBuffer,
-    StftConfig,
-    _as_stereo,
-    _overflow_named,
-    _stft_blocks,
-    resample,
-)
+from ._inputs import _bins_of, _channel_pair, _check_finite, _check_stereo_pair, _overflow_named, _takes
+from .audio import _BLOCK_SAMPLES, AudioBuffer, StftConfig, _as_stereo, _stft_blocks, resample
 from .loudness import dbtp_distance
-from .phase import _bins_of, _cross, _spectra_overflow_named
+from .phase import _cross
 from .spectral import _LOG_EPSILON, MultiScaleConfig, _check_length, _LogL1, mel_filterbank
-from .stereo import _channel_pair, _check_finite, _check_stereo_pair
 from .weighting import _prefilter_pair
 
 __all__ = [
@@ -100,10 +92,12 @@ class _Ccpc(_Resultants):
     def add(self, al: np.ndarray, ar: np.ndarray, bl: np.ndarray, br: np.ndarray) -> None:
         # P = (bl conj(br)) conj(al conj(ar)): phase = error of the inter-channel phase
         # difference, weight sqrt|P|. Built in place: each temporary adds to peak memory.
-        prod = np.conjugate(ar)
+        # In the complex type of the four: real, integer and bool bins give the products of complex128 ones.
+        kind = np.result_type(al, ar, bl, br, 1j)
+        prod = np.conjugate(ar, dtype=kind)
         prod *= al
         np.conjugate(prod, out=prod)
-        rec_ipd = np.conjugate(br)
+        rec_ipd = np.conjugate(br, dtype=kind)
         rec_ipd *= bl
         prod *= rec_ipd
         del rec_ipd
@@ -112,7 +106,7 @@ class _Ccpc(_Resultants):
         self._add(prod, weights)
 
 
-@_spectra_overflow_named
+@_overflow_named("spectra")
 def icpc_from_spectra(ref: np.ndarray, rec: np.ndarray) -> float:
     """ICPC in percent from two precomputed ``(frames, bins)`` single-channel spectrograms."""
     acc = _Icpc()
@@ -120,20 +114,21 @@ def icpc_from_spectra(ref: np.ndarray, rec: np.ndarray) -> float:
     return acc.percent()[0]
 
 
-@_spectra_overflow_named
+@_overflow_named("spectra")
 def ccpc_from_spectra(
     ref_left: np.ndarray,
     ref_right: np.ndarray,
     rec_left: np.ndarray,
     rec_right: np.ndarray,
 ) -> float:
-    """CCPC in percent from the four precomputed ``(frames, bins)`` channel spectrograms."""
+    """CCPC in percent from the four precomputed ``(frames, bins)`` channel spectrograms;
+    real, integer or bool bins give the value of complex bins that hold their values."""
     acc = _Ccpc()
     acc.add(*_bins_of(ref_left, ref_right, rec_left, rec_right))
     return acc.percent()[0]
 
 
-@_overflow_named()
+@_overflow_named("samples")
 def icpc(ref_ch: np.ndarray, rec_ch: np.ndarray) -> float:
     """Individual channel phase coherence of one channel pair, in percent.
 
@@ -146,21 +141,23 @@ def icpc(ref_ch: np.ndarray, rec_ch: np.ndarray) -> float:
     return acc.percent()[0]
 
 
-@_overflow_named()
+@_overflow_named("samples")
 def ccpc(ref: AudioBuffer, rec: AudioBuffer) -> float:
     """Cross channel phase coherence of a stereo pair, in percent.
 
     Raises:
-        ValueError: on mono, mismatched or non-finite input, or finite
-            samples so large that the statistic overflows float64.
+        ValueError: on arguments that are not AudioBuffers, mono,
+            mismatched or non-finite input, or finite samples so large that
+            the statistic overflows float64.
     """
+    _takes("ccpc", (ref, AudioBuffer), (rec, AudioBuffer))
     _check_stereo_pair(ref, rec, "ccpc")
     acc = _Ccpc()
     _stft_blocks((*ref.samples, *rec.samples), _COHERENCE_STFT, acc.add)
     return acc.percent()[0]
 
 
-@_overflow_named()
+@_overflow_named("samples")
 def si_sdr(ref: np.ndarray, rec: np.ndarray) -> float:
     """Scale-invariant signal-to-distortion ratio in dB, clamped to +/-100.
 
@@ -283,9 +280,11 @@ def align_pair(ref: AudioBuffer, rec: AudioBuffer) -> tuple[AudioBuffer, AudioBu
     Mono inputs are duplicated to stereo, a reconstruction at a different
     rate is resampled to the reference rate (the reference is never
     altered), and both are truncated to the shorter length. Every adjustment
-    is recorded as a flag. Non-finite samples or no overlap raise ValueError.
+    is recorded as a flag. Arguments that are not AudioBuffers, non-finite
+    samples or no overlap raise ValueError.
     """
-    _check_finite(ref.samples, rec.samples)
+    _takes("align_pair", (ref, AudioBuffer), (rec, AudioBuffer))
+    _check_finite(reference=ref.samples, reconstruction=rec.samples)
     flags: list[str] = []
     if ref.channels == 1:
         flags.append("mono_reference_duplicated")
@@ -305,7 +304,7 @@ def align_pair(ref: AudioBuffer, rec: AudioBuffer) -> tuple[AudioBuffer, AudioBu
     return ref, rec, flags
 
 
-@_overflow_named(lambda out: out[0].values())
+@_overflow_named("samples", lambda out: out[0].values())
 def _evaluate_aligned(
     ref: AudioBuffer,
     rec: AudioBuffer,
@@ -379,15 +378,17 @@ def evaluate_pair(
     the whole pair's length rule.
 
     Raises:
-        ValueError: on non-finite samples, finite samples so large that a
-            metric overflows float64, empty overlap, a signal or chunk
-            shorter than the largest window of the scale bank, a
+        ValueError: on arguments other than two AudioBuffers and a
+            MultiScaleConfig or None, non-finite samples, finite samples so
+            large that a metric overflows float64, empty overlap, a signal
+            or chunk shorter than the largest window of the scale bank, a
             ``chunk_seconds`` that is not finite and positive, or an invalid
             prefilter.
     """
     if chunk_seconds is not None and not 0.0 < chunk_seconds < float("inf"):
         raise ValueError(f"chunk_seconds must be finite and positive, got {chunk_seconds!r}")
-    ms_cfg = ms_cfg or MultiScaleConfig()
+    ms_cfg = MultiScaleConfig() if ms_cfg is None else ms_cfg
+    _takes("evaluate_pair", (ref, AudioBuffer), (rec, AudioBuffer), (ms_cfg, MultiScaleConfig))
     ref, rec, flags = align_pair(ref, rec)
     rate = ref.sample_rate
     ref, rec = _prefilter_pair(prefilter, ref, rec)

@@ -18,7 +18,8 @@ from math import inf, isfinite, log10
 import numpy as np
 
 from . import audio
-from .audio import AudioBuffer, _check_finite, _frozen, _Plan, _Polyphase, _polyphase_plan
+from ._inputs import _check_finite, _overflow_named, _takes
+from .audio import AudioBuffer, _frozen, _Plan, _Polyphase, _polyphase_plan
 from .weighting import _CascadeFilter, design_k_weighting
 
 __all__ = [
@@ -172,9 +173,11 @@ def integrated_lufs(buf: AudioBuffer) -> LoudnessResult:
     chunk whose two channels are the same is filtered once.
 
     Raises:
-        ValueError: duration under one 400 ms block (checked first), a rate
-            below ``MIN_DESIGN_RATE``, or a NaN or inf sample.
+        ValueError: a ``buf`` that is not an AudioBuffer, duration under
+            one 400 ms block (checked first after that), a rate below
+            ``MIN_DESIGN_RATE``, or a NaN or inf sample.
     """
+    _takes("integrated_lufs", (buf, AudioBuffer))
     rate = buf.sample_rate
     block = _gating_block(rate)
     if buf.num_samples < block:
@@ -183,7 +186,7 @@ def integrated_lufs(buf: AudioBuffer) -> LoudnessResult:
             f"< one {block}-sample gating block"
         )
     meter = _Loudness(rate, buf.channels)
-    _check_finite(buf.samples, "buffer")
+    _check_finite(buffer=buf.samples)
     meter.add(buf.samples)
     return meter.result()
 
@@ -248,17 +251,27 @@ def true_peak_dbtp(buf: AudioBuffer) -> TruePeakResult:
     oversampled values overflow float64 report ``+inf``.
 
     Raises:
-        ValueError: on an empty buffer or one holding NaN or inf samples.
+        ValueError: on a ``buf`` that is not an AudioBuffer, an empty buffer
+            or one holding NaN or inf samples.
     """
+    _takes("true_peak_dbtp", (buf, AudioBuffer))
     if buf.num_samples == 0:
         raise ValueError("cannot measure true peak of an empty buffer")
-    _check_finite(buf.samples, "buffer")
+    _check_finite(buffer=buf.samples)
     meter = _TruePeak(buf.num_samples, buf.channels)
     meter.add(buf.samples)
     per_channel = meter.dbtp()
     return TruePeakResult(dbtp=max(per_channel), per_channel=tuple(per_channel))
 
 
+@_overflow_named("samples")
 def dbtp_distance(ref: AudioBuffer, rec: AudioBuffer) -> float:
-    """Absolute difference of the two signals' true peaks in dB."""
+    """Absolute difference of the two signals' true peaks in dB.
+
+    Raises:
+        ValueError: on arguments that are not AudioBuffers, an empty buffer,
+            NaN or inf samples, or finite samples whose oversampled values
+            overflow float64 (a true peak of ``+inf``).
+    """
+    _takes("dbtp_distance", (ref, AudioBuffer), (rec, AudioBuffer))
     return abs(true_peak_dbtp(ref).dbtp - true_peak_dbtp(rec).dbtp)

@@ -11,9 +11,9 @@ bins, and on finite bins so large that a result overflows float64.
 
 from __future__ import annotations
 
-from functools import wraps
-
 import numpy as np
+
+from ._inputs import _bins_of, _overflow_named, _sample_array
 
 __all__ = [
     "wrap_phase",
@@ -46,39 +46,10 @@ def _wrap(x: np.ndarray) -> np.ndarray:
 
 
 def wrap_phase(x: np.ndarray | float) -> np.ndarray | float:
-    """Wrap angles into (-pi, pi]; the boundary -pi maps to +pi, and NaN or inf to NaN."""
-    wrapped = _wrap(np.array(x, dtype=np.float64))
+    """Wrap angles into (-pi, pi]; the boundary -pi maps to +pi, and NaN or inf to NaN.
+    Angles that are not bool, integer or float raise ValueError."""
+    wrapped = _wrap(np.array(_sample_array(x, "angles"), dtype=np.float64))
     return float(wrapped) if np.ndim(x) == 0 else wrapped
-
-
-def _bins_of(*specs: np.ndarray) -> list[np.ndarray]:
-    """The given spectrograms as arrays, checked numeric, finite and of one 2-D shape."""
-    bins = [np.asarray(s) for s in specs]
-    if any(b.ndim != 2 for b in bins) or len({b.shape for b in bins}) != 1:
-        got = [b.shape if b.ndim else type(s).__name__ for b, s in zip(bins, specs)]
-        raise ValueError(f"spectrograms must be 2-D arrays of one shape, got {got}")
-    bad = [i for i, b in enumerate(bins, 1) if b.dtype.kind not in "biufc"]
-    if bad:
-        raise ValueError(f"spectrograms must hold numeric bins; those at positions {bad} do not")
-    bad = [i for i, b in enumerate(bins, 1) if not np.isfinite(b).all()]
-    if bad:
-        raise ValueError(f"spectrograms must hold finite bins; those at positions {bad} do not")
-    return bins
-
-
-def _spectra_overflow_named(fn):
-    """Decorator: run a metric of spectra checked by :func:`_bins_of` with numpy's
-    overflow warnings off; a NaN or inf value can only be an overflow, so raise."""
-
-    @wraps(fn)
-    def checked(*args, **kwargs):
-        with np.errstate(over="ignore", invalid="ignore"):
-            value = fn(*args, **kwargs)
-        if not np.isfinite(value):
-            raise ValueError("spectra are too large for the metrics to stay finite in float64")
-        return value
-
-    return checked
 
 
 def phase_matrix(spec: np.ndarray) -> np.ndarray:
@@ -112,19 +83,19 @@ def _wrapped_diff(x: np.ndarray, axis: int, before: np.ndarray | None = None) ->
 def instantaneous_frequency(phase: np.ndarray) -> np.ndarray:
     """Wrapped forward phase difference along time.
 
-    Input is a ``(frames, bins)`` phase matrix; output has shape
+    Input is a real ``(frames, bins)`` phase matrix; output has shape
     ``(frames - 1, bins)``.
     """
-    return _wrapped_diff(np.asarray(phase, dtype=np.float64), axis=0)
+    return _wrapped_diff(np.asarray(_sample_array(phase, "phases"), dtype=np.float64), axis=0)
 
 
 def group_delay(phase: np.ndarray) -> np.ndarray:
     """Negated wrapped forward phase difference along frequency.
 
-    Input is a ``(frames, bins)`` phase matrix; output has shape
+    Input is a real ``(frames, bins)`` phase matrix; output has shape
     ``(frames, bins - 1)``.
     """
-    return _wrapped_diff(-np.asarray(phase, dtype=np.float64), axis=1)
+    return _wrapped_diff(-np.asarray(_sample_array(phase, "phases"), dtype=np.float64), axis=1)
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -155,7 +126,7 @@ class _CorrelationSums:
         return 1.0 - self.total / self.count
 
 
-@_spectra_overflow_named
+@_overflow_named("spectra")
 def correlation_loss(ref: np.ndarray, rec: np.ndarray) -> float:
     """Mean of ``1 - cos(phase error)`` over all bins, in [0, 2].
 
@@ -209,7 +180,7 @@ class _PhaseSums:
         return float(if_err / (if_weight + _EPSILON) + gd_err / (gd_weight + _EPSILON))
 
 
-@_spectra_overflow_named
+@_overflow_named("spectra")
 def phase_loss(ref: np.ndarray, rec: np.ndarray) -> float:
     """L1 error of instantaneous frequency plus L1 error of group delay.
 
@@ -222,9 +193,12 @@ def phase_loss(ref: np.ndarray, rec: np.ndarray) -> float:
     arithmetic, and within a few ulp of pi for float64 inputs rotated in
     float64. Each derivative error is weighted by the mean reference
     magnitude of the two bins it spans, and each term is normalized by the
-    sum of its weights plus 1e-8.
+    sum of its weights plus 1e-8. Spectrograms of fewer than two frames or
+    two bins raise ValueError.
     """
     sums = _PhaseSums()
     a, b = _bins_of(ref, rec)
+    if min(a.shape) < 2:
+        raise ValueError(f"phase loss needs at least two frames and two bins, got spectrograms of shape {a.shape}")
     sums.add(a, b, np.abs(a))
     return sums.loss()

@@ -34,6 +34,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
+from ._inputs import _takes
 from .audio import _resampled, _resampled_length, _stereo_rows, _WavReader, _WavWriter
 from .loudness import _gating_block, _Loudness, _TruePeak
 
@@ -352,8 +353,7 @@ def _standardize(wav: _WavReader, slices: Iterator[np.ndarray], staged: _Staged)
     for x in _standardized(wav, slices):
         x = _stereo_rows(x)
         meter.add(x)
-        with np.errstate(over="ignore"):  # the writer rounds to float32: a sample beyond its range is stored as inf
-            staged.write(x)
+        staged.write(x)  # rounded to float32: a sample beyond its range is stored as inf
     return meter.result().lufs_i
 
 
@@ -446,7 +446,9 @@ def curate_all(
 
 def collect_inputs(source: str | Path) -> list[str]:
     """Input paths from a directory (its ``.wav`` files) or a manifest file
-    (one path per line). Always sorted, so downstream output is ordered."""
+    (one path per line). Always sorted, so downstream output is ordered.
+    A ``source`` that is not a str or path-like raises ValueError."""
+    _takes("collect_inputs", (source, (str, os.PathLike)))
     p = Path(source)
     if p.is_dir():
         return sorted(str(q) for q in p.iterdir() if q.is_file() and q.suffix.lower() == ".wav")
@@ -458,16 +460,19 @@ def collect_inputs(source: str | Path) -> list[str]:
 
 def resolve_jobs(jobs: int | None = None) -> int:
     """Worker count: the ``EARMETRICS_THREADS`` env var wins over ``jobs``;
-    default is 1."""
+    default is 1. Either that is not an integer raises ValueError, naming it."""
     env = os.environ.get(THREADS_ENV_VAR)
     if env is not None and env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"{THREADS_ENV_VAR} must be an integer, got {env!r}") from None
-    if jobs is not None:
-        return max(1, int(jobs))
-    return 1
+        return _count(env, THREADS_ENV_VAR)
+    return 1 if jobs is None else _count(jobs, "jobs")
+
+
+def _count(value: object, name: str) -> int:
+    """``int(value)``, at least 1; a value ``int`` rejects raises ValueError naming ``name``."""
+    try:
+        return max(1, int(value))
+    except (TypeError, ValueError):
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def run_batch(

@@ -14,10 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import audio
-from .audio import AudioBuffer, StftConfig, _fft_size, _frozen, _overflow_named, _quarter_hop, _stft_blocks
+from ._inputs import _channel_pair, _check_stereo_pair, _fft_size, _overflow_named, _positive_rate, _takes
+from .audio import AudioBuffer, StftConfig, _frozen, _quarter_hop, _stft_blocks
 from .phase import _CorrelationSums, _PhaseSums
-from .stereo import _channel_pair, _check_stereo_pair
 from .weighting import _prefilter_pair
 
 __all__ = [
@@ -40,12 +39,15 @@ class MultiScaleConfig:
 
     Every scale hops a quarter of its window and uses
     ``min(128, fft_size // 8)`` mel bands, which keeps the filterbank well
-    conditioned at the smallest windows.
+    conditioned at the smallest windows. ``fft_sizes`` that is not a
+    non-empty sequence of powers of two >= 2 raises ValueError.
     """
 
     fft_sizes: tuple[int, ...] = (4096, 2048, 1024, 512, 256, 128)
 
     def __post_init__(self) -> None:
+        if isinstance(self.fft_sizes, str) or not np.iterable(self.fft_sizes):
+            raise ValueError(f"fft_sizes must be a sequence of fft sizes, got {self.fft_sizes!r}")
         sizes = tuple(_fft_size(n) for n in self.fft_sizes)
         if not sizes:
             raise ValueError("fft_sizes must be non-empty")
@@ -94,12 +96,15 @@ def mel_filterbank(n_mels: int, fft_size: int, rate: int) -> np.ndarray:
     """Triangular mel filterbank on the HTK scale, peak gain 1 per band.
 
     Band edges run from 0 Hz to Nyquist; returns shape
-    ``(n_mels, fft_size // 2 + 1)``. Raises ValueError on fewer than one band, an
-    ``fft_size`` that is not a power of two >= 2, or a ``rate`` that is not a positive integer.
+    ``(n_mels, fft_size // 2 + 1)``. Raises ValueError on an ``n_mels`` that is not an
+    integer, fewer than one band, an ``fft_size`` that is not a power of two >= 2, or a
+    ``rate`` that is not a positive integer.
     """
+    if not isinstance(n_mels, (int, np.integer)):
+        raise ValueError(f"n_mels must be an integer, got {n_mels!r}")
     if n_mels < 1:
         raise ValueError(f"n_mels must be >= 1, got {n_mels}")
-    fft_size, rate = _fft_size(fft_size), audio._positive_rate(rate, "rate")
+    fft_size, rate = _fft_size(fft_size), _positive_rate(rate, "rate")
     edges = _mel_to_hz(np.linspace(0.0, float(_hz_to_mel(rate / 2.0)), n_mels + 2))
     freqs = np.arange(fft_size // 2 + 1) * (rate / fft_size)
     lower = edges[:-2][:, np.newaxis]
@@ -139,13 +144,14 @@ class _LogL1:
         return self.total / self.count
 
 
-@_overflow_named()
+@_overflow_named("samples")
 def _multiscale_distance(
-    ref_ch: np.ndarray, rec_ch: np.ndarray, cfg: MultiScaleConfig | None, mel_rate: int | None
+    fn: str, ref_ch: np.ndarray, rec_ch: np.ndarray, cfg: MultiScaleConfig | None, mel_rate: int | None
 ) -> float:
     """Mean over scales of the log-magnitude L1 distance, through mel bands
-    designed at ``mel_rate`` unless it is None."""
-    cfg = cfg or MultiScaleConfig()
+    designed at ``mel_rate`` unless it is None; ``fn`` names the caller."""
+    cfg = MultiScaleConfig() if cfg is None else cfg
+    _takes(fn, (cfg, MultiScaleConfig))
     pair = _channel_pair(ref_ch, rec_ch)
     _check_length(pair[0].shape[0], cfg)
     per_scale = []
@@ -164,8 +170,14 @@ def log_magnitude_distance(
 
     Per scale the error is ``mean |log(|S_ref| + eps) - log(|S_rec| + eps)|``
     over all frames and bins, with ``eps = 1e-5``.
+
+    Raises:
+        ValueError: on a ``cfg`` that is not a MultiScaleConfig or None,
+            channels that are not equal-length 1-D arrays of finite samples
+            or are shorter than the largest window, or finite samples so
+            large that the distance overflows float64.
     """
-    return _multiscale_distance(ref_ch, rec_ch, cfg, None)
+    return _multiscale_distance("log_magnitude_distance", ref_ch, rec_ch, cfg, None)
 
 
 def mel_distance(
@@ -174,8 +186,13 @@ def mel_distance(
     rate: int,
     cfg: MultiScaleConfig | None = None,
 ) -> float:
-    """Multi-scale log distance with magnitudes projected through the mel bands of a positive integer ``rate``."""
-    return _multiscale_distance(ref_ch, rec_ch, cfg, audio._positive_rate(rate, "rate"))
+    """Multi-scale log distance with magnitudes projected through the mel bands of a positive integer ``rate``.
+
+    Raises:
+        ValueError: on a ``rate`` that is not a positive integer, and as
+            :func:`log_magnitude_distance` does.
+    """
+    return _multiscale_distance("mel_distance", ref_ch, rec_ch, cfg, _positive_rate(rate, "rate"))
 
 
 def _half_abs(x: np.ndarray) -> np.ndarray:
@@ -185,7 +202,7 @@ def _half_abs(x: np.ndarray) -> np.ndarray:
     return mag
 
 
-@_overflow_named(lambda b: (b.stft_mag, b.corr, b.phase))
+@_overflow_named("samples", lambda b: (b.stft_mag, b.corr, b.phase))
 def composite_objective(
     ref: AudioBuffer,
     rec: AudioBuffer,
@@ -203,11 +220,18 @@ def composite_objective(
     their sum and difference, and every term is summed block by block.
 
     Raises:
-        ValueError: on mono, mismatched or non-finite input, finite samples
-            so large that a term overflows float64, signals shorter than the
-            largest analysis window, or an invalid prefilter name.
+        ValueError: on arguments other than two AudioBuffers and a
+            MultiScaleConfig or None, ``lambdas`` that are not three numbers,
+            mono, mismatched or non-finite input, finite samples so large
+            that a term overflows float64, signals shorter than the largest
+            analysis window, or an invalid prefilter name.
     """
-    cfg = cfg or MultiScaleConfig()
+    cfg = MultiScaleConfig() if cfg is None else cfg
+    _takes("composite_objective", (ref, AudioBuffer), (rec, AudioBuffer), (cfg, MultiScaleConfig))
+    try:
+        lam_mag, lam_corr, lam_phase = (float(v) for v in lambdas)
+    except (TypeError, ValueError):
+        raise ValueError(f"lambdas must be three numbers, got {lambdas!r}") from None
     _check_stereo_pair(ref, rec, "composite objective")
     _check_length(ref.num_samples, cfg)
     ref, rec = _prefilter_pair(prefilter, ref, rec)
@@ -237,7 +261,6 @@ def composite_objective(
     # per component over scales, then over components; all left scales before all right
     stft_mag = float(np.mean([np.mean(v) for v in mag_terms]))
     corr, phase = (float(np.mean(lr_terms[k] + lr_terms[k + 1])) for k in (0, 2))
-    lam_mag, lam_corr, lam_phase = (float(v) for v in lambdas)
     total = lam_mag * stft_mag + lam_corr * corr + lam_phase * phase
     return ObjectiveBreakdown(
         stft_mag=stft_mag,

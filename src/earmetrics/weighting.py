@@ -15,7 +15,8 @@ from math import pi, tan
 import numpy as np
 
 from . import audio
-from .audio import AudioBuffer, _check_finite, _frozen, _positive_rate, _same_rows, _too_large
+from ._inputs import _check_finite, _check_rate, _positive_rate, _sample_array, _takes, _too_large
+from .audio import AudioBuffer, _frozen, _same_rows
 
 __all__ = [
     "BiquadCascade",
@@ -39,16 +40,17 @@ class BiquadCascade:
     the constructor copies its input. Equality is identity.
 
     Raises:
-        ValueError: on no rows, a row width other than 6, a NaN or inf
-            coefficient, ``a0 != 1``, a pole on or outside the unit circle,
-            or a design rate that is not a positive integer.
+        ValueError: on coefficients that are not bool, integer or float,
+            no rows, a row width other than 6, a NaN or inf coefficient,
+            ``a0 != 1``, a pole on or outside the unit circle, or a design
+            rate that is not a positive integer.
     """
 
     sos: np.ndarray
     design_rate: int
 
     def __post_init__(self) -> None:
-        sos = np.array(self.sos, dtype=np.float64)
+        sos = np.array(_sample_array(self.sos, "sos coefficients"), dtype=np.float64)
         if sos.ndim != 2 or sos.shape[1] != 6:
             raise ValueError(f"sos must have shape (sections, 6), got {sos.shape}")
         if not sos.shape[0]:
@@ -80,12 +82,6 @@ _K_HIGHPASS_Q = 0.5003270373238773
 _A_POLES_HZ = (20.598997, 107.65265, 737.86223, 12194.217)
 
 
-def _check_rate(rate: int) -> int:
-    if not isinstance(rate, (int, np.integer)) or rate < MIN_DESIGN_RATE:
-        raise ValueError(f"design rate must be an integer >= {MIN_DESIGN_RATE} Hz, got {rate!r}")
-    return int(rate)
-
-
 def design_k_weighting(rate: int) -> BiquadCascade:
     """K-weighting cascade at the given rate.
 
@@ -94,7 +90,7 @@ def design_k_weighting(rate: int) -> BiquadCascade:
     frequency pre-warping. At 48 kHz the coefficients match the reference
     table to better than 1e-12.
     """
-    rate = _check_rate(rate)
+    rate = _check_rate(rate, MIN_DESIGN_RATE)
     k = tan(pi * _K_SHELF_HZ / rate)
     vh = 10.0 ** (_K_SHELF_GAIN_DB / 20.0)
     vb = vh ** _K_SHELF_SPLIT
@@ -123,7 +119,7 @@ def design_a_weighting(rate: int) -> BiquadCascade:
     """
     from scipy import signal
 
-    rate = _check_rate(rate)
+    rate = _check_rate(rate, MIN_DESIGN_RATE)
     zeros = [0.0, 0.0, 0.0, 0.0]
     f1, f2, f3, f4 = _A_POLES_HZ
     poles = [-2.0 * pi * f for f in (f1, f1, f2, f3, f4, f4)]
@@ -135,8 +131,14 @@ def design_a_weighting(rate: int) -> BiquadCascade:
 
 
 def frequency_response(cascade: BiquadCascade, freqs_hz: np.ndarray) -> np.ndarray:
-    """Complex response of the cascade at the given frequencies in Hz; NaN where one is NaN or huge."""
-    f = np.asarray(freqs_hz, dtype=np.float64)
+    """Complex response of the cascade at the given frequencies in Hz; NaN where one is NaN or huge.
+
+    Raises:
+        ValueError: on a ``cascade`` that is not a BiquadCascade, or
+            frequencies that are not bool, integer or float.
+    """
+    _takes("frequency_response", (cascade, BiquadCascade))
+    f = np.asarray(_sample_array(freqs_hz, "frequencies"), dtype=np.float64)
     with np.errstate(over="ignore", invalid="ignore"):
         z1 = np.exp(-2j * pi * f / cascade.design_rate)
         z2 = z1 * z1
@@ -176,11 +178,7 @@ def apply_cascade(cascade: BiquadCascade, buf: AudioBuffer) -> AudioBuffer:
             order, when the buffer rate differs from the design rate, on a NaN
             or inf sample, or on overflow.
     """
-    if not isinstance(cascade, BiquadCascade) or not isinstance(buf, AudioBuffer):
-        raise ValueError(
-            f"apply_cascade takes a BiquadCascade and an AudioBuffer, got "
-            f"{type(cascade).__name__} and {type(buf).__name__}"
-        )
+    _takes("apply_cascade", (cascade, BiquadCascade), (buf, AudioBuffer))
     if buf.sample_rate != cascade.design_rate:
         raise ValueError(
             f"sample rate mismatch: buffer at {buf.sample_rate} Hz, "
@@ -193,8 +191,8 @@ def apply_cascade(cascade: BiquadCascade, buf: AudioBuffer) -> AudioBuffer:
         y = run(x)
         # the first block that is not finite reads a NaN or inf sample, or its filter overflowed
         if not np.isfinite(y).all():
-            _check_finite(x, "buffer")
-            raise _too_large()
+            _check_finite(buffer=x)
+            raise _too_large("samples")
         filtered[:, start : start + block] = y
     return AudioBuffer(_frozen(filtered), buf.sample_rate)
 

@@ -106,6 +106,17 @@ class TestCcpc:
         with pytest.raises(ValueError):
             ccpc(mono, mono)
 
+    @pytest.mark.parametrize("kind", ["float", "int", "bool"])
+    @pytest.mark.parametrize("positions", [(0,), (1,), (2,), (3,), (0, 1, 2, 3)], ids=["1", "2", "3", "4", "all"])
+    def test_real_integer_and_bool_bins_give_the_value_of_complex_bins(self, kind, positions):
+        # real bins at positions 2 and 4, and four integer ones, raised numpy's UFuncTypeError
+        rng = np.random.default_rng(31)
+        bins = [rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5)) for _ in range(4)]
+        real = {"float": np.real, "int": lambda x: np.rint(4 * x.real).astype(np.int64), "bool": lambda x: x.real > 0}
+        given = [real[kind](b) if i in positions else b for i, b in enumerate(bins)]
+        want = ccpc_from_spectra(*[np.asarray(g, np.complex128) for g in given])
+        assert ccpc_from_spectra(*given) == want
+
 
 class TestSiSdr:
     def test_matches_direct_oracle(self, rng):
