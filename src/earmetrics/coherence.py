@@ -28,7 +28,7 @@ from ._inputs import _bins_of, _channel_pair, _check_finite, _check_stereo_pair,
 from .audio import _BLOCK_SAMPLES, AudioBuffer, StftConfig, _as_stereo, _stft_blocks, resample
 from .loudness import dbtp_distance
 from .phase import _cross
-from .spectral import _LOG_EPSILON, MultiScaleConfig, _check_length, _LogL1, mel_filterbank
+from .spectral import _LOG_EPSILON, MultiScaleConfig, _check_length, _LogL1, _mel_bands, _MelBands
 from .weighting import _prefilter_pair
 
 __all__ = [
@@ -309,19 +309,17 @@ def _evaluate_aligned(
     ref: AudioBuffer,
     rec: AudioBuffer,
     ms_cfg: MultiScaleConfig,
+    mels: list[_MelBands],
 ) -> tuple[dict, list[str]]:
     """One pass over the scales, each a pass over blocks of frames with the
     channels inside. Each block's magnitudes feed the log and mel distances,
     and at the config equal to the coherence STFT the block feeds ICPC/CCPC;
     a bank without that config takes one more pass for it. One block of
-    frames is alive at a time. Returns the metrics, SI-SDR None when every
-    reference channel is silent, and the flags."""
-    rate = ref.sample_rate
+    frames is alive at a time; ``mels`` are the scales' mel projections.
+    Returns the metrics, SI-SDR None when every reference channel is silent,
+    and the flags."""
     _check_length(ref.num_samples, ms_cfg)
-    dists = [
-        [(_LogL1(_LOG_EPSILON), _LogL1(_LOG_EPSILON, mel_filterbank(ms_cfg.mel_bins_for(i), n, rate))) for _ in "lr"]
-        for i, n in enumerate(ms_cfg.fft_sizes)
-    ]
+    dists = [[(_LogL1(_LOG_EPSILON), _LogL1(_LOG_EPSILON, mel)) for _ in "lr"] for mel in mels]
     configs = [ms_cfg.stft_config(n) for n in ms_cfg.fft_sizes]
     if _COHERENCE_STFT not in configs:
         configs.append(_COHERENCE_STFT)
@@ -379,9 +377,10 @@ def evaluate_pair(
 
     Raises:
         ValueError: on arguments other than two AudioBuffers and a
-            MultiScaleConfig or None, non-finite samples, finite samples so
-            large that a metric overflows float64, empty overlap, a signal
-            or chunk shorter than the largest window of the scale bank, a
+            MultiScaleConfig or None, a bank with an fft size under 8 (no
+            mel band), non-finite samples, finite samples so large that a
+            metric overflows float64, empty overlap, a signal or chunk
+            shorter than the largest window of the scale bank, a
             ``chunk_seconds`` that is not finite and positive, or an invalid
             prefilter.
     """
@@ -389,6 +388,7 @@ def evaluate_pair(
         raise ValueError(f"chunk_seconds must be finite and positive, got {chunk_seconds!r}")
     ms_cfg = MultiScaleConfig() if ms_cfg is None else ms_cfg
     _takes("evaluate_pair", (ref, AudioBuffer), (rec, AudioBuffer), (ms_cfg, MultiScaleConfig))
+    mels = _mel_bands(ms_cfg, ref.sample_rate)  # the reference's rate is the pair's after alignment
     ref, rec, flags = align_pair(ref, rec)
     rate = ref.sample_rate
     ref, rec = _prefilter_pair(prefilter, ref, rec)
@@ -423,7 +423,7 @@ def evaluate_pair(
     rows = []
     extra_flags: set[str] = set()
     for chunk_ref, chunk_rec in chunks:
-        row, extra = _evaluate_aligned(chunk_ref, chunk_rec, ms_cfg)
+        row, extra = _evaluate_aligned(chunk_ref, chunk_rec, ms_cfg, mels)
         rows.append(row)
         extra_flags.update(extra)
     if all(r["si_sdr_db"] is None for r in rows):

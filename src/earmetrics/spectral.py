@@ -39,8 +39,9 @@ class MultiScaleConfig:
 
     Every scale hops a quarter of its window and uses
     ``min(128, fft_size // 8)`` mel bands, which keeps the filterbank well
-    conditioned at the smallest windows. ``fft_sizes`` that is not a
-    non-empty sequence of powers of two >= 2 raises ValueError.
+    conditioned at the smallest windows; a size under 8 has no mel band, so
+    only the log-magnitude distance and the objective take it. ``fft_sizes``
+    that is not a non-empty sequence of powers of two >= 2 raises ValueError.
     """
 
     fft_sizes: tuple[int, ...] = (4096, 2048, 1024, 512, 256, 128)
@@ -91,7 +92,6 @@ def _mel_to_hz(m: np.ndarray | float) -> np.ndarray:
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-@lru_cache(maxsize=64, typed=True)  # typed: 8.0 must not hit the entry of 8
 def mel_filterbank(n_mels: int, fft_size: int, rate: int) -> np.ndarray:
     """Triangular mel filterbank on the HTK scale, peak gain 1 per band.
 
@@ -104,7 +104,13 @@ def mel_filterbank(n_mels: int, fft_size: int, rate: int) -> np.ndarray:
         raise ValueError(f"n_mels must be an integer, got {n_mels!r}")
     if n_mels < 1:
         raise ValueError(f"n_mels must be >= 1, got {n_mels}")
-    fft_size, rate = _fft_size(fft_size), _positive_rate(rate, "rate")
+    # checked before the cache, which keys on the checked ints
+    return _filterbank(int(n_mels), _fft_size(fft_size), _positive_rate(rate, "rate"))
+
+
+@lru_cache(maxsize=64)
+def _filterbank(n_mels: int, fft_size: int, rate: int) -> np.ndarray:
+    """The read-only :func:`mel_filterbank` of checked arguments."""
     edges = _mel_to_hz(np.linspace(0.0, float(_hz_to_mel(rate / 2.0)), n_mels + 2))
     freqs = np.arange(fft_size // 2 + 1) * (rate / fft_size)
     lower = edges[:-2][:, np.newaxis]
@@ -113,6 +119,56 @@ def mel_filterbank(n_mels: int, fft_size: int, rate: int) -> np.ndarray:
     rising = (freqs - lower) / (center - lower)
     falling = (upper - freqs) / (upper - center)
     return _frozen(np.clip(np.minimum(rising, falling), 0.0, 1.0))
+
+
+_BAND_GROUP = 8  # mel bands multiplied together over the bins they span
+
+
+class _MelBands:
+    """The mel projection of one scale, banded: each group of ``_BAND_GROUP``
+    consecutive bands is multiplied only over the bins its weights span.
+
+    A triangle spans a short run of bins (98.5% of the filterbank's entries at
+    4096 are zero), so ``mag @ mel_filterbank(...).T`` mostly multiplies
+    zeros. ``groups`` holds, per group with a non-zero weight, its first band,
+    its bin span ``[j0, j1)`` and its ``(j1 - j0, bands)`` weights; a band
+    with no bin, and a group with no weight, stays a zero column.
+    """
+
+    def __init__(self, fb: np.ndarray) -> None:
+        self.n_mels = fb.shape[0]
+        groups = []
+        for b0 in range(0, self.n_mels, _BAND_GROUP):
+            block = fb[b0 : b0 + _BAND_GROUP]
+            spanned = np.flatnonzero(block.any(axis=0))
+            if spanned.size:
+                j0, j1 = int(spanned[0]), int(spanned[-1]) + 1
+                groups.append((b0, j0, j1, _frozen(block[:, j0:j1].T.copy())))
+        self.groups = tuple(groups)
+
+    def project(self, mag: np.ndarray) -> np.ndarray:
+        """``mag @ fb.T`` for a ``(frames, bins)`` block of magnitudes."""
+        out = np.zeros((mag.shape[0], self.n_mels))
+        for b0, j0, j1, w in self.groups:
+            np.matmul(mag[:, j0:j1], w, out=out[:, b0 : b0 + w.shape[1]])
+        return out
+
+
+@lru_cache(maxsize=64)
+def _banded(n_mels: int, fft_size: int, rate: int) -> _MelBands:
+    # the dense bank is built uncached: the plan keeps 7% of its bytes at 44.1 kHz
+    return _MelBands(_filterbank.__wrapped__(n_mels, fft_size, rate))
+
+
+def _mel_bands(cfg: MultiScaleConfig, rate: int) -> list[_MelBands]:
+    """The banded mel projection of every scale of ``cfg`` at ``rate``, looked up
+    before any STFT runs. Raises a ValueError naming a scale with no mel band."""
+    bands = []
+    for i, n in enumerate(cfg.fft_sizes):
+        if cfg.mel_bins_for(i) < 1:
+            raise ValueError(f"mel bands need fft sizes >= 8, got {n}")
+        bands.append(_banded(cfg.mel_bins_for(i), n, rate))
+    return bands
 
 
 def _check_length(num_samples: int, cfg: MultiScaleConfig, what: str = "signals") -> None:
@@ -125,16 +181,16 @@ def _check_length(num_samples: int, cfg: MultiScaleConfig, what: str = "signals"
 
 class _LogL1:
     """Running mean of ``|log(|A| + eps) - log(|B| + eps)|`` over every frame
-    and bin of the magnitude blocks it is given, after the mel projection
-    ``mel_fb`` if given."""
+    and bin of the magnitude blocks it is given, after the banded mel
+    projection ``mel`` if given (see :class:`_MelBands`)."""
 
-    def __init__(self, eps: float, mel_fb: np.ndarray | None = None) -> None:
-        self.eps, self.mel_fb = eps, mel_fb
+    def __init__(self, eps: float, mel: _MelBands | None = None) -> None:
+        self.eps, self.mel = eps, mel
         self.total, self.count = 0.0, 0
 
     def add(self, mag_a: np.ndarray, mag_b: np.ndarray) -> None:
-        if self.mel_fb is not None:
-            mag_a, mag_b = mag_a @ self.mel_fb.T, mag_b @ self.mel_fb.T
+        if self.mel is not None:
+            mag_a, mag_b = self.mel.project(mag_a), self.mel.project(mag_b)
         log_a, log_b = (np.log(x, out=x) for x in (mag_a + self.eps, mag_b + self.eps))
         log_a -= log_b
         self.total += float(np.sum(np.abs(log_a, out=log_a)))
@@ -154,10 +210,10 @@ def _multiscale_distance(
     _takes(fn, (cfg, MultiScaleConfig))
     pair = _channel_pair(ref_ch, rec_ch)
     _check_length(pair[0].shape[0], cfg)
+    mels = [None] * len(cfg.fft_sizes) if mel_rate is None else _mel_bands(cfg, mel_rate)
     per_scale = []
-    for i, n in enumerate(cfg.fft_sizes):
-        mel_fb = None if mel_rate is None else mel_filterbank(cfg.mel_bins_for(i), n, mel_rate)
-        dist = _LogL1(_LOG_EPSILON, mel_fb)
+    for n, mel in zip(cfg.fft_sizes, mels):
+        dist = _LogL1(_LOG_EPSILON, mel)
         _stft_blocks(pair, cfg.stft_config(n), lambda a, b: dist.add(np.abs(a), np.abs(b)))
         per_scale.append(dist.mean())
     return float(np.mean(per_scale))
@@ -189,7 +245,8 @@ def mel_distance(
     """Multi-scale log distance with magnitudes projected through the mel bands of a positive integer ``rate``.
 
     Raises:
-        ValueError: on a ``rate`` that is not a positive integer, and as
+        ValueError: on a ``rate`` that is not a positive integer, a ``cfg``
+            with an fft size under 8 (no mel band), and as
             :func:`log_magnitude_distance` does.
     """
     return _multiscale_distance("mel_distance", ref_ch, rec_ch, cfg, _positive_rate(rate, "rate"))
@@ -221,7 +278,7 @@ def composite_objective(
 
     Raises:
         ValueError: on arguments other than two AudioBuffers and a
-            MultiScaleConfig or None, ``lambdas`` that are not three numbers,
+            MultiScaleConfig or None, ``lambdas`` that are not three finite numbers,
             mono, mismatched or non-finite input, finite samples so large
             that a term overflows float64, signals shorter than the largest
             analysis window, or an invalid prefilter name.
@@ -232,6 +289,8 @@ def composite_objective(
         lam_mag, lam_corr, lam_phase = (float(v) for v in lambdas)
     except (TypeError, ValueError):
         raise ValueError(f"lambdas must be three numbers, got {lambdas!r}") from None
+    if not np.isfinite((lam_mag, lam_corr, lam_phase)).all():
+        raise ValueError(f"lambdas must be finite, got {lambdas!r}")
     _check_stereo_pair(ref, rec, "composite objective")
     _check_length(ref.num_samples, cfg)
     ref, rec = _prefilter_pair(prefilter, ref, rec)

@@ -16,7 +16,9 @@ its contract here. Columns are the classes of bad input:
 - ``silent``: a reference that is all zeros.
 
 A cell holds the outcome: :class:`Named`, a ValueError whose message names
-the input, or :class:`Gives`, a defined value. A column a row leaves out does
+the input, or :class:`Gives`, a defined value. A row may hold more than one
+cell of a column: the key of each further cell is the column's name followed
+by a label, such as ``"type fft_size"``. A column a row leaves out does
 not apply to that name: a constant takes no input, a mono signal is a valid
 input of a function that promotes it. Every cell runs with warnings turned
 into errors. The input rules live in ``earmetrics._inputs``.
@@ -414,6 +416,10 @@ ROWS: dict[str, dict[str, tuple[Callable[[Path], object], Named | Gives]]] = {
             lambda d: evaluate_pair(EMPTY, EMPTY),
             Named("signals of 0 samples too short for the largest analysis window (4096)"),
         ),
+        "empty bands": (
+            lambda d: evaluate_pair(BUF, BUF_REC, MultiScaleConfig((4096, 4))),
+            Named("mel bands need fft sizes >= 8, got 4"),
+        ),
         "type": (
             lambda d: evaluate_pair(BUF, BUF_REC, (4096,)),
             Named(
@@ -623,6 +629,20 @@ ROWS: dict[str, dict[str, tuple[Callable[[Path], object], Named | Gives]]] = {
         "empty": (lambda d: mel_filterbank(0, 512, RATE), Named("n_mels must be >= 1, got 0")),
         "dtype": (lambda d: mel_filterbank(2.5, 512, RATE), Named("n_mels must be an integer, got 2.5")),
         "type": (lambda d: mel_filterbank("8", 512, RATE), Named("n_mels must be an integer, got '8'")),
+        # the checks run before the cache, which cannot hash a list
+        "type n_mels list": (lambda d: mel_filterbank([8], 512, RATE), Named("n_mels must be an integer, got [8]")),
+        "type fft_size list": (
+            lambda d: mel_filterbank(8, [512], RATE),
+            Named("fft sizes must be powers of two >= 2, got [512]"),
+        ),
+        "type fft_size str": (
+            lambda d: mel_filterbank(8, "512", RATE),
+            Named("fft sizes must be powers of two >= 2, got '512'"),
+        ),
+        "type rate list": (
+            lambda d: mel_filterbank(8, 512, [RATE]),
+            Named(f"rate must be a positive integer, got [{RATE}]"),
+        ),
     },
     "spectral.log_magnitude_distance": {
         "nan": (
@@ -656,6 +676,10 @@ ROWS: dict[str, dict[str, tuple[Callable[[Path], object], Named | Gives]]] = {
         "inf": (lambda d: mel_distance(REF[0], spoiled(REC[0], np.inf), RATE), Named(f"reconstruction {NON_FINITE}")),
         "overflow": (lambda d: mel_distance(*HUGE, RATE), Named(TOO_LARGE)),
         "empty": (lambda d: mel_distance(np.zeros(0), np.zeros(0), RATE), Named("signals of 0 samples too short")),
+        "empty bands": (
+            lambda d: mel_distance(REF[0], REC[0], RATE, MultiScaleConfig((4,))),
+            Named("mel bands need fft sizes >= 8, got 4"),
+        ),
         "ndim": (lambda d: mel_distance(REF, REC, RATE), Named("channels must be equal-length 1-D arrays")),
         "dtype": (
             lambda d: mel_distance(REF[0], REC[0], 44100.0),
@@ -690,6 +714,14 @@ ROWS: dict[str, dict[str, tuple[Callable[[Path], object], Named | Gives]]] = {
         "dtype": (
             lambda d: composite_objective(BUF, BUF_REC, lambdas=(1, 2)),
             Named("lambdas must be three numbers, got (1, 2)"),
+        ),
+        "nan lambdas": (
+            lambda d: composite_objective(BUF, BUF_REC, lambdas=(math.nan, 1, 2)),
+            Named("lambdas must be finite, got (nan, 1, 2)"),
+        ),
+        "inf lambdas": (
+            lambda d: composite_objective(BUF, BUF_REC, lambdas=(math.inf, 1, 2)),
+            Named("lambdas must be finite, got (inf, 1, 2)"),
         ),
         "length": (lambda d: composite_objective(BUF, buf(REC[:, :-1])), Named(f"lengths differ: {N} vs {N - 1}")),
         "mono": (lambda d: composite_objective(MONO, BUF_REC), Named("composite objective requires stereo signals")),
@@ -810,7 +842,7 @@ def test_every_public_name_has_a_row():
 
 
 def test_every_cell_is_a_column():
-    assert not [(row, column) for row, cells in ROWS.items() for column in cells if column not in COLUMNS]
+    assert not [(row, cell) for row, cells in ROWS.items() for cell in cells if cell.split()[0] not in COLUMNS]
 
 
 CELLS = [(row, column) for row, cells in ROWS.items() for column in cells]
