@@ -15,6 +15,7 @@ every function here is pure and safe to call from many threads.
 
 from __future__ import annotations
 
+import mmap
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,6 +24,7 @@ from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ._inputs import _check_finite, _fft_size, _overflow_named, _positive_rate, _sample_array, _takes, _too_large
 
@@ -333,6 +335,29 @@ def load_wav(path: str | Path) -> AudioBuffer:
         raise ValueError(f"cannot decode {path}: {exc}") from exc
 
 
+def _mapped_wav(path: str | Path) -> AudioBuffer:
+    """A WAV file as :func:`load_wav` reads it, but with no copy of its
+    samples when they are stored as native-order float32 or float64 and there
+    is at least one frame: ``samples`` is then a read-only, interleaved and
+    possibly unaligned ``(channels, frames)`` view of a read-only mapping of
+    the data chunk, whose pages the file's page cache holds. The mapping ends
+    where the data chunk does, which :class:`_WavReader` checks is within the
+    file. Overwriting or truncating the file while the buffer is in use can
+    kill the process with SIGBUS, so only ``eval`` reads its inputs this way.
+    Every other file, and every file that fails, goes to :func:`load_wav`."""
+    try:
+        with open(path, "rb") as fh:
+            wav = _WavReader(fh)
+            stored, count = wav._stored, wav.frames * wav.channels
+            if stored.kind == "f" and stored.isnative and count:
+                data = mmap.mmap(fh.fileno(), wav._offset + count * stored.itemsize, access=mmap.ACCESS_READ)
+                frames = np.frombuffer(data, stored, count, wav._offset).reshape(wav.frames, wav.channels)
+                return AudioBuffer(frames.T, wav.rate)
+    except (OSError, TypeError, ValueError):
+        pass  # load_wav raises its own error for the file
+    return load_wav(path)
+
+
 def _wav_header(tag: int, channels: int, rate: int, width: int, frames: int) -> bytes:
     """Every byte of a WAV file before its samples: a 16-byte ``fmt `` chunk
     for PCM; for float an 18-byte one and a ``fact`` chunk with the frame
@@ -542,8 +567,13 @@ def _polyphase_rows(x: np.ndarray, plan: _Plan, r0: int, out: np.ndarray, start:
             if lo < 0 or hi > n:
                 seg = np.concatenate((np.zeros(a - lo), seg, np.zeros(hi - b)))
             rows = scratch[: (r1 - r0) * w.shape[0]].reshape(r1 - r0, w.shape[0])
-            step = seg.itemsize
-            np.copyto(rows, np.ndarray(rows.shape, seg.dtype, seg, strides=(inputs * step, step)))
+            step = seg.strides[0]  # a row of interleaved samples steps over the other channel
+            strides = (inputs * step, step)
+            # np.ndarray views only a contiguous buffer; as_strided views any, at about 6x the cost per call
+            if seg.flags.c_contiguous:
+                np.copyto(rows, np.ndarray(rows.shape, seg.dtype, seg, strides=strides))
+            else:
+                np.copyto(rows, as_strided(seg, rows.shape, strides, writeable=False))
             np.matmul(rows, w, out=out[:, phase : phase + w.shape[1]])
 
 

@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import replace
 
-from .audio import load_wav
+from .audio import _mapped_wav
 from .coherence import MetricReport, align_pair, evaluate_pair
 from .pipeline import (
     DEFAULT_DBTP_MAX,
@@ -89,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_eval(args: argparse.Namespace) -> int:
     try:
         ms_cfg = MultiScaleConfig(fft_sizes=tuple(args.fft_sizes)) if args.fft_sizes else MultiScaleConfig()
-        ref = load_wav(args.reference)
-        rec = load_wav(args.reconstruction)
+        # float inputs are read through a mapping of the file, without a decoded copy
+        ref = _mapped_wav(args.reference)
+        rec = _mapped_wav(args.reconstruction)
         # aligned (and resampled) and prefiltered once; the report and the objective share the pair
         ref, rec, flags = align_pair(ref, rec)
         ref, rec = _prefilter_pair(args.prefilter, ref, rec)

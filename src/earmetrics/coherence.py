@@ -184,10 +184,11 @@ def si_sdr(ref: np.ndarray, rec: np.ndarray) -> float:
 
 
 def _float64_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Consecutive ``_BLOCK_SAMPLES`` blocks of two equal-length channels, as float64."""
+    """Consecutive ``_BLOCK_SAMPLES`` blocks of two equal-length channels, as contiguous
+    float64: BLAS sums a strided vector in another order than a contiguous one."""
     for lo in range(0, a.shape[0], _BLOCK_SAMPLES):
         hi = lo + _BLOCK_SAMPLES
-        yield np.asarray(a[lo:hi], np.float64), np.asarray(b[lo:hi], np.float64)
+        yield np.ascontiguousarray(a[lo:hi], np.float64), np.ascontiguousarray(b[lo:hi], np.float64)
 
 
 def _si_sdr_channel(a: np.ndarray, b: np.ndarray) -> float | None:

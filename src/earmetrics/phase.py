@@ -99,9 +99,11 @@ def group_delay(phase: np.ndarray) -> np.ndarray:
 
 
 def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``b * conj(a)`` in one fresh array, formed in place in ``conj(a)``: the bits of the product."""
+    """``b * conj(a)`` in one fresh array, formed in place in ``conj(a)``: the bits of the product.
+    It is complex, so real, integer and bool bins give the product of the complex128 bins
+    that hold them, and large integers do not wrap."""
     prod = np.conjugate(a)
-    prod = prod.astype(np.result_type(b, prod), copy=False)
+    prod = prod.astype(np.result_type(b, prod, 1j), copy=False)
     return np.multiply(b, prod, out=prod)
 
 
@@ -115,8 +117,7 @@ class _CorrelationSums:
     def add(self, a: np.ndarray, b: np.ndarray, mag_a: np.ndarray, mag_b: np.ndarray) -> None:
         # the operations of sum(Re(b * conj(a)) / (mag_b * mag_a + eps)), in two buffers
         prod = _cross(a, b)
-        den = mag_b * mag_a
-        den = den.astype(np.result_type(den, _EPSILON), copy=False)
+        den = np.multiply(mag_b, mag_a, dtype=np.result_type(mag_b, mag_a, _EPSILON))  # integers do not wrap
         den += _EPSILON
         np.divide(prod.real, den, out=den)
         self.total += float(np.sum(den))

@@ -16,13 +16,16 @@ from hypothesis import strategies as st
 
 from earmetrics import (
     AudioBuffer,
+    MultiScaleConfig,
     StftConfig,
     curate_batch,
+    evaluate_pair,
     istft,
     load_wav,
     resample,
     save_wav,
     stft,
+    true_peak_dbtp,
 )
 from earmetrics import audio
 from earmetrics.audio import (
@@ -36,7 +39,7 @@ from earmetrics.audio import (
 )
 from earmetrics.loudness import _true_peak_plan, _true_peak_taps
 from earmetrics.spectral import mel_filterbank
-from helpers import noise_stereo, overflowing_96k, traced_peak
+from helpers import exact_bits, noise_stereo, overflowing_96k, traced_peak
 from oracles import load_wav_direct, resample_poly_direct
 
 WAV_FORMATS = ["pcm16", "pcm24", "pcm32", "float32"]
@@ -173,6 +176,29 @@ class TestAudioBuffer:
         assert buf.samples is src
         mono = AudioBuffer(src[0], 44100)
         assert mono.samples.dtype == np.float32 and np.shares_memory(mono.samples, src)
+
+    @pytest.mark.parametrize("offset", [0, 2], ids=["aligned", "unaligned"])
+    @pytest.mark.parametrize("dtype", ["<f4", "<f8"])
+    def test_read_only_interleaved_view_computes_as_its_contiguous_copy(self, dtype, offset):
+        # the transposed view of read-only (frames, 2) bytes is kept uncopied: its rows
+        # step over the other channel, as a view of an interleaved WAV data chunk does
+        rng = np.random.default_rng(6)
+        frames = [rng.standard_normal((30000, 2)) * amp for amp in (0.3, 0.2)]
+        views = [np.frombuffer(b"\0" * offset + x.astype(dtype).tobytes(), dtype, offset=offset) for x in frames]
+        views = [AudioBuffer(v.reshape(-1, 2).T, rate) for v, rate in zip(views, (44100, 48000))]
+        copies = [AudioBuffer(np.ascontiguousarray(v.samples), v.sample_rate) for v in views]
+        assert views[0].samples.strides[1] == 2 * np.dtype(dtype).itemsize
+        assert views[0].samples.flags.aligned == (offset == 0)
+
+        def results(ref, rec):
+            return (
+                true_peak_dbtp(ref),
+                resample(ref, 48000),
+                evaluate_pair(ref, rec, MultiScaleConfig((1024, 256))),
+                evaluate_pair(ref, rec, MultiScaleConfig((1024, 256)), prefilter="k", chunk_seconds=0.3),
+            )
+
+        assert exact_bits(results(*views)) == exact_bits(results(*copies))
 
     def test_rejects_more_than_two_channels(self):
         with pytest.raises(ValueError, match="channel count"):

@@ -107,11 +107,11 @@ class TestEvalCommand:
         assert len(calls) == 2
 
     def test_peak_memory_is_two_buffers_and_a_block(self, tmp_path, wav_pair, capsys):
-        # two 10.6 MB float32 buffers and a block working set of about 10.6 MB:
-        # 0.75x of the two 21.2 MB float64 buffers these files would make if
-        # widened on load, which alone is 1.0x; one more float32 copy of a file
-        # would make it 1.0x. 30 s, because the working set does not grow with
-        # length: at 10 s it alone is 0.75x of the float64 buffers.
+        # eval maps float inputs, so the peak is the block working set alone
+        # (tests/test_mapped_eval.py holds it below one input); decoded float32
+        # buffers made it 0.75x of the two 21.2 MB float64 buffers these files
+        # would make if widened on load, which alone is 1.0x. 30 s, because the
+        # working set does not grow with length.
         paths = [tmp_path / "ref30.wav", tmp_path / "rec30.wav"]
         ref = noise_stereo(seconds=30.0, amp=0.3, seed=95)
         save_wav(paths[0], ref, sample_format="float32")
@@ -122,9 +122,9 @@ class TestEvalCommand:
         assert peak < 0.85 * buffers, f"peak {peak / buffers:.2f}x the two float64 buffers"
 
     def test_mono_peak_memory_is_below_two_mono_buffers(self, tmp_path, wav_pair, capsys):
-        # a mono pair promoted to stereo by a view: its two 5.3 MB float32
-        # buffers and the block working set, 0.96x the two 10.6 MB float64 mono
-        # buffers; float64 buffers took 1.5x, and copying each channel to stereo 3.0x
+        # a mono pair promoted to stereo by a view of each mapped file: the block
+        # working set; decoded float32 buffers took 0.96x the two 10.6 MB float64
+        # mono buffers, float64 buffers 1.5x, and copying each channel to stereo 3.0x
         paths = [tmp_path / "ref30.wav", tmp_path / "rec30.wav"]
         ref = noise_stereo(seconds=30.0, amp=0.3, seed=96).samples[0]
         save_wav(paths[0], AudioBuffer(ref, 44100), sample_format="float32")

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from earmetrics.coherence import _Icpc
-from earmetrics.phase import _CorrelationSums, _PhaseSums
+from earmetrics.coherence import _Icpc, icpc_from_spectra
+from earmetrics.phase import _CorrelationSums, _PhaseSums, correlation_loss
 from earmetrics.spectral import _half_abs
 from helpers import exact_bits
 
@@ -67,7 +67,8 @@ def _correlation_sums(blocks):
 def _icpc_sums(blocks):
     resultants, energies = [], []
     for a, b in blocks:
-        weighted = b * np.conj(a)
+        # in complex: integer and bool bins give the products of the complex128 bins that hold them
+        weighted = b * np.conj(a).astype(np.result_type(a, b, 1j))
         resultants.append(np.abs(np.sum(weighted, axis=1)))
         energies.append(np.sum(np.abs(weighted), axis=1))
     return resultants, energies
@@ -149,3 +150,13 @@ def test_mid_side_magnitudes(pair):
     a, b = pair
     for x in (a + b, a - b):
         assert exact_bits(_half_abs(x)) == exact_bits(np.abs(x) / 2)
+
+
+def test_large_integer_bins_do_not_wrap():
+    # 2**40 * 2**40 wraps in int64: ICPC read 100.0 and the correlation loss 1.0
+    ref = np.full((4, 3), 2**40, np.int64)
+    rec = ref.copy()
+    rec[0, 0] = -rec[0, 0]
+    held = ref.astype(complex), rec.astype(complex)
+    assert icpc_from_spectra(ref, rec) == icpc_from_spectra(*held) == pytest.approx(100 * 10 / 12)
+    assert correlation_loss(ref, rec) == correlation_loss(*held) == pytest.approx(2 / 12)
