@@ -698,15 +698,21 @@ def _hann_window(n: int) -> np.ndarray:
     return _frozen((0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, n + 1)))[:-1])
 
 
-# Windowed samples per block of STFT frames (frames * fft_size), the same at
-# every scale: 1 MB of float64 frames and about 1.05 MB of spectra per channel.
-# A consumer of four channels holds one block of their spectra and its own
-# per-block buffers: measured traced peaks are 6.93 MB for composite_objective
-# and 6.4 MB for evaluate_pair, at any signal length.
-# Blocks this size stay in a core's cache and reuse freed heap memory; at
-# 2**18 the objective's block temporaries were at times mapped afresh on
-# every block (60k page faults per 5 s call) and ran about 17% slower.
+# Samples per block of the streamed paths: WAV slices, resampling, loudness,
+# true peak, SI-SDR and curation.
 _BLOCK_SAMPLES = 2**17
+
+# Windowed samples per block of STFT frames (frames * fft_size), the same at
+# every scale: 0.5 MB of float64 frames and about 0.53 MB of spectra per
+# channel. A consumer of four channels holds one block of their spectra and its
+# own per-block buffers: measured traced peaks are 3.57 MB for
+# composite_objective and 3.45 MB for evaluate_pair, at any signal length
+# (6.93 and 6.4 MB at 2**17). No value depends on this size: every sum over
+# frames is a phase._FrameSums total. Blocks this size stay in a core's cache
+# and reuse freed heap memory; at 2**18 the objective's block temporaries were
+# at times mapped afresh on every block (60k page faults per 5 s call) and ran
+# about 17% slower.
+_STFT_BLOCK_SAMPLES = 2**16
 
 
 def _num_frames(num_samples: int, config: StftConfig) -> int:
@@ -717,26 +723,42 @@ def _num_frames(num_samples: int, config: StftConfig) -> int:
     return 1 + num_samples // config.hop
 
 
-def _frame_bins(x: np.ndarray, config: StftConfig, start: int, stop: int) -> np.ndarray:
-    """Hann-windowed one-sided spectra of frames ``start`` to ``stop - 1`` of ``x``.
+def _frame_bins(channels: Sequence[np.ndarray], config: StftConfig, start: int, stop: int) -> np.ndarray:
+    """Hann-windowed one-sided spectra of frames ``start`` to ``stop - 1`` of each of the
+    equal-length ``channels``, stacked: shape ``(len(channels), stop - start, bins)``.
 
-    Frames are cut from ``x`` itself. A frame that reaches past either end
-    gathers the reflected samples, so no padded copy of the channel is made.
+    Frames are cut from each channel itself. A frame that reaches past either
+    end gathers the reflected samples, so no padded copy of a channel is made.
+    The windowed frames of every channel are transformed by one FFT call,
+    which transforms each frame on its own.
     """
     n, hop = config.fft_size, config.hop
     lo = start * hop - n // 2
     hi = lo + (stop - start - 1) * hop + n
-    if lo < 0 or hi > x.shape[0]:
-        idx = np.abs(np.arange(lo, hi))
-        seg = x[np.minimum(idx, 2 * (x.shape[0] - 1) - idx)]
-    else:
-        seg = np.ascontiguousarray(x[lo:hi])
-    # frame t is seg[t * hop : t * hop + n], as a strided view made in C: this
-    # runs once per block, and sliding_window_view costs several times more
-    step = seg.itemsize
-    frames = np.ndarray((stop - start, n), seg.dtype, seg, strides=(hop * step, step))
-    # the window is float64, so its product widens float32 samples exactly
-    return np.fft.rfft(frames * _hann_window(n), axis=1)
+    size = channels[0].shape[0]
+    if lo >= 0 and hi <= size:
+        cut = slice(lo, hi)
+    else:  # frames past either end index their reflected samples
+        cut = np.abs(np.arange(lo, hi))
+        np.minimum(cut, 2 * (size - 1) - cut, out=cut)
+    window = _hann_window(n)
+    frames = np.empty((len(channels), stop - start, n))
+    for x, out in zip(channels, frames):
+        seg = np.ascontiguousarray(x[cut])
+        # frame t is seg[t * hop : t * hop + n], as a strided view made in C: this
+        # runs once per block, and sliding_window_view costs several times more
+        step = seg.itemsize
+        # the window is float64, so its product widens float32 samples exactly
+        np.multiply(np.ndarray((stop - start, n), seg.dtype, seg, strides=(hop * step, step)), window, out=out)
+    del seg, cut  # the samples cut from the channels, released before the transform
+    return np.fft.rfft(frames, axis=-1)
+
+
+# Channels whose block of frames one FFT call transforms. Their windowed frames
+# (0.5 MB each) are alive at once, beside the spectra of the channels before
+# them: two halve the calls per block and stay below a consumer's own peak,
+# where four would add 1 MB to it.
+_FFT_CHANNELS = 2
 
 
 def _stft_blocks(channels: Sequence[np.ndarray], config: StftConfig, add: Callable[..., None]) -> None:
@@ -744,15 +766,18 @@ def _stft_blocks(channels: Sequence[np.ndarray], config: StftConfig, add: Callab
 
     Each call gets the same block of frames of every channel, in the order
     given; stacking one channel's blocks gives its :func:`stft` bins. A block
-    spans about ``_BLOCK_SAMPLES`` windowed samples, and it is released when
-    ``add`` returns, before the next one is made, so only one block per
-    channel is alive at a time, whatever the signal length.
+    spans about ``_STFT_BLOCK_SAMPLES`` windowed samples, and it is released
+    when ``add`` returns, before the next one is made, so only one block per
+    channel is alive at a time, whatever the signal length. Consumers sum over
+    frames with ``phase._FrameSums``, so their values do not depend on the
+    block size.
     """
     total = _num_frames(channels[0].shape[0], config)
-    step = max(1, _BLOCK_SAMPLES // config.fft_size)
+    step = max(1, _STFT_BLOCK_SAMPLES // config.fft_size)
+    groups = [channels[i : i + _FFT_CHANNELS] for i in range(0, len(channels), _FFT_CHANNELS)]
     for start in range(0, total, step):
         stop = min(start + step, total)
-        add(*[_frame_bins(x, config, start, stop) for x in channels])
+        add(*[bins for group in groups for bins in _frame_bins(group, config, start, stop)])
 
 
 @_overflow_named("samples")
@@ -774,7 +799,7 @@ def stft(channel: np.ndarray, config: StftConfig) -> np.ndarray:
     if x.ndim != 1:
         raise ValueError(f"channel must be 1-D, got {x.ndim}-D")
     _check_finite(channel=x)
-    return _frozen(_frame_bins(x, config, 0, _num_frames(x.shape[0], config)))
+    return _frozen(_frame_bins((x,), config, 0, _num_frames(x.shape[0], config)))[0]
 
 
 def istft(bins: np.ndarray, config: StftConfig, num_samples: int) -> np.ndarray:

@@ -20,15 +20,15 @@ import io
 import json
 from dataclasses import dataclass, field
 from itertools import zip_longest
-from typing import Iterator
+from math import fsum
 
 import numpy as np
 
 from ._inputs import _bins_of, _channel_pair, _check_finite, _check_stereo_pair, _overflow_named, _takes
 from .audio import _BLOCK_SAMPLES, AudioBuffer, StftConfig, _as_stereo, _stft_blocks, resample
 from .loudness import dbtp_distance
-from .phase import _cross
-from .spectral import _LOG_EPSILON, MultiScaleConfig, _check_length, _LogL1, _mel_bands, _MelBands
+from .phase import _cross, _FrameSums
+from .spectral import _LOG_EPSILON, MultiScaleConfig, _check_length, _LogL1, _magnitudes, _mel_bands, _MelBands
 from .weighting import _prefilter_pair
 
 __all__ = [
@@ -60,8 +60,8 @@ class _Resultants:
         self.energies: list[np.ndarray] = []
 
     def _add(self, weighted: np.ndarray, weights: np.ndarray) -> None:
-        self.resultants.append(np.abs(np.sum(weighted, axis=1)))
-        self.energies.append(np.sum(weights, axis=1))
+        self.resultants.append(np.abs(np.add.reduce(weighted, axis=1)))
+        self.energies.append(np.add.reduce(weights, axis=1))
 
     def percent(self) -> tuple[float, bool]:
         """Energy-weighted mean resultant length over frames, as a percent.
@@ -88,22 +88,47 @@ class _Icpc(_Resultants):
         self._add(weighted, np.abs(weighted))
 
 
+def _times_conj(x: np.ndarray, y: np.ndarray) -> None:
+    """``x *= conj(y)`` for two complex arrays of one type, formed from products of
+    real parts; ``y`` is overwritten.
+
+    numpy's complex product rounds the parts of ``y * conj(x)`` otherwise than
+    those of ``x * conj(y)``; here they are exact conjugates.
+    """
+    xr, xi, yr, yi = x.real, x.imag, y.real, y.imag
+    t = np.multiply(xr, yi)
+    np.multiply(xi, yi, out=yi)
+    np.multiply(xi, yr, out=xi)
+    np.subtract(xi, t, out=xi)
+    np.multiply(xr, yr, out=xr)
+    np.add(xr, yi, out=xr)
+
+
+_CCPC_BINS = 2**14  # bins of the frames whose CCPC products are formed together
+
+
 class _Ccpc(_Resultants):
     def add(self, al: np.ndarray, ar: np.ndarray, bl: np.ndarray, br: np.ndarray) -> None:
-        # P = (bl conj(br)) conj(al conj(ar)): phase = error of the inter-channel phase
-        # difference, weight sqrt|P|. Built in place: each temporary adds to peak memory.
+        # P = (bl conj(br)) conj(al conj(ar)) = (ar bl) conj(al br): phase = error of the
+        # inter-channel phase difference, weight sqrt|P|. A left/right swap turns ar bl into
+        # al br and back, each a product of the same operands in the same order, so it gives
+        # conj(P) exactly and the statistic does not move. Each temporary adds to peak memory,
+        # so P is formed for about _CCPC_BINS bins of frames at a time.
         # In the complex type of the four: real, integer and bool bins give the products of complex128 ones.
         kind = np.result_type(al, ar, bl, br, 1j)
-        prod = np.conjugate(ar, dtype=kind)
-        prod *= al
-        np.conjugate(prod, out=prod)
-        rec_ipd = np.conjugate(br, dtype=kind)
-        rec_ipd *= bl
-        prod *= rec_ipd
-        del rec_ipd
-        weights = np.sqrt(np.abs(prod))
-        np.divide(prod, weights, out=prod, where=weights > 0)  # P == 0 stays 0
-        self._add(prod, weights)
+        resultants, energies = np.empty((2, al.shape[0]))
+        step = max(1, _CCPC_BINS // max(1, al.shape[1]))
+        for lo in range(0, al.shape[0], step):
+            f = slice(lo, lo + step)
+            prod = np.multiply(ar[f], bl[f], dtype=kind)
+            _times_conj(prod, np.multiply(al[f], br[f], dtype=kind))
+            weights = np.abs(prod)
+            np.sqrt(weights, out=weights)
+            np.divide(prod, weights, out=prod, where=weights > 0)  # P == 0 stays 0
+            resultants[f] = np.abs(np.add.reduce(prod, axis=1))
+            energies[f] = np.add.reduce(weights, axis=1)
+        self.resultants.append(resultants)
+        self.energies.append(energies)
 
 
 @_overflow_named("spectra")
@@ -183,32 +208,32 @@ def si_sdr(ref: np.ndarray, rec: np.ndarray) -> float:
     return value
 
 
-def _float64_blocks(a: np.ndarray, b: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Consecutive ``_BLOCK_SAMPLES`` blocks of two equal-length channels, as contiguous
-    float64: BLAS sums a strided vector in another order than a contiguous one."""
-    for lo in range(0, a.shape[0], _BLOCK_SAMPLES):
-        hi = lo + _BLOCK_SAMPLES
-        yield np.ascontiguousarray(a[lo:hi], np.float64), np.ascontiguousarray(b[lo:hi], np.float64)
-
-
 def _si_sdr_channel(a: np.ndarray, b: np.ndarray) -> float | None:
     """SI-SDR of one checked channel pair, or None when the reference is all zeros.
 
-    Every power is summed over float64 blocks, so float32 channels are
-    widened a block at a time and no full-length temporary is made."""
+    Every power is summed over contiguous float64 blocks of ``_BLOCK_SAMPLES``
+    (BLAS sums a strided vector in another order than a contiguous one), so
+    float32 channels are widened a block at a time. Each pair of blocks is
+    released before the next is made: no full-length temporary is made."""
+    blocks = range(0, a.shape[0], _BLOCK_SAMPLES)
     ref_power = cross = 0.0
-    for a_blk, b_blk in _float64_blocks(a, b):
+    for lo in blocks:
+        a_blk, b_blk = (np.ascontiguousarray(x[lo : lo + _BLOCK_SAMPLES], np.float64) for x in (a, b))
         ref_power += float(np.dot(a_blk, a_blk))
         cross += float(np.dot(b_blk, a_blk))
+        del a_blk, b_blk
     if ref_power == 0.0:
         return None
     alpha = cross / ref_power
     target_power = residual_power = 0.0
-    for a_blk, b_blk in _float64_blocks(a, b):
-        target = alpha * a_blk
-        residual = b_blk - target
+    for lo in blocks:
+        # alpha * a and b - alpha * a, formed in place in fresh float64 copies of the blocks
+        target, residual = (np.array(x[lo : lo + _BLOCK_SAMPLES], np.float64) for x in (a, b))
+        target *= alpha
+        residual -= target
         target_power += float(np.dot(target, target))
         residual_power += float(np.dot(residual, residual))
+        del target, residual
     if not np.isfinite((ref_power, target_power, residual_power)).all():
         return float("nan")  # a power overflowed float64; the callers name the NaN
     if target_power == 0.0:
@@ -317,37 +342,46 @@ def _evaluate_aligned(
     and at the config equal to the coherence STFT the block feeds ICPC/CCPC;
     a bank without that config takes one more pass for it. One block of
     frames is alive at a time; ``mels`` are the scales' mel projections.
-    Returns the metrics, SI-SDR None when every reference channel is silent,
+    The distances are frame-grid sums, combined over scales and channels with
+    ``math.fsum``. Returns the metrics, SI-SDR None when every reference channel is silent,
     and the flags."""
     _check_length(ref.num_samples, ms_cfg)
-    dists = [[(_LogL1(_LOG_EPSILON), _LogL1(_LOG_EPSILON, mel)) for _ in "lr"] for mel in mels]
+    # per scale, its mel projection and the log and mel distances of the left and right channels
+    scales = [(mel, [_LogL1(_LOG_EPSILON) for _ in range(4)]) for mel in mels]
     configs = [ms_cfg.stft_config(n) for n in ms_cfg.fft_sizes]
     if _COHERENCE_STFT not in configs:
         configs.append(_COHERENCE_STFT)
     coh = (_Icpc(), _Icpc(), _Ccpc())
     channels = (ref.samples[0], rec.samples[0], ref.samples[1], rec.samples[1])
-    for sc, scale_dists in zip_longest(configs, dists, fillvalue=()):
+    terms: list[list[float]] = [[], []]  # log and mel distances, over channels and scales
+    for sc, (mel, scale_dists) in zip_longest(configs, scales, fillvalue=(None, ())):
+        sums = _FrameSums(4)
 
         def add_block(a_l, b_l, a_r, b_r):
-            for (stft_d, mel_d), a, b in zip(scale_dists, (a_l, a_r), (b_l, b_r)):
-                mag_a, mag_b = np.abs(a), np.abs(b)
-                stft_d.add(mag_a, mag_b)
-                mel_d.add(mag_a, mag_b)
-                del mag_a, mag_b  # released before the next channel's, and before ICPC/CCPC's products
+            if scale_dists:
+                rows = np.empty((4, a_l.shape[0]))
+                for k, a, b in ((0, a_l, b_l), (2, a_r, b_r)):
+                    mags = _magnitudes(a, b)
+                    scale_dists[k].add(*mags, rows[k])
+                    scale_dists[k + 1].add(*mel.project(mags), rows[k + 1])
+                    del mags  # released before the next channel's, and before ICPC/CCPC's products
+                sums.add(rows)
             if sc == _COHERENCE_STFT:
                 coh[0].add(a_l, b_l)
                 coh[1].add(a_r, b_r)
                 coh[2].add(a_l, a_r, b_l, b_r)
 
         _stft_blocks(channels, sc, add_block)
+        for k, (dist, total) in enumerate(zip(scale_dists, sums.totals())):
+            terms[k % 2].append(dist.mean(total))
     (icpc_l, deg_l), (icpc_r, deg_r), (ccpc_value, deg_c) = (c.percent() for c in coh)
     # align_pair checked the channels finite, and chunks are views of them
     sdr = [_si_sdr_channel(a, b) for a, b in zip(ref.samples, rec.samples)]
     heard = [v for v in sdr if v is not None]
-    # per channel over scales, then over channels; SI-SDR over channels with a reference
+    # every channel and scale weighs the same; fsum's exactly rounded sums do not depend on their order
     metrics = {
-        "mel_dist": float(np.mean([np.mean([d[ch][1].mean() for d in dists]) for ch in (0, 1)])),
-        "stft_dist": float(np.mean([np.mean([d[ch][0].mean() for d in dists]) for ch in (0, 1)])),
+        "mel_dist": fsum(terms[1]) / len(terms[1]),
+        "stft_dist": fsum(terms[0]) / len(terms[0]),
         "icpc_percent": float(np.mean([icpc_l, icpc_r])),
         "ccpc_percent": ccpc_value,
         "si_sdr_db": float(np.mean(heard)) if heard else None,

@@ -6,10 +6,15 @@ wrapped first difference along frequency. The correlation loss penalizes the
 cosine of per-bin phase error, the phase loss the L1 error of both phase
 derivatives. Spectrograms are complex matrices of shape ``(frames, bins)``.
 The losses here and ICPC/CCPC of spectra raise ValueError on non-finite
-bins, and on finite bins so large that a result overflows float64.
+bins, and on finite bins so large that a result overflows float64. Every sum
+over frames, here and in the multi-scale distances and the objective, is a
+frame-grid sum (:class:`_FrameSums`), so no value depends on how the frames
+were cut into blocks.
 """
 
 from __future__ import annotations
+
+from math import fsum
 
 import numpy as np
 
@@ -28,27 +33,77 @@ _TWO_PI = 2.0 * np.pi
 _EPSILON = 1e-8  # regularizes the correlation loss's denominators and the phase loss's weight sums
 
 
+# Frames per group of a _FrameSums total, counted from a signal's first frame.
+_FRAME_GROUP = 256
+
+
+class _FrameSums:
+    """Totals of per-frame values in several series, whatever the blocks the frames come in.
+
+    :meth:`add` takes the next block's ``(series, frames)`` values, in frame
+    order. Frames are summed in fixed groups of ``_FRAME_GROUP`` counted from
+    the signal's first frame, each group by one numpy reduce; a buffer carries
+    a partial group from one block to the next. :meth:`totals` adds each
+    series' group totals with ``math.fsum``, which rounds their exact sum once.
+    So a total depends only on the per-frame values, not on where the frames
+    were cut into blocks, and memory grows by one float per series and group.
+    """
+
+    def __init__(self, series: int) -> None:
+        self._partial = np.empty((series, _FRAME_GROUP))
+        self._fill = 0
+        self._groups: list[np.ndarray] = []
+
+    def add(self, rows: np.ndarray) -> None:
+        n = rows.shape[1]
+        at = 0
+        while at < n:
+            k = min(_FRAME_GROUP - self._fill, n - at)
+            self._partial[:, self._fill : self._fill + k] = rows[:, at : at + k]
+            self._fill += k
+            at += k
+            if self._fill == _FRAME_GROUP:
+                self._groups.append(np.add.reduce(self._partial, axis=-1))
+                self._fill = 0
+
+    @classmethod
+    def of(cls, rows: np.ndarray) -> list[float]:
+        """The totals of the ``(series, frames)`` values of every frame."""
+        sums = cls(rows.shape[0])
+        sums.add(rows)
+        return sums.totals()
+
+    def totals(self) -> list[float]:
+        """The total of each series, in series order."""
+        groups = list(self._groups)
+        if self._fill:
+            groups.append(np.add.reduce(self._partial[:, : self._fill], axis=-1))
+        return [fsum(series) for series in np.array(groups).T.tolist()]
+
+
 def _wrap(x: np.ndarray) -> np.ndarray:
     """Wrap ``x`` into (-pi, pi] as ``x - 2 pi round(x / 2 pi)`` in float64 and
-    return it; NaN and inf become NaN. A float64 ``x`` is wrapped in place,
-    any other is widened into a fresh array first."""
+    return it; NaN and inf become NaN, under the caller's ``np.errstate``. A
+    float64 ``x`` is wrapped in place, any other is widened into a fresh array first."""
     x = x.astype(np.float64, copy=False)
-    with np.errstate(invalid="ignore"):
-        turns = np.divide(x, _TWO_PI, out=np.empty_like(x))
-        np.round(turns, out=turns)
-        turns *= _TWO_PI
-        x -= turns
+    turns = np.divide(x, _TWO_PI, out=np.empty_like(x))
+    np.rint(turns, out=turns)
+    turns *= _TWO_PI
+    x -= turns
     del turns  # freed before the masks below are made
-    # rounding can leave a result just outside the interval at either end
-    np.add(x, _TWO_PI, out=x, where=x <= -np.pi)
-    np.subtract(x, _TWO_PI, out=x, where=x > np.pi)
+    # rounding can leave a result just outside the interval at either end; the masks
+    # are made only then (a NaN fails both tests and takes the masked path, unchanged)
+    if not (x.size and -np.pi < x.min() and x.max() <= np.pi):
+        np.add(x, _TWO_PI, out=x, where=x <= -np.pi)
+        np.subtract(x, _TWO_PI, out=x, where=x > np.pi)
     return x
 
 
 def wrap_phase(x: np.ndarray | float) -> np.ndarray | float:
     """Wrap angles into (-pi, pi]; the boundary -pi maps to +pi, and NaN or inf to NaN.
     Angles that are not bool, integer or float raise ValueError."""
-    wrapped = _wrap(np.array(_sample_array(x, "angles"), dtype=np.float64))
+    with np.errstate(invalid="ignore"):
+        wrapped = _wrap(np.array(_sample_array(x, "angles"), dtype=np.float64))
     return float(wrapped) if np.ndim(x) == 0 else wrapped
 
 
@@ -71,13 +126,12 @@ def _forward(op, x: np.ndarray, axis: int, before: np.ndarray | None = None) -> 
     return out
 
 
-def _wrapped_diff(x: np.ndarray, axis: int, before: np.ndarray | None = None) -> np.ndarray:
-    """Wrapped forward difference of a 2-D phase matrix along ``axis``, after the
-    row ``before`` if given (axis 0); NaN where not finite."""
-    if x.ndim != 2 or x.shape[axis] + (before is not None) < 2:
+def _wrapped_diff(x: np.ndarray, axis: int) -> np.ndarray:
+    """Wrapped forward difference of a 2-D phase matrix along ``axis``; NaN where not finite."""
+    if x.ndim != 2 or x.shape[axis] < 2:
         raise ValueError(f"need a 2-D phase matrix with >= 2 {('frames', 'bins')[axis]}, got shape {x.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        return _wrap(_forward(np.subtract, x, axis, before))
+        return _wrap(_forward(np.subtract, x, axis))
 
 
 def instantaneous_frequency(phase: np.ndarray) -> np.ndarray:
@@ -103,28 +157,32 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     It is complex, so real, integer and bool bins give the product of the complex128 bins
     that hold them, and large integers do not wrap."""
     prod = np.conjugate(a)
-    prod = prod.astype(np.result_type(b, prod, 1j), copy=False)
+    if prod.dtype != b.dtype or prod.dtype.kind != "c":
+        prod = prod.astype(np.result_type(b, prod, 1j), copy=False)
     return np.multiply(b, prod, out=prod)
 
 
 class _CorrelationSums:
-    """Running sum of ``Re(rec * conj(ref)) / (|rec| |ref| + epsilon)`` and its
-    bin count over the blocks of frames and their magnitudes it is given."""
+    """Per-frame sums of ``Re(rec * conj(ref)) / (|rec| |ref| + epsilon)`` over the
+    bins of the blocks of frames and magnitudes it is given, and their bin count.
+    The consumer adds the rows up with :class:`_FrameSums`."""
 
     def __init__(self) -> None:
-        self.total, self.count = 0.0, 0
+        self.count = 0
 
-    def add(self, a: np.ndarray, b: np.ndarray, mag_a: np.ndarray, mag_b: np.ndarray) -> None:
-        # the operations of sum(Re(b * conj(a)) / (mag_b * mag_a + eps)), in two buffers
+    def add(self, a: np.ndarray, b: np.ndarray, mag_a: np.ndarray, mag_b: np.ndarray, out: np.ndarray) -> None:
+        """Write each frame's sum into the row ``out``."""
+        # the operations of Re(b * conj(a)) / (mag_b * mag_a + eps), in two buffers
         prod = _cross(a, b)
         den = np.multiply(mag_b, mag_a, dtype=np.result_type(mag_b, mag_a, _EPSILON))  # integers do not wrap
         den += _EPSILON
         np.divide(prod.real, den, out=den)
-        self.total += float(np.sum(den))
+        np.add.reduce(den, axis=-1, out=out)
         self.count += den.size
 
-    def loss(self) -> float:
-        return 1.0 - self.total / self.count
+    def loss(self, total: float) -> float:
+        """The loss from the total of every row written."""
+        return 1.0 - total / self.count
 
 
 @_overflow_named("spectra")
@@ -139,45 +197,55 @@ def correlation_loss(ref: np.ndarray, rec: np.ndarray) -> float:
     a, b = _bins_of(ref, rec)
     if not a.size:
         raise ValueError(f"correlation loss needs at least one bin, got empty spectrograms of shape {a.shape}")
-    sums.add(a, b, np.abs(a), np.abs(b))
-    return sums.loss()
+    rows = np.empty((1, a.shape[0]))
+    sums.add(a, b, np.abs(a), np.abs(b), rows[0])
+    return sums.loss(*_FrameSums.of(rows))
 
 
-def _abs_sums(d: np.ndarray, mag: np.ndarray, axis: int, before: np.ndarray | None = None) -> tuple[float, float]:
-    """Sum of ``w * |d|`` and of ``w``, where ``w`` is the mean magnitude of the
-    two bins each difference along ``axis`` spans (the first of them ``before``,
-    as in :func:`_forward`). ``d`` is overwritten."""
+def _abs_rows(d: np.ndarray, mag: np.ndarray, axis: int, before: np.ndarray | None, out: np.ndarray) -> None:
+    """Per-row sums of ``w * |d|`` into ``out[0]`` and of ``w`` into ``out[1]``, where ``w``
+    is the mean magnitude of the two bins each difference along ``axis`` spans (the
+    first of them ``before``, as in :func:`_forward`). ``d`` is overwritten."""
     w = _forward(np.add, mag, axis, before)
     w = w.astype(np.result_type(w, 2.0), copy=False)  # integer and bool weights widen, as w / 2.0 does
     w /= 2.0
     np.abs(d, out=d)
     d *= w
-    return float(np.sum(d)), float(np.sum(w))
+    np.add.reduce(d, axis=-1, out=out[0])
+    np.add.reduce(w, axis=-1, out=out[1])
 
 
 class _PhaseSums:
-    """Sums behind :func:`phase_loss` over consecutive blocks of frames.
+    """Per-frame sums behind :func:`phase_loss` over consecutive blocks of frames.
 
-    Each block comes with its reference magnitudes, which weight the errors.
-    The IF error of a block's first frame is taken against the last frame of
-    the block before it, whose phase error and magnitude are carried over as
-    a one-frame halo.
+    Each block comes with its reference magnitudes, which weight the errors,
+    and four rows to fill: per frame, the IF error and weight sums and the GD
+    error and weight sums. A frame's IF differences are taken against the frame
+    before it: for a block's first frame, the last frame of the block before,
+    whose phase error and magnitude are carried over as a one-frame halo. The
+    signal's first frame has none, and its IF sums read 0. The consumer adds
+    the rows up with :class:`_FrameSums`. Huge magnitudes overflow the weights:
+    callers run under :func:`_overflow_named`'s ``np.errstate`` and name the result.
     """
 
     def __init__(self) -> None:
-        self.sums = np.zeros(4)  # IF error, IF weight, GD error, GD weight
         self.halo: tuple[np.ndarray | None, np.ndarray | None] = (None, None)
 
-    def add(self, a: np.ndarray, b: np.ndarray, mag_a: np.ndarray) -> None:
+    def add(self, a: np.ndarray, b: np.ndarray, mag_a: np.ndarray, out: np.ndarray) -> None:
         # wrap(wrap(x) - wrap(y)) == wrap(x - y) and |wrap(-d)| == |wrap(d)|
         err = np.angle(b)
         err -= np.angle(a)
-        if_sums = _abs_sums(_wrapped_diff(err, 0, self.halo[0]), mag_a, 0, self.halo[1])
+        before_err, before_mag = self.halo
+        first = int(before_err is None)
+        out[:2, :first] = 0.0
+        _abs_rows(_wrap(_forward(np.subtract, err, 0, before_err)), mag_a, 0, before_mag, out[:2, first:])
         self.halo = (err[-1:].copy(), mag_a[-1:].copy())
-        self.sums += (*if_sums, *_abs_sums(_wrapped_diff(err, 1), mag_a, 1))
+        _abs_rows(_wrap(_forward(np.subtract, err, 1)), mag_a, 1, None, out[2:])
 
-    def loss(self) -> float:
-        if_err, if_weight, gd_err, gd_weight = self.sums
+    @staticmethod
+    def loss(totals: list[float]) -> float:
+        """The loss from the totals of the four rows, in their order."""
+        if_err, if_weight, gd_err, gd_weight = totals
         return float(if_err / (if_weight + _EPSILON) + gd_err / (gd_weight + _EPSILON))
 
 
@@ -197,9 +265,9 @@ def phase_loss(ref: np.ndarray, rec: np.ndarray) -> float:
     sum of its weights plus 1e-8. Spectrograms of fewer than two frames or
     two bins raise ValueError.
     """
-    sums = _PhaseSums()
     a, b = _bins_of(ref, rec)
     if min(a.shape) < 2:
         raise ValueError(f"phase loss needs at least two frames and two bins, got spectrograms of shape {a.shape}")
-    sums.add(a, b, np.abs(a))
-    return sums.loss()
+    rows = np.empty((4, a.shape[0]))
+    _PhaseSums().add(a, b, np.abs(a), rows)
+    return _PhaseSums.loss(_FrameSums.of(rows))

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import lru_cache
+from math import fsum
 
 import numpy as np
 
 from ._inputs import _channel_pair, _check_stereo_pair, _fft_size, _overflow_named, _positive_rate, _takes
 from .audio import AudioBuffer, StftConfig, _frozen, _quarter_hop, _stft_blocks
-from .phase import _CorrelationSums, _PhaseSums
+from .phase import _CorrelationSums, _FrameSums, _PhaseSums
 from .weighting import _prefilter_pair
 
 __all__ = [
@@ -131,8 +132,9 @@ class _MelBands:
     A triangle spans a short run of bins (98.5% of the filterbank's entries at
     4096 are zero), so ``mag @ mel_filterbank(...).T`` mostly multiplies
     zeros. ``groups`` holds, per group with a non-zero weight, its first band,
-    its bin span ``[j0, j1)`` and its ``(j1 - j0, bands)`` weights; a band
-    with no bin, and a group with no weight, stays a zero column.
+    the indices of its bin span ``[j0, j1)`` and of its bands along the last
+    axis, and its ``(j1 - j0, bands)`` weights; a band with no bin, and a
+    group with no weight, stays a zero column.
     """
 
     def __init__(self, fb: np.ndarray) -> None:
@@ -142,15 +144,17 @@ class _MelBands:
             block = fb[b0 : b0 + _BAND_GROUP]
             spanned = np.flatnonzero(block.any(axis=0))
             if spanned.size:
-                j0, j1 = int(spanned[0]), int(spanned[-1]) + 1
-                groups.append((b0, j0, j1, _frozen(block[:, j0:j1].T.copy())))
+                bins = (..., slice(int(spanned[0]), int(spanned[-1]) + 1))
+                bands = (..., slice(b0, b0 + block.shape[0]))
+                groups.append((b0, bins, bands, _frozen(block[:, bins[1]].T.copy())))
         self.groups = tuple(groups)
 
     def project(self, mag: np.ndarray) -> np.ndarray:
-        """``mag @ fb.T`` for a ``(frames, bins)`` block of magnitudes."""
-        out = np.zeros((mag.shape[0], self.n_mels))
-        for b0, j0, j1, w in self.groups:
-            np.matmul(mag[:, j0:j1], w, out=out[:, b0 : b0 + w.shape[1]])
+        """``mag @ fb.T`` for a ``(..., frames, bins)`` block of magnitudes: each group's
+        product runs once over a stack of blocks, with the bits of each block's own."""
+        out = np.zeros((*mag.shape[:-1], self.n_mels))
+        for _, bins, bands, w in self.groups:
+            np.matmul(mag[bins], w, out=out[bands])
         return out
 
 
@@ -180,24 +184,34 @@ def _check_length(num_samples: int, cfg: MultiScaleConfig, what: str = "signals"
 
 
 class _LogL1:
-    """Running mean of ``|log(|A| + eps) - log(|B| + eps)|`` over every frame
-    and bin of the magnitude blocks it is given, after the banded mel
-    projection ``mel`` if given (see :class:`_MelBands`)."""
+    """Per-frame sums of ``|log(A + eps) - log(B + eps)|`` over the bins of the
+    blocks of magnitudes (or of their mel projections) it is given, and the
+    count of terms. The consumer adds the rows up with :class:`_FrameSums`."""
 
-    def __init__(self, eps: float, mel: _MelBands | None = None) -> None:
-        self.eps, self.mel = eps, mel
-        self.total, self.count = 0.0, 0
+    def __init__(self, eps: float) -> None:
+        self.eps = eps
+        self.count = 0
 
-    def add(self, mag_a: np.ndarray, mag_b: np.ndarray) -> None:
-        if self.mel is not None:
-            mag_a, mag_b = self.mel.project(mag_a), self.mel.project(mag_b)
-        log_a, log_b = (np.log(x, out=x) for x in (mag_a + self.eps, mag_b + self.eps))
-        log_a -= log_b
-        self.total += float(np.sum(np.abs(log_a, out=log_a)))
+    def add(self, mag_a: np.ndarray, mag_b: np.ndarray, out: np.ndarray) -> None:
+        """Write each frame's sum into the row ``out``."""
+        log_a, log_b = mag_a + self.eps, mag_b + self.eps
+        np.log(log_a, out=log_a)
+        log_a -= np.log(log_b, out=log_b)
+        np.add.reduce(np.abs(log_a, out=log_a), axis=-1, out=out)
         self.count += log_a.size
 
-    def mean(self) -> float:
-        return self.total / self.count
+    def mean(self, total: float) -> float:
+        """The mean from the total of every row written."""
+        return total / self.count
+
+
+def _magnitudes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``|a|`` and ``|b|`` of two blocks of bins, stacked, so that a mel
+    projection runs once over both."""
+    mags = np.empty((2, *a.shape))
+    np.abs(a, out=mags[0])
+    np.abs(b, out=mags[1])
+    return mags
 
 
 @_overflow_named("samples")
@@ -213,9 +227,16 @@ def _multiscale_distance(
     mels = [None] * len(cfg.fft_sizes) if mel_rate is None else _mel_bands(cfg, mel_rate)
     per_scale = []
     for n, mel in zip(cfg.fft_sizes, mels):
-        dist = _LogL1(_LOG_EPSILON, mel)
-        _stft_blocks(pair, cfg.stft_config(n), lambda a, b: dist.add(np.abs(a), np.abs(b)))
-        per_scale.append(dist.mean())
+        dist, sums = _LogL1(_LOG_EPSILON), _FrameSums(1)
+
+        def add_block(a, b):
+            rows = np.empty((1, a.shape[0]))
+            mags = _magnitudes(a, b)
+            dist.add(*(mags if mel is None else mel.project(mags)), rows[0])
+            sums.add(rows)
+
+        _stft_blocks(pair, cfg.stft_config(n), add_block)
+        per_scale.append(dist.mean(*sums.totals()))
     return float(np.mean(per_scale))
 
 
@@ -274,7 +295,9 @@ def composite_objective(
     only, across every scale of ``cfg``. An optional pre-filter (``"k"`` or
     ``"a"``) is applied to both signals before any analysis. Each scale is one
     pass over blocks of left/right frames; the mid and side spectra are half
-    their sum and difference, and every term is summed block by block.
+    their sum and difference. Every term is summed over frames on the frame
+    grid, and the terms over scales and channels with ``math.fsum``, so the
+    values depend neither on the block size nor on the order of left and right.
 
     Raises:
         ValueError: on arguments other than two AudioBuffers and a
@@ -294,32 +317,33 @@ def composite_objective(
     _check_stereo_pair(ref, rec, "composite objective")
     _check_length(ref.num_samples, cfg)
     ref, rec = _prefilter_pair(prefilter, ref, rec)
-    mag_terms: list[list[float]] = [[], [], [], []]  # mid, side, left, right
-    lr_terms: list[list[float]] = [[], [], [], []]  # corr left, corr right, phase left, phase right
+    mag_terms, corr_terms, phase_terms = [], [], []
     for n in cfg.fft_sizes:
-        mag_sums = [_LogL1(_LOG_EPSILON) for _ in mag_terms]
-        lr_sums = [_CorrelationSums() for _ in "lr"] + [_PhaseSums() for _ in "lr"]
+        mags = [_LogL1(_LOG_EPSILON) for _ in "msLR"]  # mid, side, left, right
+        corrs, phases = [_CorrelationSums() for _ in "lr"], [_PhaseSums() for _ in "lr"]
+        sums = _FrameSums(14)  # rows: 4 magnitude terms, 2 correlation terms, 2 x 4 phase sums
 
         def add_block(a_l, a_r, b_l, b_r):
+            rows = np.empty((14, a_l.shape[0]))
             # the STFT is linear, so mid and side are (a_l +/- a_r) / 2; one such pair at a time
-            mag_sums[0].add(_half_abs(a_l + a_r), _half_abs(b_l + b_r))
-            mag_sums[1].add(_half_abs(a_l - a_r), _half_abs(b_l - b_r))
+            mags[0].add(_half_abs(a_l + a_r), _half_abs(b_l + b_r), rows[0])
+            mags[1].add(_half_abs(a_l - a_r), _half_abs(b_l - b_r), rows[1])
             for i, (a, b) in enumerate(((a_l, b_l), (a_r, b_r))):
                 mag_a, mag_b = np.abs(a), np.abs(b)  # shared by the three terms
-                mag_sums[2 + i].add(mag_a, mag_b)
-                lr_sums[i].add(a, b, mag_a, mag_b)
+                mags[2 + i].add(mag_a, mag_b, rows[2 + i])
+                corrs[i].add(a, b, mag_a, mag_b, rows[4 + i])
                 del mag_b  # released before the phase term's buffers are made
-                lr_sums[2 + i].add(a, b, mag_a)
+                phases[i].add(a, b, mag_a, rows[6 + 4 * i : 10 + 4 * i])
                 del mag_a
+            sums.add(rows)
 
         _stft_blocks((*ref.samples, *rec.samples), cfg.stft_config(n), add_block)
-        for per_scale, sums in zip(mag_terms, mag_sums):
-            per_scale.append(sums.mean())
-        for per_scale, sums in zip(lr_terms, lr_sums):
-            per_scale.append(sums.loss())
-    # per component over scales, then over components; all left scales before all right
-    stft_mag = float(np.mean([np.mean(v) for v in mag_terms]))
-    corr, phase = (float(np.mean(lr_terms[k] + lr_terms[k + 1])) for k in (0, 2))
+        totals = sums.totals()
+        mag_terms += [m.mean(t) for m, t in zip(mags, totals)]
+        corr_terms += [c.loss(t) for c, t in zip(corrs, totals[4:])]
+        phase_terms += [phases[i].loss(totals[6 + 4 * i : 10 + 4 * i]) for i in (0, 1)]
+    # every component and scale weighs the same; fsum's exactly rounded sums do not depend on their order
+    stft_mag, corr, phase = (fsum(terms) / len(terms) for terms in (mag_terms, corr_terms, phase_terms))
     total = lam_mag * stft_mag + lam_corr * corr + lam_phase * phase
     return ObjectiveBreakdown(
         stft_mag=stft_mag,

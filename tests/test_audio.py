@@ -533,12 +533,12 @@ class TestStft:
         x = rng.standard_normal(3 * 4096 + 17).astype(dtype)
         cfg = StftConfig(n, hop=hop)
         bins = stft(x, cfg)
-        expected = _frame_bins(x, cfg, 0, 1 + x.shape[0] // hop)
+        expected = _frame_bins((x,), cfg, 0, 1 + x.shape[0] // hop)[0]
         assert type(bins) is np.ndarray and bins.dtype == np.complex128
         assert bins.shape == expected.shape
         assert bins.tobytes() == expected.tobytes()
         # float32 samples widen exactly, so their bins are those of the float64 values
-        assert bins.tobytes() == _frame_bins(x.astype(np.float64), cfg, 0, bins.shape[0]).tobytes()
+        assert bins.tobytes() == _frame_bins((x.astype(np.float64),), cfg, 0, bins.shape[0])[0].tobytes()
 
     def test_hann_window_equals_scipy_get_window_exactly(self):
         from scipy.signal import get_window

@@ -25,17 +25,17 @@ from earmetrics import (
     icpc_from_spectra,
     phase_loss,
 )
-from earmetrics.audio import _BLOCK_SAMPLES, StftConfig
+from earmetrics.audio import _STFT_BLOCK_SAMPLES, StftConfig
 from earmetrics.coherence import _Ccpc, _Icpc
-from earmetrics.phase import _CorrelationSums, _PhaseSums
+from earmetrics.phase import _CorrelationSums, _FrameSums, _PhaseSums
 from helpers import noise_stereo, toy_with_silent_bins, traced_peak
 from oracles import evaluate_whole, objective_whole
 
 RATE = 44100
 REL = 1e-12
 # bytes of one block of one channel's spectra: step frames of complex128 bins at the
-# 4096 scale (about 1.05 MB; every scale's block is within 2% of it)
-SPECTRA_BLOCK = (_BLOCK_SAMPLES // 4096) * StftConfig(4096).num_bins * 16
+# 4096 scale (about 0.52 MB; every scale's block is within 2% of it)
+SPECTRA_BLOCK = (_STFT_BLOCK_SAMPLES // 4096) * StftConfig(4096).num_bins * 16
 COHERENCE_FIELDS = ("mel_dist", "stft_dist", "icpc_percent", "ccpc_percent")
 
 
@@ -45,14 +45,14 @@ def _length_with_frames(fft_size: int, frames: int) -> int:
 
 
 def _edge_lengths() -> list[int]:
-    """The largest FFT size, and frame counts one more and one less than a
-    whole block at the 4096 and 128 scales. A block spans the same number
-    of samples of hops at every scale, so the length one frame past a block
-    is the same at all of them."""
+    """The largest FFT size, and frame counts one more and one less than one
+    and two whole blocks at the 4096 and 128 scales. A block spans the same
+    number of samples of hops at every scale, so the length one frame past a
+    block is the same at all of them."""
     lengths = {4096}
     for n in (4096, 128):
-        block = _BLOCK_SAMPLES // n
-        lengths.update(_length_with_frames(n, block + d) for d in (1, -1))
+        block = _STFT_BLOCK_SAMPLES // n
+        lengths.update(_length_with_frames(n, k * block + d) for k in (1, 2) for d in (1, -1))
     return sorted(lengths)
 
 
@@ -96,7 +96,7 @@ def test_objective_matches_whole_spectra(num_samples):
     _check_objective(*_pair(num_samples, seed=num_samples + 1))
 
 
-@given(st.integers(min_value=4097, max_value=3 * _BLOCK_SAMPLES // 4))
+@given(st.integers(min_value=4097, max_value=3 * _STFT_BLOCK_SAMPLES // 4))
 @settings(max_examples=6, deadline=None)
 def test_lengths_over_one_to_three_blocks(num_samples):
     bank = MultiScaleConfig(fft_sizes=(4096, 2048, 128))
@@ -137,17 +137,19 @@ def test_accumulators_in_blocks_match_one_block_on_silent_bins(block):
     # frames, equals the whole toy through the public functions (one block)
     a, b = toy_with_silent_bins()
     al, ar, bl, br = a, 0.8 * b * np.exp(0.31j), 1.1 * b, 0.9 * a * np.exp(-0.22j)
-    phase, corr = _PhaseSums(), _CorrelationSums()
+    phase, corr, sums = _PhaseSums(), _CorrelationSums(), _FrameSums(5)
     icpc, ccpc = _Icpc(), _Ccpc()
     starts = [0, *range(2, a.shape[0], block)]
     for lo, hi in zip(starts, [*starts[1:], a.shape[0]]):
-        rows = slice(lo, hi)
-        phase.add(a[rows], b[rows], np.abs(a[rows]))
-        corr.add(a[rows], b[rows], np.abs(a[rows]), np.abs(b[rows]))
-        icpc.add(a[rows], b[rows])
-        ccpc.add(al[rows], ar[rows], bl[rows], br[rows])
-    assert phase.loss() == pytest.approx(phase_loss(a, b), rel=REL, abs=0.0)
-    assert corr.loss() == pytest.approx(correlation_loss(a, b), rel=REL, abs=0.0)
+        frames, out = slice(lo, hi), np.empty((5, hi - lo))
+        phase.add(a[frames], b[frames], np.abs(a[frames]), out[:4])
+        corr.add(a[frames], b[frames], np.abs(a[frames]), np.abs(b[frames]), out[4])
+        sums.add(out)
+        icpc.add(a[frames], b[frames])
+        ccpc.add(al[frames], ar[frames], bl[frames], br[frames])
+    totals = sums.totals()
+    assert phase.loss(totals[:4]) == phase_loss(a, b)
+    assert corr.loss(totals[4]) == correlation_loss(a, b)
     assert icpc.percent()[0] == icpc_from_spectra(a, b)
     assert ccpc.percent()[0] == ccpc_from_spectra(al, ar, bl, br)
 
@@ -181,7 +183,7 @@ def test_working_set_is_under_seven_spectra_blocks(consume):
     # one block of the four channels' spectra (4 blocks) and the per-block
     # terms' buffers beside it; the inputs are made before the trace. While
     # block k was still held as block k + 1 was made, both took about 9.1
-    # blocks. Two seconds take three blocks at every scale. A first call fills
+    # blocks. Two seconds take six blocks at every scale. A first call fills
     # the caches (filterbanks, windows, plans), which are not working set.
     pair = _pair(2 * RATE, seed=10)
     consume(*pair)

@@ -3,17 +3,22 @@
 The objective's correlation and phase sums, ICPC's resultants and the
 objective's mid/side magnitudes are computed in place, in as few buffers as
 the operations allow. The functions here are the whole-array expressions they
-replace, with the same operations in the same operand order; every value must
-be equal, not close, on random bins, on silent bins and on bins of -0.0, and
-on the other numeric bins that the spectrum-level functions accept.
+replace, with the same operations in the same operand order, summed over
+frames on the frame grid (``phase._FrameSums``): every value must be equal,
+not close, on random bins, on silent bins and on bins of -0.0, and on the other
+numeric bins that the spectrum-level functions accept, however the frames are
+cut into blocks.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
 
 from earmetrics.coherence import _Icpc, icpc_from_spectra
-from earmetrics.phase import _CorrelationSums, _PhaseSums, correlation_loss
+import earmetrics.phase
+from earmetrics.phase import _CorrelationSums, _FrameSums, _PhaseSums, correlation_loss
 from earmetrics.spectral import _half_abs
 from helpers import exact_bits
 
@@ -32,36 +37,35 @@ def _wrap(x):
     return wrapped
 
 
-def _abs_sums(d, mag, axis):
+def _grid(rows):
+    """Frame-grid totals of per-frame values: each group of ``_FRAME_GROUP`` frames
+    from the first summed by numpy, then the group totals by ``math.fsum``."""
+    g = earmetrics.phase._FRAME_GROUP
+    return [math.fsum(np.add.reduce(row[lo : lo + g]) for lo in range(0, len(row), g)) for row in rows]
+
+
+def _row_sums(x):
+    return np.add.reduce(x, axis=1, dtype=np.float64)
+
+
+def _abs_rows(d, mag, axis):
     w = (mag[:-1, :] + mag[1:, :]) / 2.0 if axis == 0 else (mag[:, :-1] + mag[:, 1:]) / 2.0
-    return float(np.sum(w * np.abs(d))), float(np.sum(w))
+    return _row_sums(w * np.abs(d)), _row_sums(w)
 
 
-def _phase_sums(blocks):
-    sums, halo = np.zeros(4), None
-    for a, b in blocks:
-        mag = np.abs(a)
-        err = np.angle(b)
-        err -= np.angle(a)  # in the dtype of angle(b): float32 for complex64 bins
-        err_if, mag_if = err, mag
-        if halo is not None:
-            err_if, mag_if = (np.concatenate(pair) for pair in zip(halo, (err, mag)))
-        halo = (err[-1:].copy(), mag[-1:].copy())
-        sums += (
-            *_abs_sums(_wrap(err_if[1:] - err_if[:-1]), mag_if, 0),
-            *_abs_sums(_wrap(err[:, 1:] - err[:, :-1]), mag, 1),
-        )
-    return sums
+def _phase_sums(a, b):
+    mag = np.abs(a)
+    err = np.angle(b)
+    err -= np.angle(a)  # in the dtype of angle(b): float32 for complex64 bins
+    if_rows = _abs_rows(_wrap(err[1:] - err[:-1]), mag, 0)
+    # the first frame has no IF difference: its IF sums are 0
+    return _grid([*(np.concatenate(([0.0], r)) for r in if_rows), *_abs_rows(_wrap(err[:, 1:] - err[:, :-1]), mag, 1)])
 
 
-def _correlation_sums(blocks):
-    total, count = 0.0, 0
-    for a, b in blocks:
-        num = np.real(b * np.conj(a))
-        den = np.abs(b) * np.abs(a) + EPS
-        total += float(np.sum(num / den))
-        count += num.size
-    return total, count
+def _correlation_sums(a, b):
+    num = np.real(b * np.conj(a))
+    den = np.abs(b) * np.abs(a) + EPS
+    return _grid([_row_sums(num / den)]), num.size
 
 
 def _icpc_sums(blocks):
@@ -127,17 +131,26 @@ def any_pair(request):
 
 @pytest.mark.parametrize("cuts", CUTS, ids=[f"{len(c) - 1}blocks" for c in CUTS])
 class TestInPlaceKernels:
+    @pytest.fixture(autouse=True)
+    def small_groups(self, monkeypatch):
+        # groups of 16 of the 40 frames end inside blocks, so blocks carry partial groups
+        monkeypatch.setattr(earmetrics.phase, "_FRAME_GROUP", 16)
+
     def test_phase_sums(self, any_pair, cuts):
-        sums = _PhaseSums()
+        phase, sums = _PhaseSums(), _FrameSums(4)
         for a, b in _blocks(any_pair, cuts):
-            sums.add(a, b, np.abs(a))
-        assert exact_bits(sums.sums) == exact_bits(_phase_sums(_blocks(any_pair, cuts)))
+            rows = np.empty((4, a.shape[0]))
+            phase.add(a, b, np.abs(a), rows)
+            sums.add(rows)
+        assert exact_bits(sums.totals()) == exact_bits(_phase_sums(*any_pair))
 
     def test_correlation_sums(self, any_pair, cuts):
-        sums = _CorrelationSums()
+        corr, sums = _CorrelationSums(), _FrameSums(1)
         for a, b in _blocks(any_pair, cuts):
-            sums.add(a, b, np.abs(a), np.abs(b))
-        assert exact_bits((sums.total, sums.count)) == exact_bits(_correlation_sums(_blocks(any_pair, cuts)))
+            rows = np.empty((1, a.shape[0]))
+            corr.add(a, b, np.abs(a), np.abs(b), rows[0])
+            sums.add(rows)
+        assert exact_bits((sums.totals(), corr.count)) == exact_bits(_correlation_sums(*any_pair))
 
     def test_icpc_resultants(self, any_pair, cuts):
         acc = _Icpc()

@@ -25,7 +25,7 @@ from earmetrics import (
     mel_distance,
     mel_filterbank,
 )
-from earmetrics.audio import _BLOCK_SAMPLES
+from earmetrics.audio import _STFT_BLOCK_SAMPLES
 from earmetrics.spectral import _mel_bands
 from oracles import evaluate_whole
 
@@ -47,7 +47,7 @@ def _dense_and_banded(rate: int, i: int, n: int, frames: int) -> tuple[np.ndarra
 @pytest.mark.parametrize("i,n", SCALES, ids=[str(n) for n in CFG.fft_sizes])
 @pytest.mark.parametrize("frames", ["block", 1])
 def test_banded_equals_dense_within_a_few_ulp(rate, i, n, frames):
-    frames = _BLOCK_SAMPLES // n if frames == "block" else frames
+    frames = _STFT_BLOCK_SAMPLES // n if frames == "block" else frames
     dense, banded = _dense_and_banded(rate, i, n, frames)
     assert banded.shape == dense.shape == (frames, CFG.mel_bins_for(i))
     np.testing.assert_allclose(banded, dense, rtol=ULPS, atol=0.0)

@@ -18,6 +18,7 @@ from earmetrics import (
     split_mslr,
     stft,
 )
+from earmetrics.phase import _FrameSums
 from earmetrics.spectral import _LogL1
 from helpers import huge_noise_pair, noise_stereo, overflowing_pair
 
@@ -105,9 +106,10 @@ class TestDistances:
         # negligible epsilon every bin differs by exactly log(2)
         x = 0.4 * rng.standard_normal(22050)
         for n in (1024, 256):
-            dist = _LogL1(1e-300)
-            dist.add(*(np.abs(stft(y, MultiScaleConfig.stft_config(n))) for y in (x, 2 * x)))
-            assert dist.mean() == pytest.approx(np.log(2), abs=1e-12)
+            dist, mags = _LogL1(1e-300), [np.abs(stft(y, MultiScaleConfig.stft_config(n))) for y in (x, 2 * x)]
+            rows = np.empty((1, mags[0].shape[0]))
+            dist.add(*mags, rows[0])
+            assert dist.mean(*_FrameSums.of(rows)) == pytest.approx(np.log(2), abs=1e-12)
 
     def test_doubling_broadband_at_default_epsilon(self, rng):
         x = 0.5 * rng.standard_normal(44100)

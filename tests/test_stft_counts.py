@@ -32,9 +32,10 @@ def analyses(monkeypatch) -> dict[tuple[str, StftConfig], list[int]]:
     frames: dict[tuple[str, StftConfig], list[int]] = defaultdict(list)
     frame_bins = earmetrics.audio._frame_bins
 
-    def counting(x, config, start, stop):
-        frames[(_digest(x), config)].extend(range(start, stop))
-        return frame_bins(x, config, start, stop)
+    def counting(channels, config, start, stop):
+        for x in channels:
+            frames[(_digest(x), config)].extend(range(start, stop))
+        return frame_bins(channels, config, start, stop)
 
     monkeypatch.setattr(earmetrics.audio, "_frame_bins", counting)
     return frames

@@ -32,7 +32,7 @@ from helpers import assert_float32_equals_widened, float32_pair
 SEEDS = st.integers(0, 2**32 - 1)
 CHANNELS = st.integers(1, 2)
 AMPLITUDES = st.floats(1e-3, 2.0)
-# past one SI-SDR block and several STFT blocks of frames (2**15 samples at every scale)
+# past one SI-SDR block and several STFT blocks of frames (2**14 samples at every scale)
 LENGTHS = st.integers(4096, _BLOCK_SAMPLES + 9000)
 # from one 400 ms gating block at 48 kHz, past two polyphase blocks
 LONG_LENGTHS = st.integers(19200, 2 * _BLOCK_SAMPLES + 9000)
